@@ -98,8 +98,7 @@ def _print_analysis(payload: dict) -> None:
     print("vertices:", " ".join(f"({x},{y})" for x, y in payload["vertices"]))
     print(f"picard rank: {payload['picard']}")
     print(f"index: {payload['index']}")
-    k2 = Fraction(*map(int, payload["k2"].split("/")))
-    print(f"K^2: {k2}")
+    print(f"K^2: {payload['k2'].removesuffix('/1')}")
     print(f"singular cones: {payload['singular_count']}")
     for s in payload["singularities"]:
         rays = ",".join(f"({x},{y})" for x, y in s["rays"])
@@ -148,7 +147,7 @@ def _cmd_classify(args) -> int:
 def _cmd_quadrics(args) -> int:
     q = _load_input(args)
     data = ldp_analyze(q)
-    report = minimal_system(embedding_data(data), verify_rank=args.verify_rank)
+    report = minimal_system(embedding_data(data))
     text = format_ideal(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -228,13 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_quadrics = sub.add_parser("quadrics", help="minimal quadric system")
     add_input(p_quadrics)
     p_quadrics.add_argument("--out", default=None, help="write to a file")
-    rank = p_quadrics.add_mutually_exclusive_group()
-    rank.add_argument("--verify-rank", dest="verify_rank",
-                      action="store_true", default=None,
-                      help="force the exact rank cross-check")
-    rank.add_argument("--no-verify-rank", dest="verify_rank",
-                      action="store_false",
-                      help="skip the exact rank cross-check")
     p_quadrics.set_defaults(func=_cmd_quadrics)
 
     p_tables = sub.add_parser("tables",

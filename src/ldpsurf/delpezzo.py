@@ -210,7 +210,7 @@ def _primitive_box_points(bound: int) -> list[Point]:
 
 
 def enumerate_one_singularity(
-    bound: int, _start_order: int = 1
+    bound: int
 ) -> list[tuple[LatticePolygon, Classification]]:
     """Exhaustively enumerate one-singularity log del Pezzo polygons whose
     vertex coordinates lie in [-bound, bound]^2, classifying each.
@@ -222,7 +222,6 @@ def enumerate_one_singularity(
     if bound < 1:
         raise DomainError("bound must be >= 1")
     cands = _primitive_box_points(bound)
-    starts = range(len(cands)) if _start_order >= 0 else range(len(cands) - 1, -1, -1)
     found: list[LatticePolygon] = []
 
     def close_and_emit(chain: list[Point], nonbasic: int) -> None:
@@ -264,8 +263,7 @@ def enumerate_one_singularity(
             extend(chain, nb, succ, idx + 1)
             chain.pop()
 
-    for si in starts:
-        start = cands[si]
+    for si, start in enumerate(cands):
         successors = cands[si + 1:] + cands[:si]
         extend([start], 0, successors, 0)
 

@@ -5,26 +5,22 @@ points are the exponents of the embedding monomials.  The defining ideal is
 generated by quadratic binomials z_a z_b - z_c z_d with a + b = c + d; a
 minimal generating system takes, inside the fiber of each sum point, the
 differences against the lexicographically smallest point pair.  The size of
-that system is cross-checked by lattice point counting and, optionally, by an
-exact rank computation over the rationals.
+that system is cross-checked against the lattice points of the doubled polygon
+and against the counting formula.  Ranks and span membership of binomial sets
+are computed as graph connectivity on point pairs.
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .delpezzo import LdpData, canonical_polygon, ldp_analyze
 from .errors import ConsistencyError, DomainError, ParseError
 from .lattice import (LatticePolygon, Point, dilate, lattice_points,
                       minkowski_double, polygon_area2, to_lattice)
-
-# Fiber-wise exact rank verification is skipped by default once the monomial
-# count passes this threshold; covers every family member with p <= 12.
-AUTO_RANK_MAX_POINTS = 1600
 
 
 @dataclass(frozen=True)
@@ -80,34 +76,21 @@ class QuadricIdealReport:
     count: int
     formula_count: int
     generators: tuple[Binomial, ...]
-    rank: int | None  # exact rank of the full relation set, when verified
 
 
+@dataclass(frozen=True)
 class TableRow:
     """Closed-form row of embedding numerology for a family member."""
 
-    __slots__ = ("ambient_dim", "degree", "quadric_count", "genus",
-                 "boundary_count", "index")
+    ambient_dim: int
+    degree: int
+    quadric_count: int
+    genus: int
+    boundary_count: int
+    index: int
 
-    def __init__(self, ambient_dim, degree, quadric_count, genus,
-                 boundary_count, index):
-        self.ambient_dim = ambient_dim
-        self.degree = degree
-        self.quadric_count = quadric_count
-        self.genus = genus
-        self.boundary_count = boundary_count
-        self.index = index
-
-    def astuple(self):
-        return (self.ambient_dim, self.degree, self.quadric_count,
-                self.genus, self.boundary_count, self.index)
-
-    def __eq__(self, other):
-        return isinstance(other, TableRow) and self.astuple() == other.astuple()
-
-    def __repr__(self):
-        return ("TableRow(ambient_dim=%d, degree=%d, quadric_count=%d, "
-                "genus=%d, boundary_count=%d, index=%d)" % self.astuple())
+    def astuple(self) -> tuple[int, ...]:
+        return dataclasses.astuple(self)
 
 
 def embedding_data(data: LdpData) -> EmbeddingData:
@@ -162,65 +145,35 @@ def koelman_quadrics(e: EmbeddingData) -> list[Binomial]:
     return out
 
 
-def _reduce_row(row: dict, echelon: dict) -> dict:
-    """Eliminate against an echelon keyed by pivot (largest coordinate)."""
-    while row:
-        pivot = max(row)
-        hit = echelon.get(pivot)
-        if hit is None:
-            return row
-        factor = row[pivot] / hit[pivot]
-        for key, value in hit.items():
-            new = row.get(key, Fraction(0)) - factor * value
-            if new:
-                row[key] = new
-            else:
-                row.pop(key, None)
-    return row
+def _connect(binomials):
+    """Union the two point pairs of every binomial.
+
+    Returns the root finder and the number of unions that merged two
+    components.  That number is the rank over the rationals of the binomials
+    (the rank of a graph's edge set is |vertices| - |components|), and
+    e_u - e_v lies in their span exactly when u and v share a root.
+    """
+    parent: dict = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    unions = 0
+    for b in binomials:
+        u, v = find(b.plus), find(b.minus)
+        if u != v:
+            parent[u] = v
+            unions += 1
+    return find, unions
 
 
 def relation_rank(binomials) -> int:
-    """Exact rank over the rationals of a set of binomial relations.
-
-    Rows live in the vector space with one coordinate per unordered point
-    pair; generic sparse Gaussian elimination, no structural shortcuts.
-    """
-    echelon: dict = {}
-    rank = 0
-    for b in binomials:
-        row = _reduce_row({b.plus: Fraction(1), b.minus: Fraction(-1)}, echelon)
-        if row:
-            echelon[max(row)] = row
-            rank += 1
-    return rank
-
-
-def _full_set_rank(fibers: dict) -> int:
-    """Rank of the full relation set, fiber block by fiber block.
-
-    Binomials from different fibers involve disjoint monomials, so the
-    relation matrix is block diagonal and ranks add.  Inside a block every
-    row has coordinate sum zero, which bounds the block rank by m - 1 and
-    lets the elimination stop early once that bound is reached.
-    """
-    total = 0
-    for s in sorted(fibers):
-        pairs = fibers[s]
-        cap = len(pairs) - 1
-        echelon: dict = {}
-        rank = 0
-        for pair_a, pair_b in itertools.combinations(pairs, 2):
-            if rank == cap:
-                break
-            row = _reduce_row({pair_a: Fraction(1), pair_b: Fraction(-1)},
-                              echelon)
-            if row:
-                echelon[max(row)] = row
-                rank += 1
-        if rank > cap:
-            raise ConsistencyError("fiber rank exceeded its dimension bound")
-        total += rank
-    return total
+    """Exact rank over the rationals of a set of binomial relations."""
+    return _connect(binomials)[1]
 
 
 def quadric_count_by_counting(e: EmbeddingData) -> int:
@@ -231,14 +184,13 @@ def quadric_count_by_counting(e: EmbeddingData) -> int:
     return (delta + 1) * (delta + 2) // 2 - minkowski_double(e.polygon)
 
 
-def minimal_system(e: EmbeddingData, verify_rank: bool | None = None) -> QuadricIdealReport:
+def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
     """Minimal generating system of the embedding ideal.
 
     In each sum-point fiber the lexicographically smallest pair is the
     representative and one binomial per remaining pair is emitted.  The
-    system size must agree with the counting formula; when rank verification
-    runs (the default for small polygons), the exact rank of the full
-    relation set must agree as well.
+    number of fibers must equal the number of lattice points of the doubled
+    polygon, and the system size must agree with the counting formula.
     """
     fibers = sum_fibers(e)
     doubled = minkowski_double(e.polygon)
@@ -258,15 +210,6 @@ def minimal_system(e: EmbeddingData, verify_rank: bool | None = None) -> Quadric
             f"spanning construction produced {len(generators)} generators, "
             f"counting formula gives {formula_count}"
         )
-    if verify_rank is None:
-        verify_rank = len(e.points) <= AUTO_RANK_MAX_POINTS
-    rank = None
-    if verify_rank:
-        rank = _full_set_rank(fibers)
-        if rank != formula_count:
-            raise ConsistencyError(
-                f"full relation set has rank {rank}, expected {formula_count}"
-            )
     return QuadricIdealReport(
         points=e.points,
         ambient_dim=e.ambient_dim,
@@ -275,29 +218,18 @@ def minimal_system(e: EmbeddingData, verify_rank: bool | None = None) -> Quadric
         count=len(generators),
         formula_count=formula_count,
         generators=tuple(generators),
-        rank=rank,
     )
-
-
-@functools.lru_cache(maxsize=8)
-def _echelon_of(report: QuadricIdealReport) -> tuple[dict, frozenset]:
-    echelon: dict = {}
-    for b in report.generators:
-        row = _reduce_row({b.plus: Fraction(1), b.minus: Fraction(-1)}, echelon)
-        if row:
-            echelon[max(row)] = row
-    return echelon, frozenset(report.points)
 
 
 def span_membership(report: QuadricIdealReport, b: Binomial) -> bool:
     """True when b lies in the rational span of the report's generators."""
-    echelon, point_set = _echelon_of(report)
+    point_set = set(report.points)
     for pair in (b.plus, b.minus):
         for pt in pair:
             if pt not in point_set:
                 raise DomainError(f"point {pt} is not an embedding monomial")
-    row = _reduce_row({b.plus: Fraction(1), b.minus: Fraction(-1)}, echelon)
-    return not row
+    find = _connect(report.generators)[0]
+    return find(b.plus) == find(b.minus)
 
 
 def sectional_genus(e: EmbeddingData) -> int:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 from ldpsurf import LatticePolygon, UnimodularMap, is_ldp
 
@@ -76,3 +77,29 @@ def random_ldp_polygon(rng: random.Random, bound: int = 4,
         if is_ldp(poly):
             return poly
     raise AssertionError("could not sample an LDP polygon")
+
+
+def dense_rank(binomials) -> int:
+    """Rank over the rationals of binomial relations by dense Gaussian
+    elimination, one column per point pair that occurs: a test-only oracle
+    for the library's graph-connectivity rank."""
+    pairs = sorted({pair for b in binomials for pair in (b.plus, b.minus)})
+    col = {pair: i for i, pair in enumerate(pairs)}
+    rows = []
+    for b in binomials:
+        row = [Fraction(0)] * len(pairs)
+        row[col[b.plus]] = Fraction(1)
+        row[col[b.minus]] = Fraction(-1)
+        rows.append(row)
+    rank = 0
+    for c in range(len(pairs)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                factor = rows[i][c] / rows[rank][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

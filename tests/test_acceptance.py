@@ -67,8 +67,7 @@ def test_criterion_2_fixture_ideals():
     problems = []
     for k, p, count, name in fixtures:
         fix = parse_ideal((DATA / name).read_text())
-        ours = minimal_system(embedding_of(canonical_polygon(k, p)),
-                              verify_rank=True)
+        ours = minimal_system(embedding_of(canonical_polygon(k, p)))
         if len(fix) != count or ours.count != count:
             problems.append(f"{name}: size {len(fix)}/{ours.count} != {count}")
             continue

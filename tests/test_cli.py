@@ -130,7 +130,7 @@ def test_quadrics_stdout(capsys):
 def test_quadrics_out_file(capsys, tmp_path):
     dest = tmp_path / "ideal.txt"
     code, out, _ = run(capsys, "quadrics", "--canonical", "2", "1",
-                       "--out", str(dest), "--no-verify-rank")
+                       "--out", str(dest))
     assert code == 0
     assert out.strip() == f"14 generators written to {dest}"
     assert len(parse_ideal(dest.read_text())) == 14
@@ -138,7 +138,7 @@ def test_quadrics_out_file(capsys, tmp_path):
 
 def test_quadrics_from_file(capsys, tmp_path):
     path = write_polygon(tmp_path, canonical_polygon(3, 1))
-    code, out, _ = run(capsys, "quadrics", path, "--verify-rank")
+    code, out, _ = run(capsys, "quadrics", path)
     assert code == 0
     assert len(parse_ideal(out)) == 9
 

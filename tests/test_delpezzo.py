@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+import ldpsurf.delpezzo as delpezzo
 from ldpsurf import (ConsistencyError, DomainError, LatticePolygon,
                      SingularityCountError, apply_map, canonical_polygon,
                      classify_one_singularity, enumerate_one_singularity,
@@ -168,10 +169,20 @@ def test_enumerate_bound_two():
     }
 
 
-def test_enumerate_is_search_order_independent():
+def test_enumerate_is_search_order_independent(monkeypatch):
     forward = enumerate_one_singularity(2)
-    backward = enumerate_one_singularity(2, _start_order=-1)
-    assert [poly for poly, _ in forward] == [poly for poly, _ in backward]
+    # rotating the candidates keeps their cyclic angular order but starts the
+    # search elsewhere
+    box_points = delpezzo._primitive_box_points
+
+    def rotated(bound):
+        pts = box_points(bound)
+        half = len(pts) // 2
+        return pts[half:] + pts[:half]
+
+    monkeypatch.setattr(delpezzo, "_primitive_box_points", rotated)
+    shifted = enumerate_one_singularity(2)
+    assert [poly for poly, _ in forward] == [poly for poly, _ in shifted]
 
 
 def test_enumerate_validation():

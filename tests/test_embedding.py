@@ -1,9 +1,13 @@
 """Anticanonical embeddings and their quadric generating systems."""
 
+import functools
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 import ldpsurf.embedding as emb
 from ldpsurf import (Binomial, ConsistencyError, DomainError, ParseError,
                      QuadricIdealReport, TableRow, canonical_polygon,
@@ -99,8 +103,8 @@ def test_full_relation_set_rank():
         e = embedding_of(canonical_polygon(k, p))
         beta = quadric_count_by_counting(e)
         assert relation_rank(koelman_quadrics(e)) == beta, (k, p)
-        report = minimal_system(e, verify_rank=True)
-        assert report.rank == beta
+        report = minimal_system(e)
+        assert relation_rank(report.generators) == beta
         assert report.count == beta
 
 
@@ -116,7 +120,7 @@ def test_minimal_system_structure():
     e = embedding_of(canonical_polygon(2, 1))
     report = minimal_system(e)
     assert report.count == report.formula_count == len(report.generators) == 14
-    assert report.rank == 14
+    assert relation_rank(report.generators) == 14
     assert report.points == e.points
     keys = [(b.plus, b.minus) for b in report.generators]
     assert keys == sorted(keys)
@@ -131,15 +135,6 @@ def test_minimal_system_structure():
         assert all(b.plus == root for b in gens)
 
 
-def test_minimal_system_rank_gate(monkeypatch):
-    e = embedding_of(canonical_polygon(1, 1))
-    assert minimal_system(e, verify_rank=False).rank is None
-    monkeypatch.setattr(emb, "AUTO_RANK_MAX_POINTS", 5)
-    assert minimal_system(e).rank is None
-    monkeypatch.setattr(emb, "AUTO_RANK_MAX_POINTS", 5000)
-    assert minimal_system(e).rank == 20
-
-
 def test_span_membership():
     e = embedding_of(canonical_polygon(2, 1))
     report = minimal_system(e)
@@ -150,11 +145,37 @@ def test_span_membership():
         points=report.points, ambient_dim=report.ambient_dim,
         degree=report.degree, genus=report.genus,
         count=report.count - 1, formula_count=report.formula_count,
-        generators=report.generators[:-1], rank=None)
+        generators=report.generators[:-1])
     assert not span_membership(truncated, report.generators[-1])
     with pytest.raises(DomainError):
         span_membership(
             report, Binomial(((9, 9), (-9, -9)), ((0, 0), (0, 0))))
+
+
+@functools.cache
+def _relations(k, p):
+    e = embedding_of(canonical_polygon(k, p))
+    return e, koelman_quadrics(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rank_and_span_match_dense_elimination(data):
+    k, p = data.draw(st.sampled_from(((1, 1), (2, 1), (3, 1), (3, 3))))
+    e, relations = _relations(k, p)
+    subset = data.draw(st.lists(st.sampled_from(relations), max_size=40))
+    # probing inside the subset's fibers makes both answers likely
+    sums = {b.sum_point for b in subset}
+    near = [b for b in relations if b.sum_point in sums] or relations
+    probe = data.draw(st.sampled_from(near))
+    rank = helpers.dense_rank(subset)
+    assert relation_rank(subset) == rank
+    report = QuadricIdealReport(
+        points=e.points, ambient_dim=e.ambient_dim, degree=e.degree,
+        genus=e.interior_count, count=len(subset), formula_count=len(subset),
+        generators=tuple(subset))
+    expect = helpers.dense_rank(subset + [probe]) == rank
+    assert span_membership(report, probe) == expect
 
 
 @pytest.mark.parametrize("k,p,count,name", FIXTURES)
@@ -167,15 +188,14 @@ def test_fixture_systems(k, p, count, name):
     for b in fixture:
         assert set(b.plus) <= point_set and set(b.minus) <= point_set
     assert relation_rank(fixture) == count
-    ours = minimal_system(e, verify_rank=True)
+    ours = minimal_system(e)
     assert ours.count == count
     for b in fixture:
         assert span_membership(ours, b)
     theirs = QuadricIdealReport(
         points=e.points, ambient_dim=e.ambient_dim, degree=e.degree,
         genus=e.interior_count, count=count, formula_count=count,
-        generators=tuple(sorted(fixture, key=lambda b: (b.plus, b.minus))),
-        rank=None)
+        generators=tuple(sorted(fixture, key=lambda b: (b.plus, b.minus))))
     for b in ours.generators:
         assert span_membership(theirs, b)
 
