@@ -3,7 +3,7 @@ polygons: cone and fan invariants, isomorphism graphs, the one-singularity
 classification, and anticanonical quadric embeddings."""
 
 from .cones import (Cone2, ConeData, cone_invariants, hj_expansion, is_basic,
-                    is_basic_lattice_test, refinement_chain, socius)
+                    refinement_chain, socius)
 from .delpezzo import (Classification, LdpData, canonical_polygon,
                        classify_one_singularity, enumerate_one_singularity,
                        group_classes, index_parity_check, is_ldp, ldp_analyze,

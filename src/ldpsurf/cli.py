@@ -7,6 +7,7 @@ one singularity where one is required), 4 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -14,9 +15,9 @@ from fractions import Fraction
 from .delpezzo import (Classification, LdpData, canonical_polygon,
                        classify_one_singularity, enumerate_one_singularity,
                        group_classes, ldp_analyze)
-from .embedding import (embedding_data, enumerated_row, format_ideal,
-                        minimal_system, quadric_count_by_counting,
-                        table_formulas)
+from .embedding import (TableRow, embedding_data, enumerated_row,
+                        format_ideal, minimal_system,
+                        quadric_count_by_counting, table_formulas)
 from .errors import (ConsistencyError, DomainError, ParseError,
                      SingularityCountError)
 from .graphs import graph_of, render_graph
@@ -165,8 +166,7 @@ def _cmd_tables(args) -> int:
         for k in (1, 2, 3):
             expect = table_formulas(k, p)
             got = enumerated_row(k, p)
-            for name in ("ambient_dim", "degree", "quadric_count", "genus",
-                         "boundary_count", "index"):
+            for name in (f.name for f in dataclasses.fields(TableRow)):
                 checks += 1
                 a, b = getattr(expect, name), getattr(got, name)
                 if a != b:

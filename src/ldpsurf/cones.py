@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
-from .lattice import (LatticePolygon, Point, UnimodularMap, count_lattice_points,
-                      cross, extended_gcd, is_primitive)
+from .lattice import Point, UnimodularMap, cross, extended_gcd, is_primitive
 
 
 @dataclass(frozen=True)
@@ -87,13 +86,6 @@ def hj_expansion(p: int, q: int) -> list[int]:
 def is_basic(c: Cone2) -> bool:
     """True when the generators span the whole lattice (determinant one)."""
     return cross(c.n, c.n2) == 1
-
-
-def is_basic_lattice_test(c: Cone2) -> bool:
-    """Alternative basicness test: the triangle with the origin and the two
-    generators as vertices contains no lattice point beyond those three."""
-    triangle = LatticePolygon(((0, 0), c.n, c.n2))
-    return count_lattice_points(triangle).total == 3
 
 
 def cone_invariants(c: Cone2) -> ConeData:

@@ -102,10 +102,10 @@ def ldp_analyze(q: LatticePolygon) -> LdpData:
     locals_ = []
     polar_verts = []
     for i, (a, b, c) in enumerate(edge_lines(q)):
-        if c >= 0 or c.denominator != 1:
+        if c >= 0:
             raise ConsistencyError("facet line of an LDP polygon must have "
-                                   "negative integer inner value")
-        level = -int(c)  # value of the primitive outer normal on the facet
+                                   "negative inner value")
+        level = -c  # value of the primitive outer normal on the facet
         if level != analysis.cone_data[i].local_index:
             raise ConsistencyError(
                 f"facet level {level} differs from cone local index "

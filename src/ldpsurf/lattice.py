@@ -4,6 +4,8 @@ All arithmetic is exact: integer coordinates for lattice data and
 `fractions.Fraction` for rational data. Polygons are immutable and stored in
 a canonical form (anticlockwise, lexicographically smallest vertex first), so
 two polygons are equal exactly when their canonical vertex tuples are equal.
+Lattice point sets and counts come from one integer sweep over the columns of
+a polygon, which tests for the boundary only at the ends of each column.
 """
 
 from __future__ import annotations
@@ -224,9 +226,12 @@ def to_lattice(p: AnyPolygon) -> LatticePolygon:
     return LatticePolygon(tuple(verts))
 
 
-def edge_lines(p: AnyPolygon) -> list[tuple[int, int, Fraction]]:
+def edge_lines(p: AnyPolygon) -> list[tuple[int, int, Coord]]:
     """Inner half-plane presentation: triples (a, b, c) with gcd(a, b) = 1 and
-    a*x + b*y >= c on the polygon, equality exactly on the edge."""
+    a*x + b*y >= c on the polygon, equality exactly on the edge.
+
+    c is an int for a lattice polygon and a Fraction for a rational one.
+    """
     out = []
     verts = p.vertices
     n = len(verts)
@@ -241,44 +246,12 @@ def edge_lines(p: AnyPolygon) -> list[tuple[int, int, Fraction]]:
             a, b = int(a * den), int(b * den)
         g = math.gcd(a, b)
         a, b = a // g, b // g
-        out.append((a, b, Fraction(a * vx + b * vy)))
+        out.append((a, b, a * vx + b * vy))
     return out
 
 
 def contains_origin_interior(p: AnyPolygon) -> bool:
     return all(c < 0 for _, _, c in edge_lines(p))
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _column_bounds(lines, x: int):
-    """Integer y-range [lo, hi] of the polygon slice at abscissa x, or None."""
-    lo, hi = None, None
-    for a, b, c in lines:
-        rest = c - a * x
-        if b == 0:
-            if rest > 0:
-                return None
-        elif b > 0:
-            bound = _ceil_frac(Fraction(rest, b))
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            bound = _floor_frac(Fraction(rest, b))
-            hi = bound if hi is None else min(hi, bound)
-    if lo is None or hi is None or lo > hi:
-        return None
-    return lo, hi
-
-
-def _x_range(p: AnyPolygon) -> tuple[int, int]:
-    xs = [v[0] for v in p.vertices]
-    return _ceil_frac(Fraction(min(xs))), _floor_frac(Fraction(max(xs)))
 
 
 class PointCounts(NamedTuple):
@@ -287,54 +260,68 @@ class PointCounts(NamedTuple):
     interior: int
 
 
-def lattice_points(p: AnyPolygon) -> tuple[set[Point], set[Point]]:
-    """Exact lattice point sets of a polygon, split as (boundary, interior).
+def _columns(p: AnyPolygon):
+    """Integer column sweep: yield (x, lo, hi, edge) for every abscissa x
+    whose slice holds a lattice point, where lo..hi is the slice's y-range and
+    `edge` holds the y values of the slice that lie on the boundary.
 
-    Enumeration sweeps the integer columns of the bounding box and keeps the
-    points satisfying every inner half-plane constraint; a point is boundary
-    exactly when some constraint holds with equality.
+    Each half-plane a*x + b*y >= n/d is scaled by d once, so no Fraction is
+    built per column: with B = |b*d|, the slice's lower (b > 0) and upper
+    (b < 0) ends are -q and q for the least pair (q, r) = divmod(a*d*x - n, B)
+    over the edges on that side. Among edges giving the same q the least r is
+    0 if any of them passes through the end, so the end lies on an edge
+    exactly when r = 0.
+    A point strictly between lo and hi lies on no edge with b != 0 (such an
+    edge bounds the slice at that point), so it can only lie on a vertical
+    edge: `edge` is the whole column when a vertical edge sits at x, and
+    otherwise the ends that lie on an edge.
     """
-    lines = edge_lines(p)
-    x0, x1 = _x_range(p)
+    lower, upper, walls = [], [], set()
+    for a, b, c in edge_lines(p):
+        a, b, n = a * c.denominator, b * c.denominator, c.numerator
+        if b:
+            (lower if b > 0 else upper).append((a, abs(b), n))
+        elif n % a == 0:
+            walls.add(n // a)
+    xs = [x for x, _ in p.vertices]
+    for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
+        low = high = None
+        for a, b, n in lower:
+            qr = divmod(a * x - n, b)
+            if low is None or qr < low:
+                low = qr
+        for a, b, n in upper:
+            qr = divmod(a * x - n, b)
+            if high is None or qr < high:
+                high = qr
+        lo, hi = -low[0], high[0]
+        if lo > hi:
+            continue
+        if x in walls:
+            edge = range(lo, hi + 1)
+        else:
+            edge = {y for y, r in ((lo, low[1]), (hi, high[1])) if r == 0}
+        yield x, lo, hi, edge
+
+
+def lattice_points(p: AnyPolygon) -> tuple[set[Point], set[Point]]:
+    """Exact lattice point sets of a polygon, split as (boundary, interior),
+    materialized from the column sweep."""
     boundary: set[Point] = set()
     interior: set[Point] = set()
-    for x in range(x0, x1 + 1):
-        bounds = _column_bounds(lines, x)
-        if bounds is None:
-            continue
-        for y in range(bounds[0], bounds[1] + 1):
-            if any(a * x + b * y == c for a, b, c in lines):
-                boundary.add((x, y))
-            else:
-                interior.add((x, y))
+    for x, lo, hi, edge in _columns(p):
+        boundary.update((x, y) for y in edge)
+        interior.update((x, y) for y in range(lo, hi + 1) if y not in edge)
     return boundary, interior
 
 
 def count_lattice_points(p: AnyPolygon) -> PointCounts:
-    """Lattice point counts without materializing the sets.
-
-    The boundary count of an integral-vertex polygon is the gcd sum over its
-    edges; non-integral polygons fall back to full enumeration.
-    """
-    verts = p.vertices
-    if any(Fraction(x).denominator != 1 or Fraction(y).denominator != 1
-           for x, y in verts):
-        boundary, interior = lattice_points(p)
-        return PointCounts(len(boundary) + len(interior), len(boundary),
-                           len(interior))
-    lines = edge_lines(p)
-    x0, x1 = _x_range(p)
-    total = 0
-    for x in range(x0, x1 + 1):
-        bounds = _column_bounds(lines, x)
-        if bounds is not None:
-            total += bounds[1] - bounds[0] + 1
-    n = len(verts)
-    boundary = sum(
-        math.gcd(int(verts[(i + 1) % n][0] - verts[i][0]),
-                 int(verts[(i + 1) % n][1] - verts[i][1]))
-        for i in range(n)
-    )
+    """Lattice point counts summed over the column sweep, without
+    materializing a point; the same route for lattice and rational polygons."""
+    total = boundary = 0
+    for _, lo, hi, edge in _columns(p):
+        total += hi - lo + 1
+        boundary += len(edge)
     return PointCounts(total, boundary, total - boundary)
 
 

@@ -103,3 +103,25 @@ def dense_rank(binomials) -> int:
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def brute_force_points(vertices) -> tuple[set, set]:
+    """Lattice points of a convex polygon given by its vertex cycle, split as
+    (boundary, interior): every integer point of the bounding box is
+    classified by exact cross products against the edges. A test-only oracle
+    for the library's column sweep."""
+    n = len(vertices)
+    edges = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
+    area2 = sum(vx * wy - vy * wx for (vx, vy), (wx, wy) in edges)
+    sign = 1 if area2 > 0 else -1
+    xs = [x for x, _ in vertices]
+    ys = [y for _, y in vertices]
+    boundary, interior = set(), set()
+    for x in range(math.floor(min(xs)), math.ceil(max(xs)) + 1):
+        for y in range(math.floor(min(ys)), math.ceil(max(ys)) + 1):
+            sides = [sign * ((wx - vx) * (y - vy) - (wy - vy) * (x - vx))
+                     for (vx, vy), (wx, wy) in edges]
+            if min(sides) < 0:
+                continue
+            (boundary if 0 in sides else interior).add((x, y))
+    return boundary, interior

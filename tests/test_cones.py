@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from ldpsurf import (Cone2, DomainError, cone_invariants, cross, hj_expansion,
-                     is_basic, is_basic_lattice_test, refinement_chain, socius)
+from ldpsurf import (Cone2, DomainError, LatticePolygon, cone_invariants,
+                     count_lattice_points, cross, hj_expansion, is_basic,
+                     refinement_chain, socius)
 
 
 def random_cone(rng: random.Random, bound: int = 6) -> Cone2:
@@ -90,7 +91,9 @@ def test_basicness_tests_agree():
     rng = random.Random(203)
     for _ in range(300):
         cone = random_cone(rng, bound=5)
-        assert is_basic(cone) == is_basic_lattice_test(cone)
+        # the triangle on the origin and the generators holds no other point
+        triangle = LatticePolygon(((0, 0), cone.n, cone.n2))
+        assert is_basic(cone) == (count_lattice_points(triangle).total == 3)
 
 
 def test_cone_invariants_normal_form():

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from ldpsurf import (DomainError, LatticePolygon, ParseError, RationalPolygon,
@@ -179,6 +181,41 @@ def test_rational_polygon_counting():
     small = dilate(SQUARE, Fraction(1, 2))
     counts = count_lattice_points(small)
     assert (counts.total, counts.boundary, counts.interior) == (1, 0, 1)
+
+
+@st.composite
+def polygons(draw):
+    """Lattice polygons, rational polygons with denominators 2-7, and rational
+    polygons with vertical edges at both integral ends of their x-range."""
+    kind = draw(st.sampled_from(("lattice", "rational", "vertical")))
+    if kind == "lattice":
+        coord = st.integers(-6, 6)
+    else:
+        den = draw(st.integers(2, 7))
+        coord = st.builds(Fraction, st.integers(-6 * den, 6 * den), st.just(den))
+    points = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=8))
+    if kind == "vertical":
+        left = draw(st.integers(-6, 5))
+        right = draw(st.integers(left + 1, 6))
+        points = [(min(max(x, left), right), y) for x, y in points]
+        points += [(x, draw(coord)) for x in (left, left, right, right)]
+    hull = helpers.convex_hull(points)
+    assume(len(hull) >= 3)
+    return (LatticePolygon if kind == "lattice" else RationalPolygon)(tuple(hull))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polygons())
+# thin slivers with vertical edges at integral x and columns holding no point
+@example(RationalPolygon(((0, Fraction(1, 3)), (3, Fraction(1, 3)),
+                          (3, Fraction(2, 3)))))
+@example(RationalPolygon(((0, 0), (Fraction(7, 2), Fraction(1, 2)),
+                          (0, Fraction(1, 2)))))
+def test_sweep_matches_brute_force(poly):
+    boundary, interior = helpers.brute_force_points(poly.vertices)
+    assert lattice_points(poly) == (boundary, interior)
+    assert count_lattice_points(poly) == (len(boundary) + len(interior),
+                                          len(boundary), len(interior))
 
 
 def test_minkowski_double_is_ehrhart_value():
