@@ -16,10 +16,8 @@ from .embedding import (Binomial, EmbeddingData, QuadricIdealReport, TableRow,
                         table_formulas)
 from .errors import (ConsistencyError, DomainError, ParseError,
                      SingularityCountError)
-from .fans import (CompleteFan, FanAnalysis, analyze_fan, canonical_k2,
-                   cone_data_list, fan_from_polygon, hirzebruch_fan,
-                   minimal_desingularization, picard_number, ray_weights,
-                   star_subdivide)
+from .fans import (CompleteFan, FanAnalysis, analyze_fan, fan_from_polygon,
+                   hirzebruch_fan, picard_number, star_subdivide)
 from .graphs import (WeightedCircularGraph, canonical_key, graph_of,
                      graphs_isomorphic, render_graph, reverse_graph,
                      surfaces_isomorphic)

@@ -20,6 +20,7 @@ from .embedding import (TableRow, embedding_data, enumerated_row,
                         quadric_count_by_counting, table_formulas)
 from .errors import (ConsistencyError, DomainError, ParseError,
                      SingularityCountError)
+from .fans import FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import graph_of, render_graph
 from .lattice import LatticePolygon, read_polygon_file
 
@@ -29,17 +30,16 @@ def _frac_str(f: Fraction) -> str:
 
 
 def _load_input(args) -> LatticePolygon:
-    if getattr(args, "canonical", None) is not None:
-        k, p = args.canonical
-        return canonical_polygon(k, p)
-    if args.polygon is None:
-        raise DomainError("no input polygon: give a file or --canonical K P")
+    if (args.canonical is None) == (args.polygon is None):
+        raise DomainError("give either a polygon file or --canonical K P")
+    if args.canonical is not None:
+        return canonical_polygon(*args.canonical)
     return read_polygon_file(args.polygon)
 
 
-def _classification_or_none(q: LatticePolygon) -> Classification | None:
+def _classification_or_none(a: FanAnalysis) -> Classification | None:
     try:
-        return classify_one_singularity(q)
+        return classify_one_singularity(a)
     except SingularityCountError:
         return None
 
@@ -47,11 +47,11 @@ def _classification_or_none(q: LatticePolygon) -> Classification | None:
 def _analyze_payload(q: LatticePolygon) -> dict:
     data = ldp_analyze(q)
     emb = embedding_data(data)
-    cls = _classification_or_none(q)
+    cls = _classification_or_none(data.analysis)
     singularities = []
     for i in data.analysis.singular_indices:
         cd = data.analysis.cone_data[i]
-        cone = data.fan.cone(i)
+        cone = data.analysis.fan.cone(i)
         singularities.append({
             "cone": i + 1,
             "rays": [list(cone.n), list(cone.n2)],
@@ -67,7 +67,7 @@ def _analyze_payload(q: LatticePolygon) -> dict:
         "k2": _frac_str(data.analysis.k2),
         "singular_count": data.singular_count,
         "singularities": singularities,
-        "graph": render_graph(graph_of(data.fan)),
+        "graph": render_graph(graph_of(data.analysis)),
         "polar_vertices": [
             [_frac_str(x), _frac_str(y)] for x, y in data.polar.vertices
         ],
@@ -136,7 +136,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_classify(args) -> int:
     q = read_polygon_file(args.polygon)
-    cls = classify_one_singularity(q)
+    cls = classify_one_singularity(analyze_fan(fan_from_polygon(q)))
     if args.json:
         print(json.dumps(_classification_payload(cls), indent=2, sort_keys=True))
     else:

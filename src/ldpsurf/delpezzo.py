@@ -6,7 +6,8 @@ toric log del Pezzo surface.  When exactly one cone over a facet is
 non-basic, the surface is isomorphic to a member of three explicit families
 of polygons with 3, 4 and 5 vertices (plus a mirrored presentation of the
 4-vertex family); classify_one_singularity computes the family parameters
-and the unimodular map realizing the normal form.
+and the unimodular map realizing the normal form from the fan analysis, and
+group_classes checks that each surface is isomorphic to its normal form's.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, SingularityCountError
-from .fans import (CompleteFan, FanAnalysis, analyze_fan, cone_data_list,
-                   fan_from_polygon)
-from .graphs import canonical_key, graph_of, surfaces_isomorphic
+from .fans import FanAnalysis, analyze_fan, fan_from_polygon
+from .graphs import canonical_key, graph_of
 from .lattice import (LatticePolygon, Point, RationalPolygon, UnimodularMap,
                       _angular_before, apply_map, contains_origin_interior,
                       cross, edge_lines, is_primitive)
@@ -30,7 +30,6 @@ class LdpData:
     """Invariants attached to a log del Pezzo polygon."""
 
     polygon: LatticePolygon
-    fan: CompleteFan
     analysis: FanAnalysis
     local_indices: tuple[int, ...]
     index: int
@@ -95,10 +94,7 @@ def ldp_analyze(q: LatticePolygon) -> LdpData:
     indices, and the smallest dilation making the polar polygon integral) and
     the two values are required to agree.
     """
-    if not is_ldp(q):
-        raise DomainError("not a log del Pezzo polygon")
-    fan = fan_from_polygon(q)
-    analysis = analyze_fan(fan)
+    analysis = analyze_fan(fan_from_polygon(q))
     locals_ = []
     polar_verts = []
     for i, (a, b, c) in enumerate(edge_lines(q)):
@@ -124,7 +120,6 @@ def ldp_analyze(q: LatticePolygon) -> LdpData:
     polar = RationalPolygon(tuple(polar_verts))
     return LdpData(
         polygon=q,
-        fan=fan,
         analysis=analysis,
         local_indices=tuple(locals_),
         index=index,
@@ -138,25 +133,23 @@ def ldp_analyze(q: LatticePolygon) -> LdpData:
 _TILT = UnimodularMap(1, 0, -1, 1)
 
 
-def classify_one_singularity(q: LatticePolygon) -> Classification:
-    """Map a one-singularity log del Pezzo polygon onto its normal form."""
-    if not is_ldp(q):
-        raise DomainError("not a log del Pezzo polygon")
-    fan = fan_from_polygon(q)
-    data = cone_data_list(fan)
-    singular = [i for i, cd in enumerate(data) if cd.q > 1]
+def classify_one_singularity(a: FanAnalysis) -> Classification:
+    """Map a one-singularity log del Pezzo polygon, given by the analysis of
+    its face fan, onto its normal form."""
+    singular = a.singular_indices
     if len(singular) != 1:
         raise SingularityCountError(
             f"polygon has {len(singular)} singular cones, need exactly 1"
         )
     j = singular[0]
-    cd = data[j]
+    cd = a.cone_data[j]
     p = cd.p
     if cd.q != p + 1:
         raise ConsistencyError(
             f"one-singularity polygon with cone type ({cd.p}, {cd.q}); "
             "the non-adjacent parameter pair should be impossible"
         )
+    fan = a.fan
     nu = fan.nu
     if nu - 2 not in (1, 2, 3):
         raise ConsistencyError(f"one-singularity polygon with {nu} vertices")
@@ -180,7 +173,7 @@ def classify_one_singularity(q: LatticePolygon) -> Classification:
         raise ConsistencyError(
             f"normalized polygon {image.vertices} matches no family member"
         )
-    if apply_map(transform, q) != target:
+    if apply_map(transform, LatticePolygon(fan.rays)) != target:
         raise ConsistencyError("classification transform does not map the "
                                "input onto its normal form")
     return Classification(k=k, p=p, transform=transform, normal_form=form, mu=mu)
@@ -215,9 +208,9 @@ def enumerate_one_singularity(
     """Exhaustively enumerate one-singularity log del Pezzo polygons whose
     vertex coordinates lie in [-bound, bound]^2, classifying each.
 
-    Every found polygon is required to classify successfully and to give a
-    surface isomorphic to its normal form's; a violation raises
-    ConsistencyError.
+    Every found polygon is required to classify successfully; a violation
+    raises ConsistencyError.  That each gives a surface isomorphic to its
+    normal form's is checked by group_classes.
     """
     if bound < 1:
         raise DomainError("bound must be >= 1")
@@ -267,31 +260,38 @@ def enumerate_one_singularity(
         successors = cands[si + 1:] + cands[:si]
         extend([start], 0, successors, 0)
 
-    results = []
-    for poly in sorted(found, key=lambda q: q.vertices):
-        cls = classify_one_singularity(poly)
-        target_fan = fan_from_polygon(canonical_polygon(cls.k, cls.p))
-        if not surfaces_isomorphic(fan_from_polygon(poly), target_fan):
-            raise ConsistencyError(
-                f"enumerated polygon {poly.vertices} is not isomorphic to its "
-                f"normal form ({cls.k}, {cls.p})"
-            )
-        results.append((poly, cls))
-    return results
+    return [
+        (poly, classify_one_singularity(analyze_fan(fan_from_polygon(poly))))
+        for poly in sorted(found, key=lambda q: q.vertices)
+    ]
+
+
+def _graph_key(q: LatticePolygon) -> tuple:
+    return canonical_key(graph_of(analyze_fan(fan_from_polygon(q))))
 
 
 def group_classes(
     results: list[tuple[LatticePolygon, Classification]]
 ) -> dict[tuple, dict]:
     """Group enumeration output into isomorphism classes keyed by the
-    canonical graph key."""
+    canonical graph key.  Each polygon's key must equal the key of its normal
+    form canonical_polygon(k, p); a violation raises ConsistencyError."""
     classes: dict[tuple, dict] = {}
+    target_keys: dict[tuple[int, int], tuple] = {}
     for poly, cls in results:
-        key = canonical_key(graph_of(fan_from_polygon(poly)))
+        key = _graph_key(poly)
+        kp = (cls.k, cls.p)
+        if kp not in target_keys:
+            target_keys[kp] = _graph_key(canonical_polygon(*kp))
+        if key != target_keys[kp]:
+            raise ConsistencyError(
+                f"polygon {poly.vertices} is not isomorphic to its normal "
+                f"form ({cls.k}, {cls.p})"
+            )
         entry = classes.setdefault(
             key, {"k": cls.k, "p": cls.p, "count": 0, "representative": poly}
         )
-        if (entry["k"], entry["p"]) != (cls.k, cls.p):
+        if (entry["k"], entry["p"]) != kp:
             raise ConsistencyError(
                 "polygons in one graph class classified differently"
             )

@@ -1,10 +1,11 @@
 """Complete fans in the plane and surface-level invariants derived from them.
 
 A complete fan is a cyclic anticlockwise list of primitive rays; cone i is
-spanned by rays i and i+1 (indices wrap around).  From the per-cone data this
-module derives the integer weight attached to each ray, the self-intersection
-formula for the canonical divisor, and the minimal desingularization obtained
-by inserting every refinement chain.
+spanned by rays i and i+1 (indices wrap around).  analyze_fan computes the
+per-cone data once and derives from it the integer weight attached to each
+ray, the self-intersection formula for the canonical divisor, and the minimal
+desingularization obtained by inserting every refinement chain.  Graphs and
+the classification read this FanAnalysis rather than recompute it.
 """
 
 from __future__ import annotations
@@ -82,22 +83,17 @@ def fan_from_polygon(q: LatticePolygon) -> CompleteFan:
     return CompleteFan(q.vertices)
 
 
-def cone_data_list(f: CompleteFan) -> tuple[ConeData, ...]:
-    return tuple(cone_invariants(f.cone(i)) for i in range(f.nu))
-
-
 def picard_number(f: CompleteFan) -> int:
     return f.nu - 2
 
 
-def ray_weights(f: CompleteFan, data: tuple[ConeData, ...] | None = None) -> tuple[int, ...]:
+def _ray_weights(f: CompleteFan, data: tuple[ConeData, ...]) -> tuple[int, ...]:
     """Integer weight r at each ray, from r * n = left + right where left and
     right are the neighbouring rays of n in the minimal desingularization.
 
     -r is the self-intersection number of the invariant curve attached to the
     ray on the desingularized surface.
     """
-    data = cone_data_list(f) if data is None else data
     n = f.nu
     weights = []
     for i in range(n):
@@ -117,9 +113,8 @@ def ray_weights(f: CompleteFan, data: tuple[ConeData, ...] | None = None) -> tup
     return tuple(weights)
 
 
-def canonical_k2(f: CompleteFan, data: tuple[ConeData, ...] | None = None) -> Fraction:
+def _canonical_k2(f: CompleteFan, data: tuple[ConeData, ...]) -> Fraction:
     """Self-intersection of the canonical divisor, as an exact rational."""
-    data = cone_data_list(f) if data is None else data
     total = Fraction(12 - f.nu)
     for cd in data:
         if cd.q == 1:
@@ -133,15 +128,14 @@ def canonical_k2(f: CompleteFan, data: tuple[ConeData, ...] | None = None) -> Fr
     return total
 
 
-def minimal_desingularization(
-    f: CompleteFan, data: tuple[ConeData, ...] | None = None
+def _minimal_desingularization(
+    f: CompleteFan, data: tuple[ConeData, ...]
 ) -> tuple[CompleteFan, tuple[tuple[Point, int], ...]]:
     """Refine every non-basic cone along its chain.
 
     Returns the refined (all basic) fan and the exceptional curves as pairs
     (inserted ray, self-intersection -b).
     """
-    data = cone_data_list(f) if data is None else data
     rays: list[Point] = []
     exceptional: list[tuple[Point, int]] = []
     for i in range(f.nu):
@@ -181,16 +175,18 @@ def hirzebruch_fan(p: int) -> CompleteFan:
 
 
 def analyze_fan(f: CompleteFan) -> FanAnalysis:
-    data = cone_data_list(f)
-    resolution, exceptional = minimal_desingularization(f, data)
+    """Cone invariants of every cone of f, computed once, and the surface
+    data derived from them."""
+    data = tuple(cone_invariants(f.cone(i)) for i in range(f.nu))
+    resolution, exceptional = _minimal_desingularization(f, data)
     return FanAnalysis(
         fan=f,
         cone_data=data,
         singular_indices=tuple(i for i, cd in enumerate(data) if cd.q > 1),
         basic_indices=tuple(i for i, cd in enumerate(data) if cd.q == 1),
-        weights=ray_weights(f, data),
+        weights=_ray_weights(f, data),
         picard=picard_number(f),
-        k2=canonical_k2(f, data),
+        k2=_canonical_k2(f, data),
         resolution=resolution,
         exceptional=exceptional,
     )

@@ -2,10 +2,11 @@
 
 Each complete fan yields a cycle whose node i carries the self-intersection
 weight of ray i's curve and whose edge from node i to node i+1 carries the
-normal-form pair (p, q) of cone i.  Two fans give isomorphic surfaces exactly
-when one graph matches the other up to rotation, or matches the other's
-reverse, where reversal flips the traversal direction and rewrites every edge
-parameter p to its modular-inverse partner.
+normal-form pair (p, q) of cone i.  The graph is read off the fan's
+FanAnalysis, so building it computes no cone invariants.  Two fans give
+isomorphic surfaces exactly when one graph matches the other up to rotation,
+or matches the other's reverse, where reversal flips the traversal direction
+and rewrites every edge parameter p to its modular-inverse partner.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .cones import socius
 from .errors import DomainError
-from .fans import CompleteFan, cone_data_list, ray_weights
+from .fans import FanAnalysis
 
 Token = tuple[int, int, int]  # (node weight, edge p, edge q)
 
@@ -38,13 +39,10 @@ class WeightedCircularGraph:
         return len(self.nodes)
 
 
-def graph_of(f: CompleteFan) -> WeightedCircularGraph:
-    data = cone_data_list(f)
-    weights = ray_weights(f, data)
-    nodes = tuple(
-        (-weights[i], data[i].p, data[i].q) for i in range(f.nu)
-    )
-    return WeightedCircularGraph(nodes)
+def graph_of(a: FanAnalysis) -> WeightedCircularGraph:
+    return WeightedCircularGraph(tuple(
+        (-w, cd.p, cd.q) for w, cd in zip(a.weights, a.cone_data)
+    ))
 
 
 def reverse_graph(g: WeightedCircularGraph) -> WeightedCircularGraph:
@@ -85,9 +83,9 @@ def canonical_key(g: WeightedCircularGraph) -> tuple[Token, ...]:
     return best
 
 
-def surfaces_isomorphic(f1: CompleteFan, f2: CompleteFan) -> bool:
-    """Isomorphism test for the surfaces behind two complete fans."""
-    g1, g2 = graph_of(f1), graph_of(f2)
+def surfaces_isomorphic(a1: FanAnalysis, a2: FanAnalysis) -> bool:
+    """Isomorphism test for the surfaces behind two analysed fans."""
+    g1, g2 = graph_of(a1), graph_of(a2)
     return graphs_isomorphic(g1, g2) or graphs_isomorphic(g1, reverse_graph(g2))
 
 

@@ -387,8 +387,11 @@ def load_polygon(text: str) -> LatticePolygon:
 
 
 def read_polygon_file(path) -> LatticePolygon:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_polygon(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_polygon(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def format_polygon_text(p: LatticePolygon) -> str:

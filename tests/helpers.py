@@ -4,7 +4,13 @@ import math
 import random
 from fractions import Fraction
 
-from ldpsurf import LatticePolygon, UnimodularMap, is_ldp
+from ldpsurf import (FanAnalysis, LatticePolygon, UnimodularMap, analyze_fan,
+                     fan_from_polygon, is_ldp)
+
+
+def analysis_of(poly: LatticePolygon) -> FanAnalysis:
+    """The analysis of a polygon's face fan, as the library builds it."""
+    return analyze_fan(fan_from_polygon(poly))
 
 
 def random_primitive(rng: random.Random, bound: int) -> tuple[int, int]:

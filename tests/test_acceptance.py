@@ -16,10 +16,9 @@ import helpers
 from ldpsurf import (Cone2, apply_map, canonical_key, canonical_polygon,
                      classify_one_singularity, cone_invariants,
                      count_lattice_points, cross, embedding_of,
-                     enumerate_one_singularity, enumerated_row,
-                     fan_from_polygon, graph_of, graphs_isomorphic,
-                     group_classes, index_parity_check, ldp_analyze,
-                     minimal_system, minkowski_double, mirror_quad,
+                     enumerate_one_singularity, enumerated_row, graph_of,
+                     graphs_isomorphic, group_classes, index_parity_check,
+                     ldp_analyze, minimal_system, minkowski_double, mirror_quad,
                      parse_ideal, polygon_area2, relation_rank, reverse_graph,
                      socius, span_membership, surfaces_isomorphic,
                      table_formulas)
@@ -151,12 +150,12 @@ def test_criterion_6_classification_roundtrip():
             else canonical_polygon(k, p)
         m = helpers.random_unimodular(rng, det=1 if i % 2 else -1)
         moved = apply_map(m, base)
-        cls = classify_one_singularity(moved)
+        cls = classify_one_singularity(helpers.analysis_of(moved))
         target = canonical_polygon(k, p)
         if (cls.k, cls.p) != (k, p) \
                 or apply_map(cls.transform, moved) != target \
-                or not surfaces_isomorphic(fan_from_polygon(moved),
-                                           fan_from_polygon(target)):
+                or not surfaces_isomorphic(helpers.analysis_of(moved),
+                                           helpers.analysis_of(target)):
             bad.append((k, p, m.matrix()))
     _report(6, not bad,
             f"200 random unimodular images (both determinant signs) of "
@@ -205,9 +204,9 @@ def test_criterion_8_randomized_invariants():
     graph_checked = 0
     while graph_checked < n:  # graph invariance and reversal involution
         poly = helpers.random_ldp_polygon(rng)
-        g = graph_of(fan_from_polygon(poly))
+        g = graph_of(helpers.analysis_of(poly))
         m = helpers.random_unimodular(rng, det=1)
-        h = graph_of(fan_from_polygon(apply_map(m, poly)))
+        h = graph_of(helpers.analysis_of(apply_map(m, poly)))
         if not graphs_isomorphic(g, h):
             fails.append(("graph-invariance", poly.vertices))
         if reverse_graph(reverse_graph(g)).nodes != g.nodes:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import ldpsurf.cli as cli
+import ldpsurf.fans as fans
 from ldpsurf import (LatticePolygon, TableRow, canonical_polygon,
                      format_polygon_text, mirror_quad, parse_ideal)
 
@@ -114,6 +115,29 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     assert run(capsys, "analyze")[0] == 2  # no file, no --canonical
     code, _, err = run(capsys, "analyze", "--canonical", "9", "1")
     assert code == 2 and err.startswith("error:")
+    undecodable = tmp_path / "undecodable.txt"
+    undecodable.write_bytes(b"\xff\xfe1 0\n")
+    for command in ("analyze", "classify"):
+        code, _, err = run(capsys, command, str(undecodable))
+        assert code == 2 and err.startswith("error:")
+    good = write_polygon(tmp_path, canonical_polygon(1, 1))
+    for command in ("analyze", "quadrics"):
+        code, out, err = run(capsys, command, good, "--canonical", "1", "1")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_analyze_computes_each_cone_once(capsys, monkeypatch):
+    calls = []
+    cone_invariants = fans.cone_invariants
+
+    def counting(cone):
+        calls.append(cone)
+        return cone_invariants(cone)
+
+    monkeypatch.setattr(fans, "cone_invariants", counting)
+    code, _, _ = run(capsys, "analyze", "--canonical", "3", "9", "--json")
+    assert code == 0
+    assert len(calls) == 5  # one per cone of the five-vertex polygon
 
 
 def test_quadrics_stdout(capsys):

@@ -8,12 +8,13 @@ import pytest
 
 import helpers
 import ldpsurf.delpezzo as delpezzo
+import ldpsurf.fans as fans
 from ldpsurf import (ConsistencyError, DomainError, LatticePolygon,
                      SingularityCountError, apply_map, canonical_polygon,
                      classify_one_singularity, enumerate_one_singularity,
-                     fan_from_polygon, group_classes, index_parity_check,
-                     is_ldp, ldp_analyze, mirror_quad, mirror_quad_map,
-                     polygon_area2, surfaces_isomorphic)
+                     group_classes, index_parity_check, is_ldp, ldp_analyze,
+                     mirror_quad, mirror_quad_map, polygon_area2,
+                     surfaces_isomorphic)
 
 
 def test_canonical_polygon_shapes():
@@ -83,7 +84,7 @@ def test_classify_families_identity():
     for p in range(1, 9):
         for k in (1, 2, 3):
             poly = canonical_polygon(k, p)
-            cls = classify_one_singularity(poly)
+            cls = classify_one_singularity(helpers.analysis_of(poly))
             assert (cls.k, cls.p) == (k, p)
             assert cls.normal_form == "standard"
             assert apply_map(cls.transform, poly) == poly
@@ -91,7 +92,7 @@ def test_classify_families_identity():
 
 def test_classify_mirror_quad():
     for p in range(1, 9):
-        cls = classify_one_singularity(mirror_quad(p))
+        cls = classify_one_singularity(helpers.analysis_of(mirror_quad(p)))
         assert (cls.k, cls.p) == (2, p)
         assert cls.normal_form == "mirror"
         assert apply_map(cls.transform, mirror_quad(p)) == canonical_polygon(2, p)
@@ -106,29 +107,32 @@ def test_classify_random_transforms():
             else canonical_polygon(k, p)
         m = helpers.random_unimodular(rng)
         moved = apply_map(m, base)
-        cls = classify_one_singularity(moved)
+        cls = classify_one_singularity(helpers.analysis_of(moved))
         assert (cls.k, cls.p) == (k, p)
         assert apply_map(cls.transform, moved) == canonical_polygon(k, p)
         assert surfaces_isomorphic(
-            fan_from_polygon(moved),
-            fan_from_polygon(canonical_polygon(k, p)))
+            helpers.analysis_of(moved),
+            helpers.analysis_of(canonical_polygon(k, p)))
 
 
 def test_classify_mu_is_position_of_marked_vertex():
     for k in (1, 2, 3):
         for p in (1, 3, 4):
-            cls = classify_one_singularity(canonical_polygon(k, p))
+            cls = classify_one_singularity(
+                helpers.analysis_of(canonical_polygon(k, p)))
             assert 1 <= cls.mu <= k + 2
 
 
 def test_classify_wrong_singularity_count():
     with pytest.raises(SingularityCountError):
-        classify_one_singularity(LatticePolygon(((1, 0), (0, 1), (-1, -1))))
-    with pytest.raises(SingularityCountError):
         classify_one_singularity(
-            LatticePolygon(((1, 1), (-1, 1), (-1, -1), (1, -1))))
+            helpers.analysis_of(LatticePolygon(((1, 0), (0, 1), (-1, -1)))))
+    with pytest.raises(SingularityCountError):
+        classify_one_singularity(helpers.analysis_of(
+            LatticePolygon(((1, 1), (-1, 1), (-1, -1), (1, -1)))))
     with pytest.raises(DomainError):
-        classify_one_singularity(LatticePolygon(((1, 0), (2, 1), (1, 1))))
+        classify_one_singularity(
+            helpers.analysis_of(LatticePolygon(((1, 0), (2, 1), (1, 1)))))
 
 
 def test_index_parity_check():
@@ -197,3 +201,30 @@ def test_group_classes_rejects_mixed_class():
                            normal_form=cls.normal_form, mu=cls.mu)
     with pytest.raises(ConsistencyError):
         group_classes([(poly, cls), (poly, forged)])
+
+
+def test_group_classes_rejects_misclassified_entry():
+    # a single entry: no second polygon to disagree with, so only the check
+    # against the normal form's graph key can catch it
+    poly, cls = enumerate_one_singularity(1)[0]
+    forged = cls.__class__(k=cls.k % 3 + 1, p=cls.p, transform=cls.transform,
+                           normal_form=cls.normal_form, mu=cls.mu)
+    with pytest.raises(ConsistencyError):
+        group_classes([(poly, forged)])
+
+
+def test_enumeration_analyses_each_polygon_twice(monkeypatch):
+    calls = []
+    cone_invariants = fans.cone_invariants
+
+    def counting(cone):
+        calls.append(cone)
+        return cone_invariants(cone)
+
+    monkeypatch.setattr(fans, "cone_invariants", counting)
+    results = enumerate_one_singularity(2)
+    group_classes(results)
+    # once to classify, once for the graph key; plus each normal form once
+    budget = 2 * sum(len(poly) for poly, _ in results) \
+        + sum(k + 2 for k, _ in {(cls.k, cls.p) for _, cls in results})
+    assert 0 < len(calls) <= budget

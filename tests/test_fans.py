@@ -7,10 +7,9 @@ import pytest
 
 import helpers
 from ldpsurf import (CompleteFan, DomainError, LatticePolygon, analyze_fan,
-                     apply_map, canonical_polygon, canonical_k2, cross,
-                     fan_from_polygon, hirzebruch_fan,
-                     minimal_desingularization, picard_number, ray_weights,
-                     star_subdivide, surfaces_isomorphic)
+                     apply_map, canonical_polygon, cross, fan_from_polygon,
+                     hirzebruch_fan, ldp_analyze, picard_number,
+                     polygon_area2, star_subdivide, surfaces_isomorphic)
 
 P2_FAN = CompleteFan(((1, 0), (0, 1), (-1, -1)))
 
@@ -65,7 +64,7 @@ def test_ray_weights_hirzebruch():
     for p in range(1, 9):
         fan = hirzebruch_fan(p)
         assert fan.rays == ((1, -1), (1, 0), (p, 1), (-1, 0))
-        assert ray_weights(fan) == (0, p + 1, 0, -(p + 1))
+        assert analyze_fan(fan).weights == (0, p + 1, 0, -(p + 1))
 
 
 def test_ray_weights_families():
@@ -76,24 +75,23 @@ def test_ray_weights_families():
             3: (1, 1, 1, -(p - 1), 1),
         }
         for k in (1, 2, 3):
-            fan = fan_from_polygon(canonical_polygon(k, p))
-            assert cyclic_equal(ray_weights(fan), expected[k]), (k, p)
+            weights = helpers.analysis_of(canonical_polygon(k, p)).weights
+            assert cyclic_equal(weights, expected[k]), (k, p)
 
 
 def test_ray_weights_p2():
     # every invariant line in the plane has self-intersection -r = +1
-    assert ray_weights(P2_FAN) == (-1, -1, -1)
+    assert analyze_fan(P2_FAN).weights == (-1, -1, -1)
 
 
 def test_canonical_k2_known_values():
-    assert canonical_k2(P2_FAN) == 9
+    assert analyze_fan(P2_FAN).k2 == 9
     for p in range(1, 6):
-        assert canonical_k2(hirzebruch_fan(p)) == 8
-    assert canonical_k2(fan_from_polygon(canonical_polygon(1, 1))) == 8
-    assert canonical_k2(fan_from_polygon(canonical_polygon(2, 1))) == 7
-    assert canonical_k2(fan_from_polygon(canonical_polygon(3, 1))) == 6
-    assert canonical_k2(fan_from_polygon(canonical_polygon(1, 2))) == \
-        Fraction(25, 3)
+        assert analyze_fan(hirzebruch_fan(p)).k2 == 8
+    assert helpers.analysis_of(canonical_polygon(1, 1)).k2 == 8
+    assert helpers.analysis_of(canonical_polygon(2, 1)).k2 == 7
+    assert helpers.analysis_of(canonical_polygon(3, 1)).k2 == 6
+    assert helpers.analysis_of(canonical_polygon(1, 2)).k2 == Fraction(25, 3)
 
 
 def test_k2_unimodular_invariance():
@@ -101,25 +99,25 @@ def test_k2_unimodular_invariance():
     for _ in range(100):
         poly = helpers.random_ldp_polygon(rng)
         m = helpers.random_unimodular(rng)
-        a = canonical_k2(fan_from_polygon(poly))
-        b = canonical_k2(fan_from_polygon(apply_map(m, poly)))
+        a = helpers.analysis_of(poly).k2
+        b = helpers.analysis_of(apply_map(m, poly)).k2
         assert a == b
 
 
 def test_minimal_desingularization_family():
     for p in range(1, 7):
-        fan = fan_from_polygon(canonical_polygon(1, p))
-        refined, exceptional = minimal_desingularization(fan)
-        assert exceptional == (((1, 0), -(p + 1)),)
-        assert refined.nu == 4
-        assert surfaces_isomorphic(refined, hirzebruch_fan(p))
+        analysis = helpers.analysis_of(canonical_polygon(1, p))
+        assert analysis.exceptional == (((1, 0), -(p + 1)),)
+        assert analysis.resolution.nu == 4
+        assert surfaces_isomorphic(analyze_fan(analysis.resolution),
+                                   analyze_fan(hirzebruch_fan(p)))
 
 
 def test_minimal_desingularization_basic_fan_is_identity():
     fan = hirzebruch_fan(4)
-    refined, exceptional = minimal_desingularization(fan)
-    assert refined == fan
-    assert exceptional == ()
+    analysis = analyze_fan(fan)
+    assert analysis.resolution == fan
+    assert analysis.exceptional == ()
 
 
 def test_minimal_desingularization_properties():
@@ -127,7 +125,8 @@ def test_minimal_desingularization_properties():
     for _ in range(60):
         poly = helpers.random_ldp_polygon(rng)
         fan = fan_from_polygon(poly)
-        refined, exceptional = minimal_desingularization(fan)
+        analysis = analyze_fan(fan)
+        refined, exceptional = analysis.resolution, analysis.exceptional
         n = refined.nu
         for i in range(n):
             assert cross(refined.rays[i], refined.rays[(i + 1) % n]) == 1
@@ -136,15 +135,14 @@ def test_minimal_desingularization_properties():
         for ray, weight in exceptional:
             assert weight <= -2
         # weights of the refined fan restricted to exceptional rays match
-        refined_weights = ray_weights(refined)
+        refined_weights = analyze_fan(refined).weights
         for ray, weight in exceptional:
             assert -refined_weights[refined.rays.index(ray)] == weight
 
 
 def test_star_subdivide():
     fan = fan_from_polygon(canonical_polygon(1, 3))
-    refined, _ = minimal_desingularization(fan)
-    assert star_subdivide(fan, (1, 0)) == refined
+    assert star_subdivide(fan, (1, 0)) == analyze_fan(fan).resolution
     with pytest.raises(DomainError):
         star_subdivide(fan, (2, 0))
     with pytest.raises(DomainError):
@@ -165,7 +163,9 @@ def test_analyze_fan_consistency():
                    for i in analysis.singular_indices)
         assert len(analysis.weights) == fan.nu
         assert analysis.picard == fan.nu - 2
-        assert analysis.k2 == canonical_k2(fan)
+        # K^2 of a toric log del Pezzo surface is the normalized area of the
+        # polar polygon, which is built from the facet lines, not the cones
+        assert analysis.k2 == polygon_area2(ldp_analyze(poly).polar)
 
 
 def test_hirzebruch_fan_validation():

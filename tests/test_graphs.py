@@ -6,13 +6,13 @@ import pytest
 
 import helpers
 from ldpsurf import (DomainError, WeightedCircularGraph, apply_map,
-                     canonical_key, canonical_polygon, fan_from_polygon,
-                     graph_of, graphs_isomorphic, mirror_quad, render_graph,
+                     canonical_key, canonical_polygon, graph_of,
+                     graphs_isomorphic, mirror_quad, render_graph,
                      reverse_graph, surfaces_isomorphic)
 
 
-def family_fan(k: int, p: int):
-    return fan_from_polygon(canonical_polygon(k, p))
+def family_analysis(k: int, p: int):
+    return helpers.analysis_of(canonical_polygon(k, p))
 
 
 def test_graph_validation():
@@ -25,7 +25,7 @@ def test_graph_validation():
 
 
 def test_graph_of_known_fan():
-    g = graph_of(family_fan(1, 1))
+    g = graph_of(family_analysis(1, 1))
     assert g.nodes == ((2, 0, 1), (0, 1, 2), (0, 0, 1))
     assert g.anticlockwise
 
@@ -41,7 +41,7 @@ def test_reverse_graph_is_involution():
     rng = random.Random(401)
     for _ in range(300):
         poly = helpers.random_ldp_polygon(rng)
-        g = graph_of(fan_from_polygon(poly))
+        g = graph_of(helpers.analysis_of(poly))
         assert reverse_graph(reverse_graph(g)) == g
 
 
@@ -57,9 +57,9 @@ def test_graphs_isomorphic_rotation_only():
 
 
 def test_graphs_isomorphic_rejects_different():
-    a = graph_of(family_fan(1, 2))
-    b = graph_of(family_fan(1, 3))
-    c = graph_of(family_fan(2, 2))
+    a = graph_of(family_analysis(1, 2))
+    b = graph_of(family_analysis(1, 3))
+    c = graph_of(family_analysis(2, 2))
     assert not graphs_isomorphic(a, b)
     assert not graphs_isomorphic(a, c)
 
@@ -69,23 +69,24 @@ def test_surface_isomorphism_under_unimodular_maps():
     for _ in range(200):
         poly = helpers.random_ldp_polygon(rng)
         m = helpers.random_unimodular(rng)
-        fan = fan_from_polygon(poly)
-        moved = fan_from_polygon(apply_map(m, poly))
-        assert surfaces_isomorphic(fan, moved)
-        assert canonical_key(graph_of(fan)) == canonical_key(graph_of(moved))
+        analysis = helpers.analysis_of(poly)
+        moved = helpers.analysis_of(apply_map(m, poly))
+        assert surfaces_isomorphic(analysis, moved)
+        assert canonical_key(graph_of(analysis)) == \
+            canonical_key(graph_of(moved))
 
 
 def test_mirror_presentations_are_isomorphic():
     for p in range(1, 8):
         assert surfaces_isomorphic(
-            family_fan(2, p), fan_from_polygon(mirror_quad(p)))
+            family_analysis(2, p), helpers.analysis_of(mirror_quad(p)))
 
 
 def test_families_pairwise_distinct():
     keys = {}
     for p in range(1, 7):
         for k in (1, 2, 3):
-            keys[(k, p)] = canonical_key(graph_of(family_fan(k, p)))
+            keys[(k, p)] = canonical_key(graph_of(family_analysis(k, p)))
     pairs = sorted(keys)
     for i, a in enumerate(pairs):
         for b in pairs[i + 1:]:
@@ -96,7 +97,7 @@ def test_canonical_key_is_rotation_of_nodes():
     rng = random.Random(403)
     for _ in range(100):
         poly = helpers.random_ldp_polygon(rng)
-        g = graph_of(fan_from_polygon(poly))
+        g = graph_of(helpers.analysis_of(poly))
         key = canonical_key(g)
         n = len(g.nodes)
         rotations = {(g.nodes + g.nodes)[i: i + n] for i in range(n)}
@@ -107,6 +108,6 @@ def test_canonical_key_is_rotation_of_nodes():
 
 
 def test_render_graph():
-    g = graph_of(family_fan(1, 1))
+    g = graph_of(family_analysis(1, 1))
     assert render_graph(g) == "[2] - [0] -(1,2)- [0] -"
-    assert "-(2,3)-" in render_graph(graph_of(family_fan(1, 2)))
+    assert "-(2,3)-" in render_graph(graph_of(family_analysis(1, 2)))
