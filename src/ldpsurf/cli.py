@@ -160,6 +160,8 @@ def _cmd_quadrics(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    if args.pmax < 1:
+        raise DomainError("--pmax must be >= 1")
     checks = 0
     failures = []
     for p in range(1, args.pmax + 1):

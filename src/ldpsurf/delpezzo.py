@@ -21,7 +21,7 @@ from .errors import ConsistencyError, DomainError, SingularityCountError
 from .fans import FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import canonical_key, graph_of
 from .lattice import (LatticePolygon, Point, RationalPolygon, UnimodularMap,
-                      _angular_before, apply_map, contains_origin_interior,
+                      _angular_before, contains_origin_interior,
                       cross, edge_lines, is_primitive)
 
 
@@ -98,9 +98,6 @@ def ldp_analyze(q: LatticePolygon) -> LdpData:
     locals_ = []
     polar_verts = []
     for i, (a, b, c) in enumerate(edge_lines(q)):
-        if c >= 0:
-            raise ConsistencyError("facet line of an LDP polygon must have "
-                                   "negative inner value")
         level = -c  # value of the primitive outer normal on the facet
         if level != analysis.cone_data[i].local_index:
             raise ConsistencyError(
@@ -173,9 +170,6 @@ def classify_one_singularity(a: FanAnalysis) -> Classification:
         raise ConsistencyError(
             f"normalized polygon {image.vertices} matches no family member"
         )
-    if apply_map(transform, LatticePolygon(fan.rays)) != target:
-        raise ConsistencyError("classification transform does not map the "
-                               "input onto its normal form")
     return Classification(k=k, p=p, transform=transform, normal_form=form, mu=mu)
 
 

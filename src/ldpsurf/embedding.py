@@ -4,10 +4,12 @@ Dilating the polar polygon by the index gives a lattice polygon whose lattice
 points are the exponents of the embedding monomials.  The defining ideal is
 generated by quadratic binomials z_a z_b - z_c z_d with a + b = c + d; a
 minimal generating system takes, inside the fiber of each sum point, the
-differences against the lexicographically smallest point pair.  The size of
-that system is cross-checked against the lattice points of the doubled polygon
-and against the counting formula.  Ranks and span membership of binomial sets
-are computed as graph connectivity on point pairs.
+differences against the lexicographically smallest point pair.  Its
+generators are the fiber pairs themselves, (root, other) tuples emitted in
+the order the fibers were built, which is already sorted; the number of
+fibers is checked against the lattice points of the doubled polygon.  Ranks
+and span membership of binomial sets are computed as graph connectivity on
+point pairs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import dataclasses
 import itertools
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .delpezzo import LdpData, canonical_polygon, ldp_analyze
 from .errors import ConsistencyError, DomainError, ParseError
@@ -35,17 +38,18 @@ class EmbeddingData:
     interior_count: int
 
 
-@dataclass(frozen=True)
-class Binomial:
+Pair = tuple[Point, Point]
+
+
+class Binomial(NamedTuple("_Binomial", [("plus", Pair), ("minus", Pair)])):
     """z_a z_b - z_c z_d with a + b = c + d, stored with sorted pairs and
-    plus < minus."""
+    plus < minus.  A plain (plus, minus) tuple in that form compares equal."""
 
-    plus: tuple[Point, Point]
-    minus: tuple[Point, Point]
+    __slots__ = ()
 
-    def __post_init__(self):
-        plus = tuple(sorted(tuple(pt) for pt in self.plus))
-        minus = tuple(sorted(tuple(pt) for pt in self.minus))
+    def __new__(cls, plus, minus):
+        plus = tuple(sorted(tuple(pt) for pt in plus))
+        minus = tuple(sorted(tuple(pt) for pt in minus))
         if plus == minus:
             raise DomainError("binomial with equal monomials is zero")
         sum_plus = (plus[0][0] + plus[1][0], plus[0][1] + plus[1][1])
@@ -56,8 +60,7 @@ class Binomial:
             )
         if minus < plus:
             plus, minus = minus, plus
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
+        return super().__new__(cls, plus, minus)
 
     @property
     def sum_point(self) -> Point:
@@ -67,15 +70,17 @@ class Binomial:
 
 @dataclass(frozen=True)
 class QuadricIdealReport:
-    """A minimal generating system together with its cross-checked size."""
+    """A minimal generating system: (plus, minus) pairs of point pairs."""
 
     points: tuple[Point, ...]
     ambient_dim: int
     degree: int
     genus: int
-    count: int
-    formula_count: int
-    generators: tuple[Binomial, ...]
+    generators: tuple[tuple[Pair, Pair], ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.generators)
 
 
 @dataclass(frozen=True)
@@ -96,9 +101,9 @@ class TableRow:
 def embedding_data(data: LdpData) -> EmbeddingData:
     """Lattice data of the index-dilated polar polygon.
 
-    Both Pick-type identities (ambient dimension against degree and boundary,
-    genus against interior count) are asserted, so a failure here means a
-    counting bug rather than unusual input.
+    Pick's identity (ambient dimension against degree and boundary) is
+    asserted, so a failure here means a counting bug rather than unusual
+    input.
     """
     dilated = to_lattice(dilate(data.polar, data.index))
     boundary, interior = lattice_points(dilated)
@@ -107,8 +112,6 @@ def embedding_data(data: LdpData) -> EmbeddingData:
     delta = len(points) - 1
     if 2 * delta != degree + len(boundary):
         raise ConsistencyError("point count violates the Pick identity")
-    if len(interior) != delta - len(boundary) + 1:
-        raise ConsistencyError("interior count violates the Pick identity")
     return EmbeddingData(
         polygon=dilated,
         points=points,
@@ -123,9 +126,15 @@ def embedding_of(q: LatticePolygon) -> EmbeddingData:
     return embedding_data(ldp_analyze(q))
 
 
-def sum_fibers(e: EmbeddingData) -> dict[Point, list[tuple[Point, Point]]]:
-    """Unordered point pairs grouped by their coordinate sum."""
-    fibers: dict[Point, list[tuple[Point, Point]]] = {}
+def sum_fibers(e: EmbeddingData) -> dict[Point, list[Pair]]:
+    """Unordered point pairs grouped by their coordinate sum.
+
+    The points are lexicographic and pairs (a, b) with a <= b arrive in
+    lexicographic order, so each fiber is inserted at its smallest pair and
+    filled in sorted order: fibers iterate in the order of their smallest
+    pairs, and each fiber's list is sorted.
+    """
+    fibers: dict[Point, list[Pair]] = {}
     for a, b in itertools.combinations_with_replacement(e.points, 2):
         fibers.setdefault((a[0] + b[0], a[1] + b[1]), []).append((a, b))
     return fibers
@@ -137,11 +146,10 @@ def koelman_quadrics(e: EmbeddingData) -> list[Binomial]:
     Grows quadratically in the fiber sizes; intended for moderate polygons.
     """
     out = []
-    fibers = sum_fibers(e)
-    for s in sorted(fibers):
-        for pair_a, pair_b in itertools.combinations(fibers[s], 2):
+    for pairs in sum_fibers(e).values():
+        for pair_a, pair_b in itertools.combinations(pairs, 2):
             out.append(Binomial(pair_a, pair_b))
-    out.sort(key=lambda b: (b.plus, b.minus))
+    out.sort()
     return out
 
 
@@ -163,8 +171,8 @@ def _connect(binomials):
         return x
 
     unions = 0
-    for b in binomials:
-        u, v = find(b.plus), find(b.minus)
+    for plus, minus in binomials:
+        u, v = find(plus), find(minus)
         if u != v:
             parent[u] = v
             unions += 1
@@ -187,10 +195,10 @@ def quadric_count_by_counting(e: EmbeddingData) -> int:
 def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
     """Minimal generating system of the embedding ideal.
 
-    In each sum-point fiber the lexicographically smallest pair is the
-    representative and one binomial per remaining pair is emitted.  The
-    number of fibers must equal the number of lattice points of the doubled
-    polygon, and the system size must agree with the counting formula.
+    In each sum-point fiber the smallest pair is the root and one generator
+    (root, other) is emitted per remaining pair; by the order of
+    `sum_fibers` the generators come out sorted.  The number of fibers must
+    equal the number of lattice points of the doubled polygon.
     """
     fibers = sum_fibers(e)
     doubled = minkowski_double(e.polygon)
@@ -199,37 +207,25 @@ def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
             f"{len(fibers)} sum fibers but {doubled} lattice points in the "
             "doubled polygon"
         )
-    generators = []
-    for s in sorted(fibers):
-        root, *rest = sorted(fibers[s])
-        generators.extend(Binomial(root, other) for other in rest)
-    generators.sort(key=lambda b: (b.plus, b.minus))
-    formula_count = quadric_count_by_counting(e)
-    if len(generators) != formula_count:
-        raise ConsistencyError(
-            f"spanning construction produced {len(generators)} generators, "
-            f"counting formula gives {formula_count}"
-        )
     return QuadricIdealReport(
         points=e.points,
         ambient_dim=e.ambient_dim,
         degree=e.degree,
         genus=e.interior_count,
-        count=len(generators),
-        formula_count=formula_count,
-        generators=tuple(generators),
+        generators=tuple((root, other) for root, *rest in fibers.values()
+                         for other in rest),
     )
 
 
 def span_membership(report: QuadricIdealReport, b: Binomial) -> bool:
     """True when b lies in the rational span of the report's generators."""
+    plus, minus = b
     point_set = set(report.points)
-    for pair in (b.plus, b.minus):
-        for pt in pair:
-            if pt not in point_set:
-                raise DomainError(f"point {pt} is not an embedding monomial")
+    for pt in plus + minus:
+        if pt not in point_set:
+            raise DomainError(f"point {pt} is not an embedding monomial")
     find = _connect(report.generators)[0]
-    return find(b.plus) == find(b.minus)
+    return find(plus) == find(minus)
 
 
 def sectional_genus(e: EmbeddingData) -> int:
@@ -306,7 +302,7 @@ def enumerated_row(k: int, p: int) -> TableRow:
 # ideal file format
 
 def format_binomial(b: Binomial) -> str:
-    (a1, a2), (m1, m2) = b.plus, b.minus
+    (a1, a2), (m1, m2) = b
     return (f"z({a1[0]},{a1[1]})*z({a2[0]},{a2[1]}) - "
             f"z({m1[0]},{m1[1]})*z({m2[0]},{m2[1]})")
 
@@ -333,7 +329,10 @@ def parse_binomial_line(line: str) -> Binomial:
     m = _LINE.match(line)
     if not m:
         raise ParseError(f"not a binomial line: {line!r}")
-    nums = [int(g) for g in m.groups()]
+    try:
+        nums = [int(g) for g in m.groups()]
+    except ValueError as exc:  # beyond the interpreter's int-digits limit
+        raise ParseError(f"not a binomial line: {exc}") from None
     return Binomial(
         ((nums[0], nums[1]), (nums[2], nums[3])),
         ((nums[4], nums[5]), (nums[6], nums[7])),

@@ -143,11 +143,7 @@ def _minimal_desingularization(
         interior = data[i].chain[1:-1]
         rays.extend(interior)
         exceptional.extend((u, -b) for u, b in zip(interior, data[i].hj))
-    refined = CompleteFan(tuple(rays))
-    for i in range(refined.nu):
-        if cross(refined.rays[i], refined.rays[(i + 1) % refined.nu]) != 1:
-            raise ConsistencyError("refined fan is not basic")
-    return refined, tuple(exceptional)
+    return CompleteFan(tuple(rays)), tuple(exceptional)
 
 
 def star_subdivide(f: CompleteFan, ray: Point) -> CompleteFan:

@@ -382,6 +382,8 @@ def load_polygon(text: str) -> LatticePolygon:
             arr = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {exc.lineno}: invalid vertex array: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # int-digits limit, nesting
+            raise ParseError(f"invalid vertex array: {exc}") from None
         return polygon_from_array(arr)
     return parse_polygon_text(text)
 

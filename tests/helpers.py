@@ -85,6 +85,12 @@ def random_ldp_polygon(rng: random.Random, bound: int = 4,
     raise AssertionError("could not sample an LDP polygon")
 
 
+# Polygon files that once escaped the parser with a traceback: nesting past
+# the recursion limit, and an integer past the int-digits limit.
+DEEP_NESTING = "[" * 5000
+LONG_INTEGER = "[[1" + "0" * 5000 + ", 1], [0, 1], [-1, -1]]"
+
+
 def dense_rank(binomials) -> int:
     """Rank over the rationals of binomial relations by dense Gaussian
     elimination, one column per point pair that occurs: a test-only oracle

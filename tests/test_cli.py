@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import helpers
 import ldpsurf.cli as cli
 import ldpsurf.fans as fans
 from ldpsurf import (LatticePolygon, TableRow, canonical_polygon,
@@ -123,6 +124,16 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     good = write_polygon(tmp_path, canonical_polygon(1, 1))
     for command in ("analyze", "quadrics"):
         code, out, err = run(capsys, command, good, "--canonical", "1", "1")
+        assert code == 2 and out == "" and err.startswith("error:")
+    for name, text in (("nested.json", helpers.DEEP_NESTING),
+                       ("digits.json", helpers.LONG_INTEGER)):
+        hostile = tmp_path / name
+        hostile.write_text(text)
+        for command in ("analyze", "classify", "quadrics"):
+            code, out, err = run(capsys, command, str(hostile))
+            assert code == 2 and out == "" and err.startswith("error:")
+    for pmax in ("0", "-4"):
+        code, out, err = run(capsys, "tables", "--pmax", pmax)
         assert code == 2 and out == "" and err.startswith("error:")
 
 

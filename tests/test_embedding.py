@@ -1,7 +1,10 @@
 """Anticanonical embeddings and their quadric generating systems."""
 
+import collections
 import functools
+import itertools
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +13,13 @@ from hypothesis import strategies as st
 import helpers
 import ldpsurf.embedding as emb
 from ldpsurf import (Binomial, ConsistencyError, DomainError, ParseError,
-                     QuadricIdealReport, TableRow, canonical_polygon,
-                     embedding_data, embedding_of, enumerated_row,
-                     format_ideal, koelman_quadrics, ldp_analyze,
-                     minimal_system, parse_ideal, quadric_count_by_counting,
-                     relation_rank, sectional_genus, span_membership,
-                     sum_fibers, table_formulas)
+                     QuadricIdealReport, TableRow, apply_map,
+                     canonical_polygon, embedding_data, embedding_of,
+                     enumerated_row, format_ideal, koelman_quadrics,
+                     ldp_analyze, minimal_system, parse_ideal,
+                     quadric_count_by_counting, relation_rank,
+                     sectional_genus, span_membership, sum_fibers,
+                     table_formulas)
 from ldpsurf.embedding import format_binomial, parse_binomial_line
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -116,23 +120,47 @@ def test_relation_rank_dependent_triple():
     assert relation_rank([]) == 0
 
 
+def _presentations():
+    """Small family members in random GL2(Z) presentations, and random LDP
+    polygons of index at most 6."""
+    rng = random.Random(20170)
+    for k, p in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 3), (3, 3), (1, 4),
+                 (2, 5), (3, 5)):
+        m = helpers.random_unimodular(rng)
+        yield f"k={k} p={p} {m.matrix()}", apply_map(m, canonical_polygon(k, p))
+    found = 0
+    while found < 6:
+        q = helpers.random_ldp_polygon(rng)
+        if ldp_analyze(q).index <= 6:
+            found += 1
+            yield f"random {q.vertices}", q
+
+
 def test_minimal_system_structure():
     e = embedding_of(canonical_polygon(2, 1))
     report = minimal_system(e)
-    assert report.count == report.formula_count == len(report.generators) == 14
+    assert report.count == len(report.generators) == 14
     assert relation_rank(report.generators) == 14
     assert report.points == e.points
-    keys = [(b.plus, b.minus) for b in report.generators]
-    assert keys == sorted(keys)
-    # one generator per non-root pair, all sharing the fiber's smallest pair
-    fibers = sum_fibers(e)
-    by_sum: dict = {}
-    for b in report.generators:
-        by_sum.setdefault(b.sum_point, []).append(b)
-    for s, gens in by_sum.items():
-        root = min(fibers[s])
-        assert len(gens) == len(fibers[s]) - 1
-        assert all(b.plus == root for b in gens)
+    for label, q in _presentations():
+        e = embedding_of(q)
+        report = minimal_system(e)
+        gens = report.generators
+        assert list(gens) == sorted(gens), label
+        assert all(Binomial(*g) == g for g in gens), label
+        # one generator per non-root pair of each fiber, rooted at the
+        # fiber's smallest pair; fibers grouped here without sum_fibers
+        fibers: dict = {}
+        for a, b in itertools.combinations_with_replacement(e.points, 2):
+            fibers.setdefault((a[0] + b[0], a[1] + b[1]), []).append((a, b))
+        expect = collections.Counter()
+        for pairs in fibers.values():
+            root = min(pairs)
+            expect.update((root, other) for other in pairs if other != root)
+        assert collections.Counter(gens) == expect, label
+        count = quadric_count_by_counting(e)
+        assert report.count == len(gens) == count, label
+        assert relation_rank(gens) == count, label
 
 
 def test_span_membership():
@@ -144,7 +172,6 @@ def test_span_membership():
     truncated = QuadricIdealReport(
         points=report.points, ambient_dim=report.ambient_dim,
         degree=report.degree, genus=report.genus,
-        count=report.count - 1, formula_count=report.formula_count,
         generators=report.generators[:-1])
     assert not span_membership(truncated, report.generators[-1])
     with pytest.raises(DomainError):
@@ -172,8 +199,7 @@ def test_rank_and_span_match_dense_elimination(data):
     assert relation_rank(subset) == rank
     report = QuadricIdealReport(
         points=e.points, ambient_dim=e.ambient_dim, degree=e.degree,
-        genus=e.interior_count, count=len(subset), formula_count=len(subset),
-        generators=tuple(subset))
+        genus=e.interior_count, generators=tuple(subset))
     expect = helpers.dense_rank(subset + [probe]) == rank
     assert span_membership(report, probe) == expect
 
@@ -194,8 +220,7 @@ def test_fixture_systems(k, p, count, name):
         assert span_membership(ours, b)
     theirs = QuadricIdealReport(
         points=e.points, ambient_dim=e.ambient_dim, degree=e.degree,
-        genus=e.interior_count, count=count, formula_count=count,
-        generators=tuple(sorted(fixture, key=lambda b: (b.plus, b.minus))))
+        genus=e.interior_count, generators=tuple(sorted(fixture)))
     for b in ours.generators:
         assert span_membership(theirs, b)
 
@@ -226,6 +251,11 @@ def test_parse_ideal_errors():
         parse_binomial_line("z(0,0)*z(1,1) + z(0,1)*z(1,0)")
     with pytest.raises(DomainError):
         parse_ideal("z(0,0)*z(0,0) - z(5,5)*z(1,1)\n")
+    huge = "1" * 5001
+    with pytest.raises(ParseError):
+        parse_binomial_line(f"z({huge},0)*z(0,0) - z(0,0)*z({huge},0)")
+    with pytest.raises(ParseError, match="line 1"):
+        parse_ideal(f"z({huge},0)*z(0,0) - z(0,0)*z({huge},0)\n")
 
 
 def test_embedding_matches_analysis():

@@ -264,6 +264,20 @@ def test_load_polygon_both_formats():
         load_polygon("")
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(),
+                 st.text("[]0123456789-,. e\n").map(lambda t: "[" + t),
+                 st.text("0123456789- #\n")))
+@example(helpers.DEEP_NESTING)
+@example(helpers.LONG_INTEGER)
+@example("1" * 5001 + " 1\n0 1\n-1 -1\n")
+def test_load_polygon_rejects_only_with_library_errors(text):
+    try:
+        load_polygon(text)
+    except (ParseError, DomainError):
+        pass
+
+
 def test_serialization_roundtrip(tmp_path):
     assert parse_polygon_text(format_polygon_text(SQUARE)) == SQUARE
     assert polygon_from_array(polygon_to_array(TRIANGLE)) == TRIANGLE
