@@ -12,8 +12,7 @@ from .embedding import (Binomial, EmbeddingData, QuadricIdealReport, TableRow,
                         embedding_data, embedding_of, enumerated_row,
                         format_ideal, koelman_quadrics, minimal_system,
                         parse_ideal, quadric_count_by_counting, relation_rank,
-                        sectional_genus, span_membership, sum_fibers,
-                        table_formulas)
+                        span_membership, sum_fibers, table_formulas)
 from .errors import (ConsistencyError, DomainError, ParseError,
                      SingularityCountError)
 from .fans import (CompleteFan, FanAnalysis, analyze_fan, fan_from_polygon,

@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 invalid input, 3 precondition violation (not exactly
-one singularity where one is required), 4 internal consistency failure.
+Exit codes: 0 success, 2 invalid input or out of memory, 3 precondition
+violation (not exactly one singularity where one is required), 4 internal
+consistency failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .delpezzo import (Classification, LdpData, canonical_polygon,
+from .delpezzo import (Classification, canonical_polygon,
                        classify_one_singularity, enumerate_one_singularity,
                        group_classes, ldp_analyze)
 from .embedding import (TableRow, embedding_data, enumerated_row,
@@ -194,10 +195,6 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _canonical_pair(value_k: str, value_p: str) -> tuple[int, int]:
-    return int(value_k), int(value_p)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ldpsurf",
@@ -263,6 +260,9 @@ def main(argv=None) -> int:
         return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
         return 2
 
 

@@ -6,8 +6,10 @@ toric log del Pezzo surface.  When exactly one cone over a facet is
 non-basic, the surface is isomorphic to a member of three explicit families
 of polygons with 3, 4 and 5 vertices (plus a mirrored presentation of the
 4-vertex family); classify_one_singularity computes the family parameters
-and the unimodular map realizing the normal form from the fan analysis, and
-group_classes checks that each surface is isomorphic to its normal form's.
+and the unimodular map realizing the normal form from the fan analysis.
+Enumeration analyses each polygon once and returns (polygon, classification,
+key) triples, the key being the canonical graph key of the same analysis;
+group_classes checks that each key equals its normal form's.
 """
 
 from __future__ import annotations
@@ -196,15 +198,19 @@ def _primitive_box_points(bound: int) -> list[Point]:
     return pts
 
 
-def enumerate_one_singularity(
-    bound: int
-) -> list[tuple[LatticePolygon, Classification]]:
-    """Exhaustively enumerate one-singularity log del Pezzo polygons whose
-    vertex coordinates lie in [-bound, bound]^2, classifying each.
+Enumerated = tuple[LatticePolygon, Classification, tuple]
 
-    Every found polygon is required to classify successfully; a violation
-    raises ConsistencyError.  That each gives a surface isomorphic to its
-    normal form's is checked by group_classes.
+
+def enumerate_one_singularity(bound: int) -> list[Enumerated]:
+    """Exhaustively enumerate one-singularity log del Pezzo polygons whose
+    vertex coordinates lie in [-bound, bound]^2.
+
+    Returns (polygon, classification, key) triples in vertex order, where
+    classification and the canonical graph key come from one analysis of the
+    polygon's face fan; equal keys are one shared tuple.  Every found polygon
+    is required to classify successfully; a violation raises
+    ConsistencyError.  That each gives a surface isomorphic to its normal
+    form's is checked by group_classes.
     """
     if bound < 1:
         raise DomainError("bound must be >= 1")
@@ -254,26 +260,28 @@ def enumerate_one_singularity(
         successors = cands[si + 1:] + cands[:si]
         extend([start], 0, successors, 0)
 
-    return [
-        (poly, classify_one_singularity(analyze_fan(fan_from_polygon(poly))))
-        for poly in sorted(found, key=lambda q: q.vertices)
-    ]
+    keys: dict[tuple, tuple] = {}
+    results = []
+    for poly in sorted(found, key=lambda q: q.vertices):
+        a = analyze_fan(fan_from_polygon(poly))
+        cls = classify_one_singularity(a)
+        key = canonical_key(graph_of(a))
+        results.append((poly, cls, keys.setdefault(key, key)))
+    return results
 
 
 def _graph_key(q: LatticePolygon) -> tuple:
     return canonical_key(graph_of(analyze_fan(fan_from_polygon(q))))
 
 
-def group_classes(
-    results: list[tuple[LatticePolygon, Classification]]
-) -> dict[tuple, dict]:
-    """Group enumeration output into isomorphism classes keyed by the
-    canonical graph key.  Each polygon's key must equal the key of its normal
-    form canonical_polygon(k, p); a violation raises ConsistencyError."""
+def group_classes(results: list[Enumerated]) -> dict[tuple, dict]:
+    """Group enumeration triples into isomorphism classes by their canonical
+    graph key.  Each key must equal the key of the normal form
+    canonical_polygon(k, p), computed once per (k, p), and no class may hold
+    two (k, p); a violation raises ConsistencyError."""
     classes: dict[tuple, dict] = {}
     target_keys: dict[tuple[int, int], tuple] = {}
-    for poly, cls in results:
-        key = _graph_key(poly)
+    for poly, cls, key in results:
         kp = (cls.k, cls.p)
         if kp not in target_keys:
             target_keys[kp] = _graph_key(canonical_polygon(*kp))

@@ -62,6 +62,10 @@ class Binomial(NamedTuple("_Binomial", [("plus", Pair), ("minus", Pair)])):
             plus, minus = minus, plus
         return super().__new__(cls, plus, minus)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make too
+        return cls(*iterable)
+
     @property
     def sum_point(self) -> Point:
         return (self.plus[0][0] + self.plus[1][0],
@@ -226,11 +230,6 @@ def span_membership(report: QuadricIdealReport, b: Binomial) -> bool:
             raise DomainError(f"point {pt} is not an embedding monomial")
     find = _connect(report.generators)[0]
     return find(plus) == find(minus)
-
-
-def sectional_genus(e: EmbeddingData) -> int:
-    """Genus of a generic hyperplane section: the interior point count."""
-    return e.interior_count
 
 
 def _exact_div(n: int, d: int) -> int:

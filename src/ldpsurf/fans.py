@@ -3,9 +3,10 @@
 A complete fan is a cyclic anticlockwise list of primitive rays; cone i is
 spanned by rays i and i+1 (indices wrap around).  analyze_fan computes the
 per-cone data once and derives from it the integer weight attached to each
-ray, the self-intersection formula for the canonical divisor, and the minimal
-desingularization obtained by inserting every refinement chain.  Graphs and
-the classification read this FanAnalysis rather than recompute it.
+ray.  The self-intersection of the canonical divisor and the minimal
+desingularization obtained by inserting every refinement chain are derived
+from the same data on read, since enumeration reads neither.  Graphs and the
+classification read this FanAnalysis rather than recompute it.
 """
 
 from __future__ import annotations
@@ -56,7 +57,11 @@ class CompleteFan:
 
 @dataclass(frozen=True)
 class FanAnalysis:
-    """Per-cone invariants plus the derived surface data of a complete fan."""
+    """Per-cone invariants plus the derived surface data of a complete fan.
+
+    k2, resolution and exceptional are not stored: each read derives them
+    from fan and cone_data.
+    """
 
     fan: CompleteFan
     cone_data: tuple[ConeData, ...]
@@ -64,9 +69,32 @@ class FanAnalysis:
     basic_indices: tuple[int, ...]
     weights: tuple[int, ...]
     picard: int
-    k2: Fraction
-    resolution: CompleteFan
-    exceptional: tuple[tuple[Point, int], ...]
+
+    @property
+    def k2(self) -> Fraction:
+        """Self-intersection of the canonical divisor, as an exact rational."""
+        total = Fraction(12 - self.fan.nu)
+        for cd in self.cone_data:
+            if cd.q > 1:
+                total += (Fraction(cd.q - cd.p + 1, cd.q)
+                          + Fraction(cd.q - cd.socius + 1, cd.q)
+                          - 2 + sum(b - 3 for b in cd.hj))
+        return total
+
+    @property
+    def resolution(self) -> CompleteFan:
+        """The minimal desingularization: every non-basic cone refined along
+        its chain, so all cones are basic."""
+        return CompleteFan(tuple(
+            ray for r, cd in zip(self.fan.rays, self.cone_data)
+            for ray in (r, *cd.chain[1:-1])
+        ))
+
+    @property
+    def exceptional(self) -> tuple[tuple[Point, int], ...]:
+        """Curves the resolution inserts, as (ray, self-intersection -b)."""
+        return tuple((u, -b) for cd in self.cone_data
+                     for u, b in zip(cd.chain[1:-1], cd.hj))
 
 
 def fan_from_polygon(q: LatticePolygon) -> CompleteFan:
@@ -113,39 +141,6 @@ def _ray_weights(f: CompleteFan, data: tuple[ConeData, ...]) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def _canonical_k2(f: CompleteFan, data: tuple[ConeData, ...]) -> Fraction:
-    """Self-intersection of the canonical divisor, as an exact rational."""
-    total = Fraction(12 - f.nu)
-    for cd in data:
-        if cd.q == 1:
-            continue
-        total += (
-            Fraction(cd.q - cd.p + 1, cd.q)
-            + Fraction(cd.q - cd.socius + 1, cd.q)
-            - 2
-            + sum(b - 3 for b in cd.hj)
-        )
-    return total
-
-
-def _minimal_desingularization(
-    f: CompleteFan, data: tuple[ConeData, ...]
-) -> tuple[CompleteFan, tuple[tuple[Point, int], ...]]:
-    """Refine every non-basic cone along its chain.
-
-    Returns the refined (all basic) fan and the exceptional curves as pairs
-    (inserted ray, self-intersection -b).
-    """
-    rays: list[Point] = []
-    exceptional: list[tuple[Point, int]] = []
-    for i in range(f.nu):
-        rays.append(f.rays[i])
-        interior = data[i].chain[1:-1]
-        rays.extend(interior)
-        exceptional.extend((u, -b) for u, b in zip(interior, data[i].hj))
-    return CompleteFan(tuple(rays)), tuple(exceptional)
-
-
 def star_subdivide(f: CompleteFan, ray: Point) -> CompleteFan:
     """Insert a primitive ray into the unique cone strictly containing it."""
     ray = tuple(ray)
@@ -171,10 +166,9 @@ def hirzebruch_fan(p: int) -> CompleteFan:
 
 
 def analyze_fan(f: CompleteFan) -> FanAnalysis:
-    """Cone invariants of every cone of f, computed once, and the surface
-    data derived from them."""
+    """Cone invariants of every cone of f, computed once, and the weights,
+    Picard rank and singular/basic split derived from them."""
     data = tuple(cone_invariants(f.cone(i)) for i in range(f.nu))
-    resolution, exceptional = _minimal_desingularization(f, data)
     return FanAnalysis(
         fan=f,
         cone_data=data,
@@ -182,7 +176,4 @@ def analyze_fan(f: CompleteFan) -> FanAnalysis:
         basic_indices=tuple(i for i, cd in enumerate(data) if cd.q == 1),
         weights=_ray_weights(f, data),
         picard=picard_number(f),
-        k2=_canonical_k2(f, data),
-        resolution=resolution,
-        exceptional=exceptional,
     )

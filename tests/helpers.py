@@ -1,5 +1,6 @@
 """Shared randomized-instance generators for the test suite."""
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,21 @@ from ldpsurf import (FanAnalysis, LatticePolygon, UnimodularMap, analyze_fan,
 def analysis_of(poly: LatticePolygon) -> FanAnalysis:
     """The analysis of a polygon's face fan, as the library builds it."""
     return analyze_fan(fan_from_polygon(poly))
+
+
+def count_derived_reads(monkeypatch) -> collections.Counter:
+    """Count, for the rest of the test, the reads of the FanAnalysis values
+    that are derived on read: k2, resolution and exceptional."""
+    reads = collections.Counter()
+    for name in ("k2", "resolution", "exceptional"):
+        getter = getattr(FanAnalysis, name).fget
+
+        def counting(self, name=name, getter=getter):
+            reads[name] += 1
+            return getter(self)
+
+        monkeypatch.setattr(FanAnalysis, name, property(counting))
+    return reads
 
 
 def random_primitive(rng: random.Random, bound: int) -> tuple[int, int]:

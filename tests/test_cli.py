@@ -146,9 +146,22 @@ def test_analyze_computes_each_cone_once(capsys, monkeypatch):
         return cone_invariants(cone)
 
     monkeypatch.setattr(fans, "cone_invariants", counting)
+    reads = helpers.count_derived_reads(monkeypatch)
     code, _, _ = run(capsys, "analyze", "--canonical", "3", "9", "--json")
     assert code == 0
     assert len(calls) == 5  # one per cone of the five-vertex polygon
+    assert reads == {"k2": 1}  # K^2 is printed; no desingularization is built
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(data):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "embedding_data", exhausted)
+    for command in ("analyze", "quadrics"):
+        code, out, err = run(capsys, command, "--canonical", "1", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: out of memory")
 
 
 def test_quadrics_stdout(capsys):

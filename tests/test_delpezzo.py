@@ -155,7 +155,7 @@ def test_enumerate_bound_one():
     assert len(classes) == 3
     summary = {(e["k"], e["p"]): e["count"] for e in classes.values()}
     assert summary == {(1, 1): 4, (2, 1): 8, (3, 1): 4}
-    for poly, cls in results:
+    for poly, cls, _ in results:
         assert max(abs(c) for v in poly.vertices for c in v) <= 1
         assert cls.p == 1
 
@@ -186,7 +186,7 @@ def test_enumerate_is_search_order_independent(monkeypatch):
 
     monkeypatch.setattr(delpezzo, "_primitive_box_points", rotated)
     shifted = enumerate_one_singularity(2)
-    assert [poly for poly, _ in forward] == [poly for poly, _ in shifted]
+    assert [poly for poly, _, _ in forward] == [poly for poly, _, _ in shifted]
 
 
 def test_enumerate_validation():
@@ -196,24 +196,24 @@ def test_enumerate_validation():
 
 def test_group_classes_rejects_mixed_class():
     results = enumerate_one_singularity(1)
-    poly, cls = results[0]
+    poly, cls, key = results[0]
     forged = cls.__class__(k=cls.k % 3 + 1, p=cls.p, transform=cls.transform,
                            normal_form=cls.normal_form, mu=cls.mu)
     with pytest.raises(ConsistencyError):
-        group_classes([(poly, cls), (poly, forged)])
+        group_classes([(poly, cls, key), (poly, forged, key)])
 
 
 def test_group_classes_rejects_misclassified_entry():
     # a single entry: no second polygon to disagree with, so only the check
     # against the normal form's graph key can catch it
-    poly, cls = enumerate_one_singularity(1)[0]
+    poly, cls, key = enumerate_one_singularity(1)[0]
     forged = cls.__class__(k=cls.k % 3 + 1, p=cls.p, transform=cls.transform,
                            normal_form=cls.normal_form, mu=cls.mu)
     with pytest.raises(ConsistencyError):
-        group_classes([(poly, forged)])
+        group_classes([(poly, forged, key)])
 
 
-def test_enumeration_analyses_each_polygon_twice(monkeypatch):
+def test_enumeration_analyses_each_polygon_once(monkeypatch):
     calls = []
     cone_invariants = fans.cone_invariants
 
@@ -222,9 +222,14 @@ def test_enumeration_analyses_each_polygon_twice(monkeypatch):
         return cone_invariants(cone)
 
     monkeypatch.setattr(fans, "cone_invariants", counting)
+    reads = helpers.count_derived_reads(monkeypatch)
     results = enumerate_one_singularity(2)
     group_classes(results)
-    # once to classify, once for the graph key; plus each normal form once
-    budget = 2 * sum(len(poly) for poly, _ in results) \
-        + sum(k + 2 for k, _ in {(cls.k, cls.p) for _, cls in results})
-    assert 0 < len(calls) <= budget
+    # one analysis per polygon serves classification and graph key; plus
+    # each normal form once
+    kps = {(cls.k, cls.p) for _, cls, _ in results}
+    assert len(calls) == sum(len(poly) for poly, _, _ in results) \
+        + sum(k + 2 for k, _ in kps) == 612
+    assert not reads  # neither K^2 nor the desingularization is built
+    # equal keys are one shared object
+    assert len({id(key) for _, _, key in results}) == 9

@@ -18,8 +18,7 @@ from ldpsurf import (Binomial, ConsistencyError, DomainError, ParseError,
                      enumerated_row, format_ideal, koelman_quadrics,
                      ldp_analyze, minimal_system, parse_ideal,
                      quadric_count_by_counting, relation_rank,
-                     sectional_genus, span_membership, sum_fibers,
-                     table_formulas)
+                     span_membership, sum_fibers, table_formulas)
 from ldpsurf.embedding import format_binomial, parse_binomial_line
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -44,6 +43,20 @@ def test_binomial_canonicalization():
         Binomial(((0, 0), (1, 1)), ((0, 1), (2, 0)))  # sums differ
 
 
+def test_binomial_make_and_replace_normalize():
+    pairs = [((1, 1), (0, 0)), ((0, 1), (1, 0))]
+    made = Binomial._make(pairs)
+    assert made == Binomial(*pairs) and made.plus == ((0, 0), (1, 1))
+    b = Binomial(*pairs)
+    swapped = b._replace(minus=((2, 1), (-1, 0)))
+    assert swapped == Binomial(b.plus, ((2, 1), (-1, 0)))
+    assert swapped.plus == ((-1, 0), (2, 1))
+    with pytest.raises(DomainError):
+        b._replace(minus=b.plus)  # zero binomial
+    with pytest.raises(DomainError):
+        Binomial._make([((0, 0), (1, 1)), ((0, 1), (2, 0))])  # sums differ
+
+
 def test_embedding_data_known():
     e = embedding_of(canonical_polygon(1, 1))
     assert e.ambient_dim == 8
@@ -53,7 +66,6 @@ def test_embedding_data_known():
     assert len(e.points) == 9
     assert e.points == tuple(sorted(e.points))
     assert (0, 0) in e.points
-    assert sectional_genus(e) == 1
 
 
 def test_family_rows_frozen():

@@ -1,0 +1,53 @@
+"""Source hygiene checks on src/ldpsurf, built on the standard library's ast.
+
+Each library module (the package __init__, which re-exports, is skipped)
+must reference every name it imports, and every module-level private
+function must be referenced somewhere in src/ outside its own body.
+"""
+
+import ast
+import collections
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ldpsurf"
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+         for path in sorted(SRC.glob("*.py"))}
+MODULES = {name: tree for name, tree in TREES.items() if name != "__init__.py"}
+
+
+def _references(node) -> collections.Counter:
+    """Names read anywhere under node, as bare names or attributes."""
+    refs = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+    return refs
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for name, tree in MODULES.items():
+        refs = _references(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if not refs[bound]:
+                        unused.append(f"{name}:{node.lineno} {bound}")
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_every_private_function_is_called():
+    refs = sum(map(_references, TREES.values()), collections.Counter())
+    dead = []
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                if refs[node.name] == _references(node)[node.name]:
+                    dead.append(f"{name}:{node.lineno} {node.name}")
+    assert not dead, f"private functions referenced nowhere in src/: {dead}"
