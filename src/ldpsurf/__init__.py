@@ -9,9 +9,9 @@ from .delpezzo import (Classification, LdpData, canonical_polygon,
                        group_classes, index_parity_check, is_ldp, ldp_analyze,
                        mirror_quad, mirror_quad_map)
 from .embedding import (Binomial, EmbeddingData, QuadricIdealReport, TableRow,
-                        embedding_data, embedding_of, enumerated_row,
-                        format_ideal, koelman_quadrics, minimal_system,
-                        parse_ideal, quadric_count_by_counting, relation_rank,
+                        embedding_data, enumerated_row, format_ideal,
+                        koelman_quadrics, minimal_system, parse_ideal,
+                        quadric_count_by_counting, relation_rank,
                         span_membership, sum_fibers, table_formulas)
 from .errors import (ConsistencyError, DomainError, ParseError,
                      SingularityCountError)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 invalid input or out of memory, 3 precondition
 violation (not exactly one singularity where one is required), 4 internal
-consistency failure.
+consistency failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .delpezzo import (Classification, canonical_polygon,
 from .embedding import (TableRow, embedding_data, enumerated_row,
                         format_ideal, minimal_system,
                         quadric_count_by_counting, table_formulas)
-from .errors import (ConsistencyError, DomainError, ParseError,
-                     SingularityCountError)
+from .errors import ConsistencyError, DomainError, SingularityCountError
 from .fans import FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import graph_of, render_graph
 from .lattice import LatticePolygon, read_polygon_file
@@ -246,24 +245,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SingularityCountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:  # ParseError is a DomainError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MemoryError:
         print("error: out of memory; the input is too large", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

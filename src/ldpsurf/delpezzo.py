@@ -7,9 +7,10 @@ non-basic, the surface is isomorphic to a member of three explicit families
 of polygons with 3, 4 and 5 vertices (plus a mirrored presentation of the
 4-vertex family); classify_one_singularity computes the family parameters
 and the unimodular map realizing the normal form from the fan analysis.
-Enumeration analyses each polygon once and returns (polygon, classification,
-key) triples, the key being the canonical graph key of the same analysis;
-group_classes checks that each key equals its normal form's.
+Enumeration is a depth-first search in angular order from each polygon's
+smallest vertex; it analyses each polygon once and returns (polygon,
+classification, key) triples, the key being the canonical graph key of the
+same analysis; group_classes checks that each key equals its normal form's.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .fans import FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import canonical_key, graph_of
 from .lattice import (LatticePolygon, Point, RationalPolygon, UnimodularMap,
                       _angular_before, contains_origin_interior,
-                      cross, edge_lines, is_primitive)
+                      edge_lines, is_primitive)
 
 
 @dataclass(frozen=True)
@@ -205,6 +206,15 @@ def enumerate_one_singularity(bound: int) -> list[Enumerated]:
     """Exhaustively enumerate one-singularity log del Pezzo polygons whose
     vertex coordinates lie in [-bound, bound]^2.
 
+    A depth-first search grows each polygon from its lexicographically
+    smallest vertex, first, through the box's primitive points in angular
+    order; a step last -> cand needs det(last, cand) > 0, a strict left turn
+    and at most one det > 1 in all.  No prune drops a polygon: along the
+    angular order det(last, cand) <= 0 from the ray opposite last on, so the
+    scan stops there; only points after first are candidates, as first is
+    the smallest vertex, so each polygon is found once; and a strictly
+    convex polygon has first strictly left of every edge not containing it.
+
     Returns (polygon, classification, key) triples in vertex order, where
     classification and the canonical graph key come from one analysis of the
     polygon's face fan; equal keys are one shared tuple.  Every found polygon
@@ -217,48 +227,40 @@ def enumerate_one_singularity(bound: int) -> list[Enumerated]:
     cands = _primitive_box_points(bound)
     found: list[LatticePolygon] = []
 
-    def close_and_emit(chain: list[Point], nonbasic: int) -> None:
-        if len(chain) < 3:
-            return
-        first, last = chain[0], chain[-1]
-        det = cross(last, first)
-        if det <= 0 or nonbasic + (1 if det > 1 else 0) != 1:
-            return
-        prev = chain[-2]
-        second = chain[1]
-        if cross((last[0] - prev[0], last[1] - prev[1]),
-                 (first[0] - last[0], first[1] - last[1])) <= 0:
-            return
-        if cross((first[0] - last[0], first[1] - last[1]),
-                 (second[0] - first[0], second[1] - first[1])) <= 0:
-            return
-        found.append(LatticePolygon(tuple(chain)))
-
-    def extend(chain: list[Point], nonbasic: int, succ: list[Point], pos: int) -> None:
-        close_and_emit(chain, nonbasic)
-        last = chain[-1]
+    def extend(chain: list[Point], nonbasic: int, succ: list[Point], pos: int,
+               fx: int, fy: int, px: int, py: int, lx: int, ly: int) -> None:
+        # first = (fx, fy), prev = (px, py), last = (lx, ly); closing needs no
+        # turn test: the first-vertex prune gives the turn at last, and the
+        # smallest vertex of a star-shaped chain is a hull vertex
+        det = lx * fy - ly * fx  # negative while chain is [first, second]
+        if det > 0 and nonbasic + (det > 1) == 1:
+            found.append(LatticePolygon(tuple(chain)))
         for idx in range(pos, len(succ)):
-            cand = succ[idx]
-            if cand <= chain[0]:
-                continue
-            det = cross(last, cand)
+            cx, cy = cand = succ[idx]
+            det = lx * cy - ly * cx
             if det <= 0:
-                continue
-            nb = nonbasic + (1 if det > 1 else 0)
+                break  # this and every later candidate is past -last
+            nb = nonbasic + (det > 1)
             if nb > 1:
                 continue
-            if len(chain) >= 2:
-                prev = chain[-2]
-                if cross((last[0] - prev[0], last[1] - prev[1]),
-                         (cand[0] - last[0], cand[1] - last[1])) <= 0:
-                    continue
+            ex, ey = cx - lx, cy - ly
+            if (lx - px) * ey - (ly - py) * ex <= 0:
+                continue  # no strict left turn at last
+            if ex * (fy - ly) - ey * (fx - lx) <= 0:
+                continue  # first not strictly left of last -> cand
             chain.append(cand)
-            extend(chain, nb, succ, idx + 1)
+            extend(chain, nb, succ, idx + 1, fx, fy, lx, ly, cx, cy)
             chain.pop()
 
-    for si, start in enumerate(cands):
-        successors = cands[si + 1:] + cands[:si]
-        extend([start], 0, successors, 0)
+    for si, first in enumerate(cands):
+        succ = [c for c in cands[si + 1:] + cands[:si] if c > first]
+        fx, fy = first
+        for idx, second in enumerate(succ):
+            det = fx * second[1] - fy * second[0]
+            if det <= 0:
+                break
+            extend([first, second], det > 1, succ, idx + 1,
+                   fx, fy, fx, fy, *second)
 
     keys: dict[tuple, tuple] = {}
     results = []

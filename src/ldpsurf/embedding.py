@@ -126,10 +126,6 @@ def embedding_data(data: LdpData) -> EmbeddingData:
     )
 
 
-def embedding_of(q: LatticePolygon) -> EmbeddingData:
-    return embedding_data(ldp_analyze(q))
-
-
 def sum_fibers(e: EmbeddingData) -> dict[Point, list[Pair]]:
     """Unordered point pairs grouped by their coordinate sum.
 
@@ -314,7 +310,9 @@ def format_ideal(report: QuadricIdealReport) -> str:
         (f"# ambient_dim={report.ambient_dim} degree={report.degree} "
          f"generators={report.count} sectional_genus={report.genus}"),
     ]
-    lines.extend(format_binomial(b) for b in report.generators)
+    z = {pt: f"z({pt[0]},{pt[1]})" for pt in report.points}
+    lines.extend(f"{z[a1]}*{z[a2]} - {z[m1]}*{z[m2]}"
+                 for (a1, a2), (m1, m2) in report.generators)
     return "\n".join(lines) + "\n"
 
 

@@ -1,17 +1,24 @@
 """Shared randomized-instance generators for the test suite."""
 
 import collections
+import itertools
 import math
 import random
 from fractions import Fraction
 
-from ldpsurf import (FanAnalysis, LatticePolygon, UnimodularMap, analyze_fan,
-                     fan_from_polygon, is_ldp)
+from ldpsurf import (EmbeddingData, FanAnalysis, LatticePolygon, UnimodularMap,
+                     analyze_fan, embedding_data, fan_from_polygon, is_ldp,
+                     ldp_analyze)
 
 
 def analysis_of(poly: LatticePolygon) -> FanAnalysis:
     """The analysis of a polygon's face fan, as the library builds it."""
     return analyze_fan(fan_from_polygon(poly))
+
+
+def embedding_of(poly: LatticePolygon) -> EmbeddingData:
+    """The embedding data of a log del Pezzo polygon."""
+    return embedding_data(ldp_analyze(poly))
 
 
 def count_derived_reads(monkeypatch) -> collections.Counter:
@@ -73,6 +80,26 @@ def convex_hull(points):
         return out[:-1]
 
     return half(pts) + half(pts[::-1])
+
+
+def one_singularity_polygons(bound: int) -> list[tuple]:
+    """Vertex cycles, sorted, of every polygon whose vertices are primitive
+    points of [-bound, bound]^2 with the origin strictly inside and exactly
+    one non-basic cone over an edge, found by trying every subset of those
+    points: a test-only oracle for the library's enumeration search."""
+    pts = [(x, y) for x in range(-bound, bound + 1)
+           for y in range(-bound, bound + 1) if math.gcd(x, y) == 1]
+    found = []
+    for size in range(3, len(pts) + 1):
+        for subset in itertools.combinations(pts, size):
+            hull = convex_hull(subset)
+            if len(hull) != size:
+                continue  # not in convex position
+            dets = [ax * by - ay * bx for (ax, ay), (bx, by)
+                    in zip(hull, hull[1:] + hull[:1])]
+            if min(dets) > 0 and sum(d > 1 for d in dets) == 1:
+                found.append(tuple(hull))
+    return sorted(found)
 
 
 def random_lattice_polygon(rng: random.Random, bound: int = 6,

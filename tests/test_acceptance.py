@@ -15,10 +15,10 @@ from fractions import Fraction
 import helpers
 from ldpsurf import (Cone2, apply_map, canonical_key, canonical_polygon,
                      classify_one_singularity, cone_invariants,
-                     count_lattice_points, cross, embedding_of,
-                     enumerate_one_singularity, enumerated_row, graph_of,
-                     graphs_isomorphic, group_classes, index_parity_check,
-                     ldp_analyze, minimal_system, minkowski_double, mirror_quad,
+                     count_lattice_points, cross, enumerate_one_singularity,
+                     enumerated_row, graph_of, graphs_isomorphic,
+                     group_classes, index_parity_check, ldp_analyze,
+                     minimal_system, minkowski_double, mirror_quad,
                      parse_ideal, polygon_area2, relation_rank, reverse_graph,
                      socius, span_membership, surfaces_isomorphic,
                      table_formulas)
@@ -66,7 +66,7 @@ def test_criterion_2_fixture_ideals():
     problems = []
     for k, p, count, name in fixtures:
         fix = parse_ideal((DATA / name).read_text())
-        ours = minimal_system(embedding_of(canonical_polygon(k, p)))
+        ours = minimal_system(helpers.embedding_of(canonical_polygon(k, p)))
         if len(fix) != count or ours.count != count:
             problems.append(f"{name}: size {len(fix)}/{ours.count} != {count}")
             continue

@@ -164,6 +164,18 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
         assert err.startswith("error: out of memory")
 
 
+def test_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "enumerate_one_singularity", interrupted)
+    monkeypatch.setattr(cli, "format_ideal", interrupted)
+    for argv in (("enumerate", "--bound", "7"),
+                 ("quadrics", "--canonical", "3", "15")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+
+
 def test_quadrics_stdout(capsys):
     code, out, _ = run(capsys, "quadrics", "--canonical", "2", "1")
     assert code == 0

@@ -1,10 +1,13 @@
 """Log del Pezzo analysis and the one-singularity classification."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
 import ldpsurf.delpezzo as delpezzo
@@ -171,6 +174,57 @@ def test_enumerate_bound_two():
         (1, 2): 12, (2, 2): 24, (3, 2): 12,
         (1, 3): 4, (2, 3): 8, (3, 3): 4,
     }
+
+
+def test_enumerate_matches_subset_oracle():
+    # every subset of the 16 primitive points of [-2, 2]^2, no search order
+    found = [poly.vertices for poly, _, _ in enumerate_one_singularity(2)]
+    assert found == helpers.one_singularity_polygons(2)
+
+
+@functools.cache
+def _enumerated(bound):
+    return {poly.vertices for poly, _, _ in enumerate_one_singularity(bound)}
+
+
+_PRIMITIVE = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
+    lambda v: math.gcd(*v) == 1)
+
+
+@st.composite
+def box_ldp_polygons(draw):
+    """LDP polygons in [-4, 4]^2: hulls of primitive points (few have one
+    singular cone) or unimodular images of family members."""
+    if draw(st.booleans()):
+        hull = helpers.convex_hull(draw(st.lists(_PRIMITIVE, min_size=3,
+                                                 max_size=8)))
+        assume(len(hull) >= 3)
+        poly = LatticePolygon(tuple(hull))
+    else:
+        rng = draw(st.randoms(use_true_random=False))
+        m = helpers.random_unimodular(rng, shears=draw(st.integers(0, 3)))
+        poly = apply_map(m, canonical_polygon(draw(st.integers(1, 3)),
+                                              draw(st.integers(1, 7))))
+        assume(max(abs(c) for v in poly.vertices for c in v) <= 4)
+    assume(is_ldp(poly))
+    return poly
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_ldp_polygons())
+def test_enumerate_finds_exactly_the_one_singularity_polygons(poly):
+    singular = helpers.analysis_of(poly).singular_indices
+    assert (poly.vertices in _enumerated(4)) == (len(singular) == 1)
+
+
+def test_enumerate_bound_seven():
+    results = enumerate_one_singularity(7)
+    assert len({poly.vertices for poly, _, _ in results}) == len(results) \
+        == 4144
+    classes = group_classes(results)
+    assert len(classes) == 39
+    assert {(e["k"], e["p"]) for e in classes.values()} == \
+        {(k, p) for k in (1, 2, 3) for p in range(1, 14)}
 
 
 def test_enumerate_is_search_order_independent(monkeypatch):

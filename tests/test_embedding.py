@@ -14,8 +14,8 @@ import helpers
 import ldpsurf.embedding as emb
 from ldpsurf import (Binomial, ConsistencyError, DomainError, ParseError,
                      QuadricIdealReport, TableRow, apply_map,
-                     canonical_polygon, embedding_data, embedding_of,
-                     enumerated_row, format_ideal, koelman_quadrics,
+                     canonical_polygon, embedding_data, enumerated_row,
+                     format_ideal, koelman_quadrics,
                      ldp_analyze, minimal_system, parse_ideal,
                      quadric_count_by_counting, relation_rank,
                      span_membership, sum_fibers, table_formulas)
@@ -58,7 +58,7 @@ def test_binomial_make_and_replace_normalize():
 
 
 def test_embedding_data_known():
-    e = embedding_of(canonical_polygon(1, 1))
+    e = helpers.embedding_of(canonical_polygon(1, 1))
     assert e.ambient_dim == 8
     assert e.degree == 8
     assert e.boundary_count == 8
@@ -104,7 +104,7 @@ def test_table_formulas_validation():
 
 
 def test_sum_fibers_partition():
-    e = embedding_of(canonical_polygon(1, 1))
+    e = helpers.embedding_of(canonical_polygon(1, 1))
     fibers = sum_fibers(e)
     n = len(e.points)
     assert sum(len(v) for v in fibers.values()) == n * (n + 1) // 2
@@ -116,7 +116,7 @@ def test_sum_fibers_partition():
 
 def test_full_relation_set_rank():
     for k, p in ((1, 1), (2, 1), (3, 1), (3, 3), (1, 2)):
-        e = embedding_of(canonical_polygon(k, p))
+        e = helpers.embedding_of(canonical_polygon(k, p))
         beta = quadric_count_by_counting(e)
         assert relation_rank(koelman_quadrics(e)) == beta, (k, p)
         report = minimal_system(e)
@@ -149,13 +149,13 @@ def _presentations():
 
 
 def test_minimal_system_structure():
-    e = embedding_of(canonical_polygon(2, 1))
+    e = helpers.embedding_of(canonical_polygon(2, 1))
     report = minimal_system(e)
     assert report.count == len(report.generators) == 14
     assert relation_rank(report.generators) == 14
     assert report.points == e.points
     for label, q in _presentations():
-        e = embedding_of(q)
+        e = helpers.embedding_of(q)
         report = minimal_system(e)
         gens = report.generators
         assert list(gens) == sorted(gens), label
@@ -176,7 +176,7 @@ def test_minimal_system_structure():
 
 
 def test_span_membership():
-    e = embedding_of(canonical_polygon(2, 1))
+    e = helpers.embedding_of(canonical_polygon(2, 1))
     report = minimal_system(e)
     for b in koelman_quadrics(e):
         assert span_membership(report, b)
@@ -193,7 +193,7 @@ def test_span_membership():
 
 @functools.cache
 def _relations(k, p):
-    e = embedding_of(canonical_polygon(k, p))
+    e = helpers.embedding_of(canonical_polygon(k, p))
     return e, koelman_quadrics(e)
 
 
@@ -221,7 +221,7 @@ def test_fixture_systems(k, p, count, name):
     fixture = parse_ideal((DATA / name).read_text())
     assert len(fixture) == count
     assert len(set(fixture)) == count
-    e = embedding_of(canonical_polygon(k, p))
+    e = helpers.embedding_of(canonical_polygon(k, p))
     point_set = set(e.points)
     for b in fixture:
         assert set(b.plus) <= point_set and set(b.minus) <= point_set
@@ -244,7 +244,7 @@ def test_format_binomial():
 
 
 def test_format_parse_roundtrip():
-    report = minimal_system(embedding_of(canonical_polygon(2, 1)))
+    report = minimal_system(helpers.embedding_of(canonical_polygon(2, 1)))
     text = format_ideal(report)
     lines = text.splitlines()
     assert lines[0] == "# minimal quadric generating system"
