@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -60,7 +61,7 @@ def _analyze_payload(q: LatticePolygon) -> dict:
             "type": cd.singularity,
             "local_index": cd.local_index,
         })
-    payload = {
+    return {
         "vertices": [list(v) for v in q.vertices],
         "picard": data.analysis.picard,
         "index": data.index,
@@ -80,7 +81,6 @@ def _analyze_payload(q: LatticePolygon) -> dict:
         },
         "classification": _classification_payload(cls),
     }
-    return payload
 
 
 def _classification_payload(cls: Classification | None) -> dict | None:
@@ -125,8 +125,7 @@ def _print_analysis(payload: dict) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    q = _load_input(args)
-    payload = _analyze_payload(q)
+    payload = _analyze_payload(_load_input(args))
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -146,9 +145,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_quadrics(args) -> int:
-    q = _load_input(args)
-    data = ldp_analyze(q)
-    report = minimal_system(embedding_data(data))
+    report = minimal_system(embedding_data(ldp_analyze(_load_input(args))))
     text = format_ideal(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -194,6 +191,7 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use; parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ldpsurf",

@@ -1,20 +1,22 @@
 """Anticanonical quadric embeddings of one-singularity log del Pezzo surfaces.
 
-Dilating the polar polygon by the index gives a lattice polygon whose lattice
-points are the exponents of the embedding monomials.  The defining ideal is
-generated by quadratic binomials z_a z_b - z_c z_d with a + b = c + d; a
-minimal generating system takes, inside the fiber of each sum point, the
-differences against the lexicographically smallest point pair.  Its
-generators are the fiber pairs themselves, (root, other) tuples emitted in
-the order the fibers were built, which is already sorted; the number of
-fibers is checked against the lattice points of the doubled polygon.  Ranks
-and span membership of binomial sets are computed as graph connectivity on
-point pairs.
+Dilating the polar polygon by the index gives a lattice polygon P whose
+lattice points, read off the column sweep in lexicographic order, are the
+exponents of the embedding monomials.  The defining ideal is generated by
+quadratic binomials z_a z_b - z_c z_d with a + b = c + d; a minimal
+generating system takes, inside the fiber of each sum point, the differences
+against the lexicographically smallest point pair.  Its generators are the
+fiber pairs themselves, (root, other) tuples emitted in the order the fibers
+were built, which is already sorted; the number of fibers is checked against
+|2P ∩ Z²| = 2·(2A) + B + 1 (Ehrhart, for area A and B boundary points).
+Ranks and span membership of binomial sets are computed as graph
+connectivity on point pairs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from typing import NamedTuple
 
 from .delpezzo import LdpData, canonical_polygon, ldp_analyze
 from .errors import ConsistencyError, DomainError, ParseError
-from .lattice import (LatticePolygon, Point, dilate, lattice_points,
+from .lattice import (LatticePolygon, Point, _columns, dilate, lattice_points,
                       minkowski_double, polygon_area2, to_lattice)
 
 
@@ -31,11 +33,16 @@ class EmbeddingData:
     """The dilated polar polygon and its embedding numerology."""
 
     polygon: LatticePolygon          # index * polar, integral by construction
-    points: tuple[Point, ...]        # lattice points, lexicographic order
     ambient_dim: int                 # one less than the number of points
     degree: int                      # twice the polygon area
     boundary_count: int
     interior_count: int
+
+    @functools.cached_property
+    def points(self) -> tuple[Point, ...]:
+        """Lattice points, lexicographic: the sweep runs x up, columns lo to hi."""
+        return tuple((x, y) for x, lo, hi, _ in _columns(self.polygon)
+                     for y in range(lo, hi + 1))
 
 
 Pair = tuple[Point, Point]
@@ -105,20 +112,18 @@ class TableRow:
 def embedding_data(data: LdpData) -> EmbeddingData:
     """Lattice data of the index-dilated polar polygon.
 
-    Pick's identity (ambient dimension against degree and boundary) is
-    asserted, so a failure here means a counting bug rather than unusual
-    input.
+    Counts come from one column sweep, the degree from the shoelace sum, and
+    the points are derived on read.  Pick's identity is asserted, so a
+    failure here means a counting bug rather than unusual input.
     """
     dilated = to_lattice(dilate(data.polar, data.index))
     boundary, interior = lattice_points(dilated)
-    points = tuple(sorted(boundary | interior))
     degree = polygon_area2(dilated)
-    delta = len(points) - 1
+    delta = len(boundary) + len(interior) - 1
     if 2 * delta != degree + len(boundary):
         raise ConsistencyError("point count violates the Pick identity")
     return EmbeddingData(
         polygon=dilated,
-        points=points,
         ambient_dim=delta,
         degree=degree,
         boundary_count=len(boundary),
@@ -185,11 +190,11 @@ def relation_rank(binomials) -> int:
 
 
 def quadric_count_by_counting(e: EmbeddingData) -> int:
-    """Minimal system size from lattice point counting alone:
-    C(delta + 2, 2) minus the number of lattice points of the doubled
-    polygon."""
-    delta = e.ambient_dim
-    return (delta + 1) * (delta + 2) // 2 - minkowski_double(e.polygon)
+    """Minimal system size from lattice point counting alone: C(delta + 2, 2)
+    point pairs minus |2P ∩ Z²| = L_P(2), which Ehrhart gives from the degree
+    and the boundary count."""
+    delta, doubled = e.ambient_dim, 2 * e.degree + e.boundary_count + 1
+    return (delta + 1) * (delta + 2) // 2 - doubled
 
 
 def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
@@ -198,10 +203,10 @@ def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
     In each sum-point fiber the smallest pair is the root and one generator
     (root, other) is emitted per remaining pair; by the order of
     `sum_fibers` the generators come out sorted.  The number of fibers must
-    equal the number of lattice points of the doubled polygon.
+    equal |2P ∩ Z²|, which Ehrhart gives from the degree and boundary count.
     """
     fibers = sum_fibers(e)
-    doubled = minkowski_double(e.polygon)
+    doubled = 2 * e.degree + e.boundary_count + 1  # L_P(2), Ehrhart
     if len(fibers) != doubled:
         raise ConsistencyError(
             f"{len(fibers)} sum fibers but {doubled} lattice points in the "
@@ -279,14 +284,15 @@ def table_formulas(k: int, p: int) -> TableRow:
 
 
 def enumerated_row(k: int, p: int) -> TableRow:
-    """The same numerology measured directly: analyze the polygon, enumerate
-    lattice points, count the doubled polygon.  No closed forms involved."""
+    """The same numerology measured directly: analyze the polygon, sweep its
+    lattice points and sweep 2P.  No closed forms, no Ehrhart."""
     data = ldp_analyze(canonical_polygon(k, p))
     e = embedding_data(data)
+    n = e.ambient_dim + 1
     return TableRow(
         ambient_dim=e.ambient_dim,
         degree=e.degree,
-        quadric_count=quadric_count_by_counting(e),
+        quadric_count=n * (n + 1) // 2 - minkowski_double(e.polygon),
         genus=e.interior_count,
         boundary_count=e.boundary_count,
         index=data.index,

@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 from ldpsurf import (EmbeddingData, FanAnalysis, LatticePolygon, UnimodularMap,
@@ -34,6 +35,25 @@ def count_derived_reads(monkeypatch) -> collections.Counter:
 
         monkeypatch.setattr(FanAnalysis, name, property(counting))
     return reads
+
+
+def count_calls(monkeypatch, *names) -> collections.Counter:
+    """Count, for the rest of the test, the calls of the named ldpsurf
+    functions, in every module of the package that binds them."""
+    calls = collections.Counter()
+    modules = [mod for key, mod in list(sys.modules.items())
+               if key == "ldpsurf" or key.startswith("ldpsurf.")]
+    for name in names:
+        fn = next(getattr(mod, name) for mod in modules if hasattr(mod, name))
+
+        def counting(*args, name=name, fn=fn, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 def random_primitive(rng: random.Random, bound: int) -> tuple[int, int]:

@@ -7,7 +7,7 @@ import pytest
 import helpers
 import ldpsurf.cli as cli
 import ldpsurf.fans as fans
-from ldpsurf import (LatticePolygon, TableRow, canonical_polygon,
+from ldpsurf import (EmbeddingData, LatticePolygon, TableRow, canonical_polygon,
                      format_polygon_text, mirror_quad, parse_ideal)
 
 SQUARE = LatticePolygon(((1, 1), (-1, 1), (-1, -1), (1, -1)))
@@ -153,6 +153,27 @@ def test_analyze_computes_each_cone_once(capsys, monkeypatch):
     assert reads == {"k2": 1}  # K^2 is printed; no desingularization is built
 
 
+def test_analyze_sweeps_once_and_tables_sweeps_2p(capsys, monkeypatch):
+    calls = helpers.count_calls(monkeypatch, "lattice_points",
+                                "count_lattice_points", "minkowski_double")
+    points = EmbeddingData.points
+
+    def reading(self):
+        calls["points"] += 1
+        return points.__get__(self, EmbeddingData)
+
+    monkeypatch.setattr(EmbeddingData, "points", property(reading))
+    code, _, _ = run(capsys, "analyze", "--canonical", "3", "9", "--json")
+    assert code == 0
+    # one sweep of P gives the counts; |2P| comes from Ehrhart and the
+    # point tuple is never built
+    assert calls == {"lattice_points": 1}
+    calls.clear()
+    code, _, _ = run(capsys, "tables", "--pmax", "1")
+    assert code == 0
+    assert calls["minkowski_double"] == 3  # the measured route sweeps 2P
+
+
 def test_out_of_memory_exits_2(capsys, monkeypatch):
     def exhausted(data):
         raise MemoryError
@@ -226,6 +247,26 @@ def test_enumerate(capsys):
     assert "  k=1 p=1: 1 class(es)" in lines
     assert "  k=2 p=1: 1 class(es)" in lines
     assert "  k=3 p=1: 1 class(es)" in lines
+
+
+def test_parser_is_built_once_and_reused_safely(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "analyze", "--canonical", "1", "1", "--json")
+    assert code == 0 and json.loads(out)["index"] == 1
+    code, out, _ = run(capsys, "analyze", "--canonical", "1", "1")
+    assert code == 0 and out.startswith("vertices: ")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--canonical", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    dest = tmp_path / "ideal.txt"
+    code, out, _ = run(capsys, "quadrics", "--canonical", "2", "1",
+                       "--out", str(dest))
+    assert code == 0 and out == f"14 generators written to {dest}\n"
+    dest.unlink()
+    code, out, _ = run(capsys, "quadrics", "--canonical", "2", "1")
+    assert code == 0 and out.startswith("# minimal quadric generating system\n")
+    assert not dest.exists()
 
 
 def test_argparse_errors():

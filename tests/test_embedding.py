@@ -15,7 +15,7 @@ import ldpsurf.embedding as emb
 from ldpsurf import (Binomial, ConsistencyError, DomainError, ParseError,
                      QuadricIdealReport, TableRow, apply_map,
                      canonical_polygon, embedding_data, enumerated_row,
-                     format_ideal, koelman_quadrics,
+                     format_ideal, koelman_quadrics, lattice_points,
                      ldp_analyze, minimal_system, parse_ideal,
                      quadric_count_by_counting, relation_rank,
                      span_membership, sum_fibers, table_formulas)
@@ -268,6 +268,34 @@ def test_parse_ideal_errors():
         parse_binomial_line(f"z({huge},0)*z(0,0) - z(0,0)*z({huge},0)")
     with pytest.raises(ParseError, match="line 1"):
         parse_ideal(f"z({huge},0)*z(0,0) - z(0,0)*z({huge},0)\n")
+
+
+@st.composite
+def ldp_presentations(draw):
+    """Random LDP polygons of index at most 6 (larger ones dilate to millions
+    of points), or family members in a random GL2(Z) presentation."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        while True:
+            q = helpers.random_ldp_polygon(rng)
+            if ldp_analyze(q).index <= 6:
+                return q
+    m = helpers.random_unimodular(rng, shears=draw(st.integers(0, 4)))
+    return apply_map(m, canonical_polygon(draw(st.integers(1, 3)),
+                                          draw(st.integers(1, 9))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ldp_presentations())
+def test_points_and_doubled_count_match_their_direct_routes(poly):
+    e = embedding_data(ldp_analyze(poly))
+    boundary, interior = lattice_points(e.polygon)
+    assert e.points == tuple(sorted(boundary | interior))
+    doubled = emb.minkowski_double(e.polygon)  # a real sweep of 2P
+    assert 2 * e.degree + e.boundary_count + 1 == doubled
+    n = len(e.points)
+    assert quadric_count_by_counting(e) == n * (n + 1) // 2 - doubled
+    assert minimal_system(e).count == n * (n + 1) // 2 - doubled
 
 
 def test_embedding_matches_analysis():
