@@ -2,8 +2,7 @@
 polygons: cone and fan invariants, isomorphism graphs, the one-singularity
 classification, and anticanonical quadric embeddings."""
 
-from .cones import (Cone2, ConeData, cone_invariants, hj_expansion, is_basic,
-                    refinement_chain, socius)
+from .cones import Cone2, ConeData, cone_invariants, hj_expansion, socius
 from .delpezzo import (Classification, LdpData, canonical_polygon,
                        classify_one_singularity, enumerate_one_singularity,
                        group_classes, index_parity_check, is_ldp, ldp_analyze,
@@ -16,10 +15,9 @@ from .embedding import (Binomial, EmbeddingData, QuadricIdealReport, TableRow,
 from .errors import (ConsistencyError, DomainError, ParseError,
                      SingularityCountError)
 from .fans import (CompleteFan, FanAnalysis, analyze_fan, fan_from_polygon,
-                   hirzebruch_fan, picard_number, star_subdivide)
+                   hirzebruch_fan, star_subdivide)
 from .graphs import (WeightedCircularGraph, canonical_key, graph_of,
-                     graphs_isomorphic, render_graph, reverse_graph,
-                     surfaces_isomorphic)
+                     render_graph, reverse_graph, surfaces_isomorphic)
 from .lattice import (LatticePolygon, PointCounts, RationalPolygon,
                       UnimodularMap, apply_map, contains_origin_interior,
                       count_lattice_points, cross, dilate, extended_gcd,

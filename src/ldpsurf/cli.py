@@ -66,7 +66,7 @@ def _analyze_payload(q: LatticePolygon) -> dict:
         "picard": data.analysis.picard,
         "index": data.index,
         "k2": _frac_str(data.analysis.k2),
-        "singular_count": data.singular_count,
+        "singular_count": len(data.analysis.singular_indices),
         "singularities": singularities,
         "graph": render_graph(graph_of(data.analysis)),
         "polar_vertices": [

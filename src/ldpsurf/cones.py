@@ -83,11 +83,6 @@ def hj_expansion(p: int, q: int) -> list[int]:
     return digits
 
 
-def is_basic(c: Cone2) -> bool:
-    """True when the generators span the whole lattice (determinant one)."""
-    return cross(c.n, c.n2) == 1
-
-
 def cone_invariants(c: Cone2) -> ConeData:
     a, b = c.n
     cc, dd = c.n2
@@ -125,12 +120,3 @@ def _refinement_chain(c: Cone2, p: int, q: int, hj: tuple[int, ...]) -> list[Poi
         if cross(chain[i], chain[i + 1]) != 1:
             raise ConsistencyError(f"refinement chain of {c} is not unimodular")
     return chain
-
-
-def refinement_chain(c: Cone2) -> list[Point]:
-    """Lattice points (n, u_1, ..., u_s, n2) subdividing a non-basic cone into
-    basic ones; consecutive points always span determinant one."""
-    if is_basic(c):
-        raise DomainError("cone is basic; nothing to refine")
-    data = cone_invariants(c)
-    return list(data.chain)

@@ -37,7 +37,6 @@ class LdpData:
     local_indices: tuple[int, ...]
     index: int
     polar: RationalPolygon
-    singular_count: int
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,6 @@ def ldp_analyze(q: LatticePolygon) -> LdpData:
         local_indices=tuple(locals_),
         index=index,
         polar=polar,
-        singular_count=len(analysis.singular_indices),
     )
 
 

@@ -73,20 +73,13 @@ class Binomial(NamedTuple("_Binomial", [("plus", Pair), ("minus", Pair)])):
     def _make(cls, iterable):  # _replace builds through _make too
         return cls(*iterable)
 
-    @property
-    def sum_point(self) -> Point:
-        return (self.plus[0][0] + self.plus[1][0],
-                self.plus[0][1] + self.plus[1][1])
-
 
 @dataclass(frozen=True)
 class QuadricIdealReport:
-    """A minimal generating system: (plus, minus) pairs of point pairs."""
+    """A minimal generating system of an embedding: (plus, minus) pairs of
+    point pairs."""
 
-    points: tuple[Point, ...]
-    ambient_dim: int
-    degree: int
-    genus: int
+    embedding: EmbeddingData
     generators: tuple[tuple[Pair, Pair], ...]
 
     @property
@@ -212,20 +205,14 @@ def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
             f"{len(fibers)} sum fibers but {doubled} lattice points in the "
             "doubled polygon"
         )
-    return QuadricIdealReport(
-        points=e.points,
-        ambient_dim=e.ambient_dim,
-        degree=e.degree,
-        genus=e.interior_count,
-        generators=tuple((root, other) for root, *rest in fibers.values()
-                         for other in rest),
-    )
+    return QuadricIdealReport(e, tuple(
+        (root, other) for root, *rest in fibers.values() for other in rest))
 
 
 def span_membership(report: QuadricIdealReport, b: Binomial) -> bool:
     """True when b lies in the rational span of the report's generators."""
     plus, minus = b
-    point_set = set(report.points)
+    point_set = set(report.embedding.points)
     for pt in plus + minus:
         if pt not in point_set:
             raise DomainError(f"point {pt} is not an embedding monomial")
@@ -302,21 +289,16 @@ def enumerated_row(k: int, p: int) -> TableRow:
 # ---------------------------------------------------------------------------
 # ideal file format
 
-def format_binomial(b: Binomial) -> str:
-    (a1, a2), (m1, m2) = b
-    return (f"z({a1[0]},{a1[1]})*z({a2[0]},{a2[1]}) - "
-            f"z({m1[0]},{m1[1]})*z({m2[0]},{m2[1]})")
-
-
 def format_ideal(report: QuadricIdealReport) -> str:
     """Deterministic text form: a header with the numerology, then one
     generator per line in tuple-lexicographic order."""
+    e = report.embedding
     lines = [
         "# minimal quadric generating system",
-        (f"# ambient_dim={report.ambient_dim} degree={report.degree} "
-         f"generators={report.count} sectional_genus={report.genus}"),
+        (f"# ambient_dim={e.ambient_dim} degree={e.degree} "
+         f"generators={report.count} sectional_genus={e.interior_count}"),
     ]
-    z = {pt: f"z({pt[0]},{pt[1]})" for pt in report.points}
+    z = {pt: f"z({pt[0]},{pt[1]})" for pt in e.points}
     lines.extend(f"{z[a1]}*{z[a2]} - {z[m1]}*{z[m2]}"
                  for (a1, a2), (m1, m2) in report.generators)
     return "\n".join(lines) + "\n"

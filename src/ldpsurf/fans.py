@@ -66,7 +66,6 @@ class FanAnalysis:
     fan: CompleteFan
     cone_data: tuple[ConeData, ...]
     singular_indices: tuple[int, ...]
-    basic_indices: tuple[int, ...]
     weights: tuple[int, ...]
     picard: int
 
@@ -109,10 +108,6 @@ def fan_from_polygon(q: LatticePolygon) -> CompleteFan:
         if not is_primitive(v):
             raise DomainError(f"vertex {v} is not primitive")
     return CompleteFan(q.vertices)
-
-
-def picard_number(f: CompleteFan) -> int:
-    return f.nu - 2
 
 
 def _ray_weights(f: CompleteFan, data: tuple[ConeData, ...]) -> tuple[int, ...]:
@@ -167,13 +162,12 @@ def hirzebruch_fan(p: int) -> CompleteFan:
 
 def analyze_fan(f: CompleteFan) -> FanAnalysis:
     """Cone invariants of every cone of f, computed once, and the weights,
-    Picard rank and singular/basic split derived from them."""
+    Picard rank and singular cones derived from them."""
     data = tuple(cone_invariants(f.cone(i)) for i in range(f.nu))
     return FanAnalysis(
         fan=f,
         cone_data=data,
         singular_indices=tuple(i for i, cd in enumerate(data) if cd.q > 1),
-        basic_indices=tuple(i for i, cd in enumerate(data) if cd.q == 1),
         weights=_ray_weights(f, data),
-        picard=picard_number(f),
+        picard=f.nu - 2,
     )

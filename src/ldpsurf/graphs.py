@@ -7,6 +7,9 @@ FanAnalysis, so building it computes no cone invariants.  Two fans give
 isomorphic surfaces exactly when one graph matches the other up to rotation,
 or matches the other's reverse, where reversal flips the traversal direction
 and rewrites every edge parameter p to its modular-inverse partner.
+Rotations and reversal act on the node cycles as a dihedral group, so
+isomorphism is decided by the canonical key, the least sequence of a graph's
+orbit: two surfaces are isomorphic exactly when their keys are equal.
 """
 
 from __future__ import annotations
@@ -56,19 +59,6 @@ def reverse_graph(g: WeightedCircularGraph) -> WeightedCircularGraph:
     return WeightedCircularGraph(tuple(nodes), not g.anticlockwise)
 
 
-def graphs_isomorphic(a: WeightedCircularGraph, b: WeightedCircularGraph) -> bool:
-    """True when some rotation aligns all node and edge weights.
-
-    Reflections are deliberately not tried here; compare against
-    reverse_graph(b) to test the orientation-reversing case.
-    """
-    if len(a.nodes) != len(b.nodes):
-        return False
-    n = len(a.nodes)
-    doubled = a.nodes + a.nodes
-    return any(doubled[i: i + n] == b.nodes for i in range(n))
-
-
 def canonical_key(g: WeightedCircularGraph) -> tuple[Token, ...]:
     """Rotation- and reversal-invariant key; equal keys mean isomorphic
     surfaces."""
@@ -85,8 +75,7 @@ def canonical_key(g: WeightedCircularGraph) -> tuple[Token, ...]:
 
 def surfaces_isomorphic(a1: FanAnalysis, a2: FanAnalysis) -> bool:
     """Isomorphism test for the surfaces behind two analysed fans."""
-    g1, g2 = graph_of(a1), graph_of(a2)
-    return graphs_isomorphic(g1, g2) or graphs_isomorphic(g1, reverse_graph(g2))
+    return canonical_key(graph_of(a1)) == canonical_key(graph_of(a2))
 
 
 def render_graph(g: WeightedCircularGraph) -> str:

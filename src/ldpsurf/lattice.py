@@ -336,7 +336,7 @@ def minkowski_double(p: AnyPolygon) -> int:
 
 def parse_polygon_text(text: str) -> LatticePolygon:
     """Parse the plain vertex format: one `x y` pair per line, `#` comments."""
-    verts: list[Point] = []
+    verts: dict[Point, int] = {}  # vertex -> line number, in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -350,7 +350,7 @@ def parse_polygon_text(text: str) -> LatticePolygon:
             raise ParseError(f"line {lineno}: expected two integers, got {raw!r}") from None
         if (x, y) in verts:
             raise ParseError(f"line {lineno}: duplicate vertex ({x}, {y})")
-        verts.append((x, y))
+        verts[(x, y)] = lineno
     if len(verts) < 3:
         raise ParseError("fewer than 3 vertices")
     return LatticePolygon(tuple(verts))
@@ -358,7 +358,7 @@ def parse_polygon_text(text: str) -> LatticePolygon:
 
 def polygon_from_array(arr) -> LatticePolygon:
     """Build a polygon from the machine form [[x, y], ...]."""
-    verts: list[Point] = []
+    verts: dict[Point, None] = {}  # a set in insertion order
     for entry in arr:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ParseError(f"bad vertex entry {entry!r}")
@@ -368,7 +368,7 @@ def polygon_from_array(arr) -> LatticePolygon:
             raise ParseError(f"bad vertex entry {entry!r}")
         if (x, y) in verts:
             raise ParseError(f"duplicate vertex ({x}, {y})")
-        verts.append((x, y))
+        verts[(x, y)] = None
     if len(verts) < 3:
         raise ParseError("fewer than 3 vertices")
     return LatticePolygon(tuple(verts))

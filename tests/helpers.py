@@ -8,8 +8,8 @@ import sys
 from fractions import Fraction
 
 from ldpsurf import (EmbeddingData, FanAnalysis, LatticePolygon, UnimodularMap,
-                     analyze_fan, embedding_data, fan_from_polygon, is_ldp,
-                     ldp_analyze)
+                     WeightedCircularGraph, analyze_fan, embedding_data,
+                     fan_from_polygon, is_ldp, ldp_analyze)
 
 
 def analysis_of(poly: LatticePolygon) -> FanAnalysis:
@@ -134,16 +134,19 @@ def random_lattice_polygon(rng: random.Random, bound: int = 6,
     raise AssertionError("could not sample a polygon")
 
 
-def random_ldp_polygon(rng: random.Random, bound: int = 4,
-                       tries: int = 2000) -> LatticePolygon:
-    """Random polygon with primitive vertices and the origin strictly inside."""
+def random_ldp_polygon(rng: random.Random, bound: int = 4, tries: int = 2000,
+                       max_index: int | None = None) -> LatticePolygon:
+    """Random polygon with primitive vertices and the origin strictly inside,
+    of index at most max_index when that is given.  A rejected polygon costs
+    one try and draws nothing more, so the draws do not depend on max_index."""
     for _ in range(tries):
         sample = [random_primitive(rng, bound) for _ in range(rng.randint(3, 8))]
         hull = convex_hull(sample)
         if len(hull) < 3:
             continue
         poly = LatticePolygon(tuple(hull))
-        if is_ldp(poly):
+        if is_ldp(poly) and (max_index is None
+                             or ldp_analyze(poly).index <= max_index):
             return poly
     raise AssertionError("could not sample an LDP polygon")
 
@@ -152,6 +155,21 @@ def random_ldp_polygon(rng: random.Random, bound: int = 4,
 # the recursion limit, and an integer past the int-digits limit.
 DEEP_NESTING = "[" * 5000
 LONG_INTEGER = "[[1" + "0" * 5000 + ", 1], [0, 1], [-1, -1]]"
+
+
+def graphs_isomorphic(a: WeightedCircularGraph,
+                      b: WeightedCircularGraph) -> bool:
+    """True when some rotation aligns all node and edge weights: a test-only
+    oracle for the library's canonical key.
+
+    Reflections are deliberately not tried here; compare against
+    reverse_graph(b) to test the orientation-reversing case.
+    """
+    if len(a.nodes) != len(b.nodes):
+        return False
+    n = len(a.nodes)
+    doubled = a.nodes + a.nodes
+    return any(doubled[i: i + n] == b.nodes for i in range(n))
 
 
 def dense_rank(binomials) -> int:

@@ -8,8 +8,7 @@ import pytest
 
 import helpers
 from ldpsurf import (Cone2, DomainError, LatticePolygon, cone_invariants,
-                     count_lattice_points, cross, hj_expansion, is_basic,
-                     refinement_chain, socius)
+                     count_lattice_points, cross, hj_expansion, socius)
 
 
 def random_cone(rng: random.Random, bound: int = 6) -> Cone2:
@@ -86,14 +85,15 @@ def test_hj_expansion_reconstructs_fraction():
 
 
 def test_basicness_tests_agree():
-    assert is_basic(Cone2((1, 0), (0, 1)))
-    assert not is_basic(Cone2((1, -1), (1, 1)))
+    assert cone_invariants(Cone2((1, 0), (0, 1))).q == 1
+    assert cone_invariants(Cone2((1, -1), (1, 1))).q != 1
     rng = random.Random(203)
     for _ in range(300):
         cone = random_cone(rng, bound=5)
         # the triangle on the origin and the generators holds no other point
         triangle = LatticePolygon(((0, 0), cone.n, cone.n2))
-        assert is_basic(cone) == (count_lattice_points(triangle).total == 3)
+        assert (cone_invariants(cone).q == 1) == \
+            (count_lattice_points(triangle).total == 3)
 
 
 def test_cone_invariants_normal_form():
@@ -154,13 +154,14 @@ def test_orientation_reversal_gives_socius():
 
 
 def test_refinement_chain_known_values():
-    assert refinement_chain(Cone2((1, 0), (1, 2))) == [(1, 0), (1, 1), (1, 2)]
-    assert refinement_chain(Cone2((1, 0), (1, 3))) == \
-        [(1, 0), (1, 1), (1, 2), (1, 3)]
-    assert refinement_chain(Cone2((1, -1), (2, 1))) == \
-        [(1, -1), (1, 0), (2, 1)]
-    with pytest.raises(DomainError):
-        refinement_chain(Cone2((1, 0), (0, 1)))
+    def chain(n, n2):
+        return cone_invariants(Cone2(n, n2)).chain
+
+    assert chain((1, 0), (1, 2)) == ((1, 0), (1, 1), (1, 2))
+    assert chain((1, 0), (1, 3)) == ((1, 0), (1, 1), (1, 2), (1, 3))
+    assert chain((1, -1), (2, 1)) == ((1, -1), (1, 0), (2, 1))
+    # a basic cone needs no refinement: its chain is the generator pair
+    assert chain((1, 0), (0, 1)) == ((1, 0), (0, 1))
 
 
 def test_refinement_chain_properties():
@@ -168,11 +169,11 @@ def test_refinement_chain_properties():
     checked = 0
     while checked < 300:
         cone = random_cone(rng)
-        if is_basic(cone):
+        data = cone_invariants(cone)
+        if data.q == 1:
             continue
         checked += 1
-        data = cone_invariants(cone)
-        chain = refinement_chain(cone)
+        chain = data.chain
         assert chain[0] == cone.n and chain[-1] == cone.n2
         assert len(chain) == len(data.hj) + 2
         for i in range(len(chain) - 1):

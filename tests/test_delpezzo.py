@@ -60,7 +60,7 @@ def test_ldp_analyze_family_indices():
         for k in (1, 2, 3):
             data = ldp_analyze(canonical_polygon(k, p))
             assert data.index == expected, (k, p)
-            assert data.singular_count == 1
+            assert len(data.analysis.singular_indices) == 1
             assert max(data.local_indices) == expected
             assert sorted(set(data.local_indices)) == \
                 ([expected] if expected == 1 else [1, expected])

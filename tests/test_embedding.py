@@ -19,7 +19,7 @@ from ldpsurf import (Binomial, ConsistencyError, DomainError, ParseError,
                      ldp_analyze, minimal_system, parse_ideal,
                      quadric_count_by_counting, relation_rank,
                      span_membership, sum_fibers, table_formulas)
-from ldpsurf.embedding import format_binomial, parse_binomial_line
+from ldpsurf.embedding import parse_binomial_line
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -34,13 +34,18 @@ def test_binomial_canonicalization():
     b = Binomial(((1, 0), (0, 1)), ((1, 1), (0, 0)))
     assert b.plus == ((0, 0), (1, 1))
     assert b.minus == ((0, 1), (1, 0))
-    assert b.sum_point == (1, 1)
+    assert sum_point(b) == (1, 1)
     same = Binomial(((0, 1), (1, 0)), ((0, 0), (1, 1)))
     assert b == same and len({b, same}) == 1
     with pytest.raises(DomainError):
         Binomial(((0, 0), (1, 1)), ((1, 1), (0, 0)))  # zero binomial
     with pytest.raises(DomainError):
         Binomial(((0, 0), (1, 1)), ((0, 1), (2, 0)))  # sums differ
+
+
+def sum_point(b: Binomial):
+    (a1, a2), _ = b
+    return (a1[0] + a2[0], a1[1] + a2[1])
 
 
 def test_binomial_make_and_replace_normalize():
@@ -140,12 +145,9 @@ def _presentations():
                  (2, 5), (3, 5)):
         m = helpers.random_unimodular(rng)
         yield f"k={k} p={p} {m.matrix()}", apply_map(m, canonical_polygon(k, p))
-    found = 0
-    while found < 6:
-        q = helpers.random_ldp_polygon(rng)
-        if ldp_analyze(q).index <= 6:
-            found += 1
-            yield f"random {q.vertices}", q
+    for _ in range(6):
+        q = helpers.random_ldp_polygon(rng, max_index=6)
+        yield f"random {q.vertices}", q
 
 
 def test_minimal_system_structure():
@@ -153,7 +155,7 @@ def test_minimal_system_structure():
     report = minimal_system(e)
     assert report.count == len(report.generators) == 14
     assert relation_rank(report.generators) == 14
-    assert report.points == e.points
+    assert report.embedding is e
     for label, q in _presentations():
         e = helpers.embedding_of(q)
         report = minimal_system(e)
@@ -181,10 +183,7 @@ def test_span_membership():
     for b in koelman_quadrics(e):
         assert span_membership(report, b)
     # dropping one generator removes its fiber pair from the span
-    truncated = QuadricIdealReport(
-        points=report.points, ambient_dim=report.ambient_dim,
-        degree=report.degree, genus=report.genus,
-        generators=report.generators[:-1])
+    truncated = QuadricIdealReport(e, report.generators[:-1])
     assert not span_membership(truncated, report.generators[-1])
     with pytest.raises(DomainError):
         span_membership(
@@ -204,14 +203,12 @@ def test_rank_and_span_match_dense_elimination(data):
     e, relations = _relations(k, p)
     subset = data.draw(st.lists(st.sampled_from(relations), max_size=40))
     # probing inside the subset's fibers makes both answers likely
-    sums = {b.sum_point for b in subset}
-    near = [b for b in relations if b.sum_point in sums] or relations
+    sums = {sum_point(b) for b in subset}
+    near = [b for b in relations if sum_point(b) in sums] or relations
     probe = data.draw(st.sampled_from(near))
     rank = helpers.dense_rank(subset)
     assert relation_rank(subset) == rank
-    report = QuadricIdealReport(
-        points=e.points, ambient_dim=e.ambient_dim, degree=e.degree,
-        genus=e.interior_count, generators=tuple(subset))
+    report = QuadricIdealReport(e, tuple(subset))
     expect = helpers.dense_rank(subset + [probe]) == rank
     assert span_membership(report, probe) == expect
 
@@ -230,17 +227,17 @@ def test_fixture_systems(k, p, count, name):
     assert ours.count == count
     for b in fixture:
         assert span_membership(ours, b)
-    theirs = QuadricIdealReport(
-        points=e.points, ambient_dim=e.ambient_dim, degree=e.degree,
-        genus=e.interior_count, generators=tuple(sorted(fixture)))
+    theirs = QuadricIdealReport(e, tuple(sorted(fixture)))
     for b in ours.generators:
         assert span_membership(theirs, b)
 
 
 def test_format_binomial():
     b = Binomial(((0, 1), (1, 0)), ((0, 0), (1, 1)))
-    assert format_binomial(b) == "z(0,0)*z(1,1) - z(0,1)*z(1,0)"
-    assert parse_binomial_line(format_binomial(b)) == b
+    e = helpers.embedding_of(canonical_polygon(1, 1))
+    line = format_ideal(QuadricIdealReport(e, (b,))).splitlines()[-1]
+    assert line == "z(0,0)*z(1,1) - z(0,1)*z(1,0)"
+    assert parse_binomial_line(line) == b
 
 
 def test_format_parse_roundtrip():
@@ -276,10 +273,7 @@ def ldp_presentations(draw):
     of points), or family members in a random GL2(Z) presentation."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     if draw(st.booleans()):
-        while True:
-            q = helpers.random_ldp_polygon(rng)
-            if ldp_analyze(q).index <= 6:
-                return q
+        return helpers.random_ldp_polygon(rng, max_index=6)
     m = helpers.random_unimodular(rng, shears=draw(st.integers(0, 4)))
     return apply_map(m, canonical_polygon(draw(st.integers(1, 3)),
                                           draw(st.integers(1, 9))))

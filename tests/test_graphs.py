@@ -1,14 +1,14 @@
 """Circular weighted graphs and the surface isomorphism decision."""
 
+import collections
 import random
 
 import pytest
 
 import helpers
 from ldpsurf import (DomainError, WeightedCircularGraph, apply_map,
-                     canonical_key, canonical_polygon, graph_of,
-                     graphs_isomorphic, mirror_quad, render_graph,
-                     reverse_graph, surfaces_isomorphic)
+                     canonical_key, canonical_polygon, graph_of, mirror_quad,
+                     render_graph, reverse_graph, surfaces_isomorphic)
 
 
 def family_analysis(k: int, p: int):
@@ -50,9 +50,9 @@ def test_graphs_isomorphic_rotation_only():
     g = WeightedCircularGraph(nodes)
     for shift in range(3):
         rotated = WeightedCircularGraph(nodes[shift:] + nodes[:shift])
-        assert graphs_isomorphic(g, rotated)
+        assert helpers.graphs_isomorphic(g, rotated)
     # this cycle is chiral: its reversal is not a rotation of it
-    assert not graphs_isomorphic(g, reverse_graph(g))
+    assert not helpers.graphs_isomorphic(g, reverse_graph(g))
     assert canonical_key(g) == canonical_key(reverse_graph(g))
 
 
@@ -60,8 +60,8 @@ def test_graphs_isomorphic_rejects_different():
     a = graph_of(family_analysis(1, 2))
     b = graph_of(family_analysis(1, 3))
     c = graph_of(family_analysis(2, 2))
-    assert not graphs_isomorphic(a, b)
-    assert not graphs_isomorphic(a, c)
+    assert not helpers.graphs_isomorphic(a, b)
+    assert not helpers.graphs_isomorphic(a, c)
 
 
 def test_surface_isomorphism_under_unimodular_maps():
@@ -74,6 +74,28 @@ def test_surface_isomorphism_under_unimodular_maps():
         assert surfaces_isomorphic(analysis, moved)
         assert canonical_key(graph_of(analysis)) == \
             canonical_key(graph_of(moved))
+
+
+def test_surfaces_isomorphic_matches_rotation_oracle():
+    # images under GL2(Z) maps of both determinant signs, and unrelated pairs
+    rng = random.Random(404)
+    outcomes = collections.Counter()
+    for i in range(400):
+        poly = helpers.random_ldp_polygon(rng)
+        if i % 3 == 2:
+            other = helpers.random_ldp_polygon(rng)
+        else:
+            m = helpers.random_unimodular(rng, det=(1, -1)[i % 3])
+            other = apply_map(m, poly)
+        a, b = helpers.analysis_of(poly), helpers.analysis_of(other)
+        g, h = graph_of(a), graph_of(b)
+        rotated = helpers.graphs_isomorphic(g, h)
+        reflected = helpers.graphs_isomorphic(g, reverse_graph(h))
+        assert surfaces_isomorphic(a, b) == (rotated or reflected), \
+            (poly.vertices, other.vertices)
+        outcomes[rotated, reflected] += 1
+    assert outcomes[False, False] > 0  # non-isomorphic pairs occur
+    assert outcomes[False, True] > 0  # so do matches only by reversal
 
 
 def test_mirror_presentations_are_isomorphic():

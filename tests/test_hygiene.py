@@ -1,13 +1,17 @@
 """Source hygiene checks on src/ldpsurf, built on the standard library's ast.
 
 Each library module (the package __init__, which re-exports, is skipped)
-must reference every name it imports, and every module-level private
-function must be referenced somewhere in src/ outside its own body.
+must reference every name it imports, every module-level private function
+must be referenced somewhere in src/ outside its own body, and every
+module-level public function or class must be exported by the package or be
+so referenced.
 """
 
 import ast
 import collections
 import pathlib
+
+import ldpsurf
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ldpsurf"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -51,3 +55,17 @@ def test_every_private_function_is_called():
                 if refs[node.name] == _references(node)[node.name]:
                     dead.append(f"{name}:{node.lineno} {node.name}")
     assert not dead, f"private functions referenced nowhere in src/: {dead}"
+
+
+def test_every_public_definition_is_exported_or_used():
+    refs = sum(map(_references, TREES.values()), collections.Counter())
+    exported = set(ldpsurf.__all__)
+    orphans = []
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in exported
+                    and refs[node.name] == _references(node)[node.name]):
+                orphans.append(f"{name}:{node.lineno} {node.name}")
+    assert not orphans, f"public, not exported, used nowhere in src/: {orphans}"

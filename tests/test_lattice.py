@@ -1,7 +1,9 @@
 """Plane lattice primitives: exact arithmetic, canonical polygons, counting."""
 
+import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -262,6 +264,24 @@ def test_load_polygon_both_formats():
         load_polygon("[[1,-1],[1,1],")
     with pytest.raises(ParseError):
         load_polygon("")
+
+
+def test_large_polygon_loads_in_linear_time():
+    # 40,000 vertices on the parabola y = x^2; a duplicate test against the
+    # vertex list read so far made loading quadratic (5.6 s at 20,000)
+    verts = [(i, i * i) for i in range(40_000)]
+    text = "".join(f"{x} {y}\n" for x, y in verts)
+    expect = LatticePolygon(tuple(verts))
+    for source in (text, json.dumps(verts)):
+        start = time.perf_counter()
+        poly = load_polygon(source)
+        elapsed = time.perf_counter() - start
+        assert poly == expect
+        assert elapsed < 2.0, f"{elapsed:.2f} s to load 40,000 vertices"
+    with pytest.raises(ParseError, match=r"^line 40001: duplicate vertex \(0, 0\)$"):
+        load_polygon(text + "0 0\n")
+    with pytest.raises(ParseError, match=r"^duplicate vertex \(0, 0\)$"):
+        load_polygon(json.dumps(verts + [(0, 0)]))
 
 
 @settings(max_examples=300, deadline=None)
