@@ -9,9 +9,9 @@ from .delpezzo import (Classification, LdpData, canonical_polygon,
                        mirror_quad, mirror_quad_map)
 from .embedding import (Binomial, EmbeddingData, QuadricIdealReport, TableRow,
                         embedding_data, enumerated_row, format_ideal,
-                        koelman_quadrics, minimal_system, parse_ideal,
-                        quadric_count_by_counting, relation_rank,
-                        span_membership, sum_fibers, table_formulas)
+                        minimal_system, parse_ideal, quadric_count_by_counting,
+                        relation_rank, span_membership, sum_fibers,
+                        table_formulas)
 from .errors import (ConsistencyError, DomainError, ParseError,
                      SingularityCountError)
 from .fans import (CompleteFan, FanAnalysis, analyze_fan, fan_from_polygon,

@@ -5,11 +5,11 @@ lattice points, read off the column sweep in lexicographic order, are the
 exponents of the embedding monomials.  The defining ideal is generated by
 quadratic binomials z_a z_b - z_c z_d with a + b = c + d; a minimal
 generating system takes, inside the fiber of each sum point, the differences
-against the lexicographically smallest point pair.  Its generators are the
-fiber pairs themselves, (root, other) tuples emitted in the order the fibers
-were built, which is already sorted; the number of fibers is checked against
-|2P ∩ Z²| = 2·(2A) + B + 1 (Ehrhart, for area A and B boundary points).
-Ranks and span membership of binomial sets are computed as graph
+against the lexicographically smallest point pair.  The report holds those
+fibers, root first, in their built order, which is already sorted, and the
+text form renders each fiber's root once; the number of fibers is checked
+against |2P ∩ Z²| = 2·(2A) + B + 1 (Ehrhart, for area A and B boundary
+points).  Ranks and span membership of binomial sets are computed as graph
 connectivity on point pairs.
 """
 
@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .delpezzo import LdpData, canonical_polygon, ldp_analyze
 from .errors import ConsistencyError, DomainError, ParseError
@@ -76,15 +75,26 @@ class Binomial(NamedTuple("_Binomial", [("plus", Pair), ("minus", Pair)])):
 
 @dataclass(frozen=True)
 class QuadricIdealReport:
-    """A minimal generating system of an embedding: (plus, minus) pairs of
-    point pairs."""
+    """A minimal generating system as sum fibers, each a point pair sequence
+    with its root first; a generator (plus, minus) is the fiber [plus, minus]."""
 
     embedding: EmbeddingData
-    generators: tuple[tuple[Pair, Pair], ...]
+    fibers: tuple[Sequence[Pair], ...]
 
     @property
     def count(self) -> int:
-        return len(self.generators)
+        return sum(map(len, self.fibers)) - len(self.fibers)
+
+    @property
+    def generators(self) -> tuple[tuple[Pair, Pair], ...]:
+        """The (root, other) generators, fiber by fiber."""
+        return tuple((root, other) for root, *rest in self.fibers
+                     for other in rest)
+
+    @functools.cached_property
+    def _span(self):
+        """Root finder and point set, built once for all span queries."""
+        return _connect(self.generators)[0], frozenset(self.embedding.points)
 
 
 @dataclass(frozen=True)
@@ -114,7 +124,9 @@ def embedding_data(data: LdpData) -> EmbeddingData:
     degree = polygon_area2(dilated)
     delta = len(boundary) + len(interior) - 1
     if 2 * delta != degree + len(boundary):
-        raise ConsistencyError("point count violates the Pick identity")
+        raise ConsistencyError("point count violates the Pick identity",
+                               check="Pick: 2·delta == 2A + B",
+                               expected=degree + len(boundary), got=2 * delta)
     return EmbeddingData(
         polygon=dilated,
         ambient_dim=delta,
@@ -130,25 +142,18 @@ def sum_fibers(e: EmbeddingData) -> dict[Point, list[Pair]]:
     The points are lexicographic and pairs (a, b) with a <= b arrive in
     lexicographic order, so each fiber is inserted at its smallest pair and
     filled in sorted order: fibers iterate in the order of their smallest
-    pairs, and each fiber's list is sorted.
+    pairs, and each fiber's list is sorted.  A pair's key is one addition of
+    integer point keys; sum points key the fibers only at the end.
     """
-    fibers: dict[Point, list[Pair]] = {}
-    for a, b in itertools.combinations_with_replacement(e.points, 2):
-        fibers.setdefault((a[0] + b[0], a[1] + b[1]), []).append((a, b))
-    return fibers
-
-
-def koelman_quadrics(e: EmbeddingData) -> list[Binomial]:
-    """The full relation set: every binomial with matching monomial sums.
-
-    Grows quadratically in the fiber sizes; intended for moderate polygons.
-    """
-    out = []
-    for pairs in sum_fibers(e).values():
-        for pair_a, pair_b in itertools.combinations(pairs, 2):
-            out.append(Binomial(pair_a, pair_b))
-    out.sort()
-    return out
+    pts = e.points
+    w = 4 * max(abs(y) for _, y in pts) + 1  # exceeds the spread of y_a + y_b
+    keys = [x * w + y for x, y in pts]
+    fibers: dict[int, list[Pair]] = {}
+    for i, (a, ka) in enumerate(zip(pts, keys)):
+        for b, kb in zip(pts[i:], keys[i:]):
+            fibers.setdefault(ka + kb, []).append((a, b))
+    return {(a[0] + b[0], a[1] + b[1]): pairs
+            for pairs in fibers.values() for a, b in pairs[:1]}
 
 
 def _connect(binomials):
@@ -193,30 +198,29 @@ def quadric_count_by_counting(e: EmbeddingData) -> int:
 def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
     """Minimal generating system of the embedding ideal.
 
-    In each sum-point fiber the smallest pair is the root and one generator
-    (root, other) is emitted per remaining pair; by the order of
-    `sum_fibers` the generators come out sorted.  The number of fibers must
-    equal |2P ∩ Z²|, which Ehrhart gives from the degree and boundary count.
+    In each sum-point fiber the smallest pair is the root of one generator
+    (root, other) per remaining pair; the report holds the fibers of
+    `sum_fibers`, root first, so the generators come out sorted.  The number
+    of fibers must equal |2P ∩ Z²|, which Ehrhart gives from the degree and
+    boundary count.
     """
     fibers = sum_fibers(e)
     doubled = 2 * e.degree + e.boundary_count + 1  # L_P(2), Ehrhart
     if len(fibers) != doubled:
         raise ConsistencyError(
             f"{len(fibers)} sum fibers but {doubled} lattice points in the "
-            "doubled polygon"
-        )
-    return QuadricIdealReport(e, tuple(
-        (root, other) for root, *rest in fibers.values() for other in rest))
+            "doubled polygon", check="sum fibers == L_P(2)",
+            expected=doubled, got=len(fibers))
+    return QuadricIdealReport(e, tuple(fibers.values()))
 
 
 def span_membership(report: QuadricIdealReport, b: Binomial) -> bool:
     """True when b lies in the rational span of the report's generators."""
     plus, minus = b
-    point_set = set(report.embedding.points)
+    find, point_set = report._span
     for pt in plus + minus:
         if pt not in point_set:
             raise DomainError(f"point {pt} is not an embedding monomial")
-    find = _connect(report.generators)[0]
     return find(plus) == find(minus)
 
 
@@ -291,17 +295,17 @@ def enumerated_row(k: int, p: int) -> TableRow:
 
 def format_ideal(report: QuadricIdealReport) -> str:
     """Deterministic text form: a header with the numerology, then one
-    generator per line in tuple-lexicographic order."""
+    generator per line in tuple-lexicographic order.  Each fiber's root
+    monomial is rendered once and prefixes the lines of its fiber."""
     e = report.embedding
-    lines = [
-        "# minimal quadric generating system",
-        (f"# ambient_dim={e.ambient_dim} degree={e.degree} "
-         f"generators={report.count} sectional_genus={e.interior_count}"),
-    ]
+    lines = ["# minimal quadric generating system\n"
+             f"# ambient_dim={e.ambient_dim} degree={e.degree} "
+             f"generators={report.count} sectional_genus={e.interior_count}\n"]
     z = {pt: f"z({pt[0]},{pt[1]})" for pt in e.points}
-    lines.extend(f"{z[a1]}*{z[a2]} - {z[m1]}*{z[m2]}"
-                 for (a1, a2), (m1, m2) in report.generators)
-    return "\n".join(lines) + "\n"
+    for (a, b), *rest in report.fibers:
+        pre = f"{z[a]}*{z[b]} - "
+        lines += [f"{pre}{z[c]}*{z[d]}\n" for c, d in rest]
+    return "".join(lines)
 
 
 _FACTOR = r"z\((-?\d+),(-?\d+)\)"

@@ -14,4 +14,9 @@ class SingularityCountError(DomainError):
 
 
 class ConsistencyError(RuntimeError):
-    """Two routes to the same quantity disagreed; signals a bug, not bad input."""
+    """Two routes to the same quantity disagreed; signals a bug, not bad input.
+    `check` names the failed check, `expected` and `got` its two values."""
+
+    def __init__(self, message, *, check=None, expected=None, got=None):
+        super().__init__(message)
+        self.check, self.expected, self.got = check, expected, got

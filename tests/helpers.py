@@ -7,9 +7,9 @@ import random
 import sys
 from fractions import Fraction
 
-from ldpsurf import (EmbeddingData, FanAnalysis, LatticePolygon, UnimodularMap,
-                     WeightedCircularGraph, analyze_fan, embedding_data,
-                     fan_from_polygon, is_ldp, ldp_analyze)
+from ldpsurf import (Binomial, EmbeddingData, FanAnalysis, LatticePolygon,
+                     UnimodularMap, WeightedCircularGraph, analyze_fan,
+                     embedding_data, fan_from_polygon, is_ldp, ldp_analyze)
 
 
 def analysis_of(poly: LatticePolygon) -> FanAnalysis:
@@ -170,6 +170,18 @@ def graphs_isomorphic(a: WeightedCircularGraph,
     n = len(a.nodes)
     doubled = a.nodes + a.nodes
     return any(doubled[i: i + n] == b.nodes for i in range(n))
+
+
+def koelman_quadrics(e: EmbeddingData) -> list[Binomial]:
+    """The full relation set, sorted: every binomial z_a z_b - z_c z_d with
+    a + b = c + d over the embedding points, grouped by sum here without
+    the library's sum_fibers.  A test-only oracle; it grows quadratically in
+    the fiber sizes."""
+    fibers = collections.defaultdict(list)
+    for a, b in itertools.combinations_with_replacement(e.points, 2):
+        fibers[(a[0] + b[0], a[1] + b[1])].append((a, b))
+    return sorted(Binomial(u, v) for pairs in fibers.values()
+                  for u, v in itertools.combinations(pairs, 2))
 
 
 def dense_rank(binomials) -> int:

@@ -1,5 +1,7 @@
 """Command line interface, driven through main(argv)."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -222,6 +224,36 @@ def test_quadrics_from_file(capsys, tmp_path):
     code, out, _ = run(capsys, "quadrics", path)
     assert code == 0
     assert len(parse_ideal(out)) == 9
+
+
+# sha256 of `quadrics --canonical K P` stdout, pinned at benchmark size,
+# where the fixtures (14, 9 and 182 generators) do not reach
+QUADRICS_SHA256 = {
+    (3, 15): "ff6974198b4a57ffc72d0d5a24b4e86c07e8364656f43870f8e613322d52a539",
+    (1, 13): "81ed4cac8c0d2142a92e40a158d7e77b6add662c1421d0a657c8639ef42ad016",
+    (2, 7): "801c2d42cf3e78136ced4d9baf7a9a0427fece405313561cc89271b579fde6e9",
+}
+
+
+@pytest.mark.parametrize("k,p", sorted(QUADRICS_SHA256))
+def test_quadrics_output_is_byte_stable(capsys, k, p):
+    code, out, err = run(capsys, "quadrics", "--canonical", str(k), str(p))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == QUADRICS_SHA256[(k, p)]
+
+
+def test_fiber_count_failure_exits_4(capsys, monkeypatch):
+    real = cli.embedding_data
+
+    def skewed(data):  # no valid input reaches the check through the CLI
+        e = real(data)
+        return dataclasses.replace(e, degree=e.degree + 1)
+
+    monkeypatch.setattr(cli, "embedding_data", skewed)
+    code, out, err = run(capsys, "quadrics", "--canonical", "3", "3")
+    assert (code, out) == (4, "")
+    assert err == ("internal error: 71 sum fibers but 73 lattice points in "
+                   "the doubled polygon\n")
 
 
 def test_tables(capsys):

@@ -1,10 +1,12 @@
 """Anticanonical embeddings and their quadric generating systems."""
 
 import collections
+import dataclasses
 import functools
 import itertools
 import pathlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,14 @@ from hypothesis import strategies as st
 
 import helpers
 import ldpsurf.embedding as emb
+from helpers import koelman_quadrics
 from ldpsurf import (Binomial, ConsistencyError, DomainError, ParseError,
                      QuadricIdealReport, TableRow, apply_map,
                      canonical_polygon, embedding_data, enumerated_row,
-                     format_ideal, koelman_quadrics, lattice_points,
-                     ldp_analyze, minimal_system, parse_ideal,
-                     quadric_count_by_counting, relation_rank,
-                     span_membership, sum_fibers, table_formulas)
+                     format_ideal, lattice_points, ldp_analyze,
+                     minimal_system, parse_ideal, quadric_count_by_counting,
+                     relation_rank, span_membership, sum_fibers,
+                     table_formulas)
 from ldpsurf.embedding import parse_binomial_line
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -190,6 +193,49 @@ def test_span_membership():
             report, Binomial(((9, 9), (-9, -9)), ((0, 0), (0, 0))))
 
 
+def test_span_membership_of_every_relation_in_one_pass():
+    e = helpers.embedding_of(canonical_polygon(3, 5))
+    relations = koelman_quadrics(e)
+    assert len(relations) == 7311
+    t0 = time.perf_counter()
+    report = minimal_system(e)
+    assert all(span_membership(report, b) for b in relations)
+    dt = time.perf_counter() - t0
+    # one union-find per report; rebuilding it for every query took 14 s
+    assert dt < 1.0, f"{dt:.2f}s for 7311 span queries"
+
+
+def test_fiber_count_failure_names_check_and_values():
+    e = helpers.embedding_of(canonical_polygon(3, 3))
+    skewed = dataclasses.replace(e, degree=e.degree + 1)
+    doubled = 2 * skewed.degree + skewed.boundary_count + 1  # Ehrhart L_P(2)
+    fibers = len(sum_fibers(e))
+    assert fibers == doubled - 2
+    with pytest.raises(ConsistencyError) as exc:
+        minimal_system(skewed)
+    err = exc.value
+    assert (err.check, err.expected, err.got) == (
+        "sum fibers == L_P(2)", doubled, fibers)
+    assert str(err) == (f"{fibers} sum fibers but {doubled} lattice points "
+                        "in the doubled polygon")
+
+
+def test_pick_failure_names_check_and_values(monkeypatch):
+    real = emb.lattice_points
+
+    def one_interior_point_lost(polygon):
+        boundary, interior = real(polygon)
+        return boundary, set(sorted(interior)[1:])
+
+    monkeypatch.setattr(emb, "lattice_points", one_interior_point_lost)
+    with pytest.raises(ConsistencyError) as exc:
+        embedding_data(ldp_analyze(canonical_polygon(3, 3)))
+    err = exc.value  # (3, 3): 22 points, 14 on the boundary, degree 28
+    assert (err.check, err.expected, err.got) == (
+        "Pick: 2·delta == 2A + B", 28 + 14, 2 * 20)
+    assert str(err) == "point count violates the Pick identity"
+
+
 @functools.cache
 def _relations(k, p):
     e = helpers.embedding_of(canonical_polygon(k, p))
@@ -277,6 +323,31 @@ def ldp_presentations(draw):
     m = helpers.random_unimodular(rng, shears=draw(st.integers(0, 4)))
     return apply_map(m, canonical_polygon(draw(st.integers(1, 3)),
                                           draw(st.integers(1, 9))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ldp_presentations())
+def test_format_ideal_matches_a_rendering_grouped_here(poly):
+    e = embedding_data(ldp_analyze(poly))
+    fibers: dict = {}
+    for a, b in itertools.combinations_with_replacement(e.points, 2):
+        fibers.setdefault((a[0] + b[0], a[1] + b[1]), []).append((a, b))
+    gens = sorted((root, other) for pairs in fibers.values()
+                  for root in [min(pairs)] for other in pairs if other != root)
+
+    def z(pt):
+        return f"z({pt[0]},{pt[1]})"
+
+    expect = ("# minimal quadric generating system\n"
+              f"# ambient_dim={e.ambient_dim} degree={e.degree} "
+              f"generators={len(gens)} sectional_genus={e.interior_count}\n"
+              + "".join(f"{z(a)}*{z(b)} - {z(c)}*{z(d)}\n"
+                        for (a, b), (c, d) in gens))
+    got = format_ideal(minimal_system(e))
+    if got != expect:  # name the first wrong line; a full diff takes minutes
+        pairs = zip(got.splitlines(), expect.splitlines())
+        first = next(((g, x) for g, x in pairs if g != x), "line counts differ")
+        pytest.fail(f"got/expected: {first}")
 
 
 @settings(max_examples=150, deadline=None)
