@@ -11,7 +11,7 @@ from .embedding import (Binomial, EmbeddingData, QuadricIdealReport, TableRow,
                         embedding_data, enumerated_row, format_ideal,
                         minimal_system, parse_ideal, quadric_count_by_counting,
                         relation_rank, span_membership, sum_fibers,
-                        table_formulas)
+                        table_formulas, write_ideal)
 from .errors import (ConsistencyError, DomainError, ParseError,
                      SingularityCountError)
 from .fans import (CompleteFan, FanAnalysis, analyze_fan, fan_from_polygon,

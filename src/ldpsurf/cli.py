@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -18,8 +19,8 @@ from .delpezzo import (Classification, canonical_polygon,
                        classify_one_singularity, enumerate_one_singularity,
                        group_classes, ldp_analyze)
 from .embedding import (TableRow, embedding_data, enumerated_row,
-                        format_ideal, minimal_system,
-                        quadric_count_by_counting, table_formulas)
+                        minimal_system, quadric_count_by_counting,
+                        table_formulas, write_ideal)
 from .errors import ConsistencyError, DomainError, SingularityCountError
 from .fans import FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import graph_of, render_graph
@@ -146,13 +147,27 @@ def _cmd_classify(args) -> int:
 
 def _cmd_quadrics(args) -> int:
     report = minimal_system(embedding_data(ldp_analyze(_load_input(args))))
-    text = format_ideal(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"{report.count} generators written to {args.out}")
+    if not args.out:
+        write_ideal(report, sys.stdout)
+        return 0
+    target = os.path.realpath(args.out)  # a symlink stays a symlink
+    if os.path.exists(target) and not os.path.isfile(target):
+        # a device or pipe cannot be renamed over; it is written directly
+        with open(target, "w", encoding="utf-8") as fh:
+            write_ideal(report, fh)
     else:
-        sys.stdout.write(text)
+        # a file is renamed into place only once complete, so a failed or
+        # interrupted run leaves no partial file
+        tmp = f"{target}.{os.getpid()}.tmp"
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                write_ideal(report, fh)
+            os.replace(tmp, target)
+        except BaseException:
+            os.remove(tmp)
+            raise
+    print(f"{report.count} generators written to {args.out}")
     return 0
 
 
@@ -173,7 +188,9 @@ def _cmd_tables(args) -> int:
     if failures:
         for f in failures:
             print("MISMATCH", f)
-        raise ConsistencyError(f"{len(failures)} of {checks} checks failed")
+        raise ConsistencyError(f"{len(failures)} of {checks} checks failed",
+                               check="tables closed form == measured",
+                               expected=0, got=len(failures))
     print(f"{checks} checks passed")
     return 0
 
@@ -251,6 +268,9 @@ def main(argv=None) -> int:
         return 2
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        if None not in (exc.check, exc.expected, exc.got):
+            print(f"  check {exc.check}: expected {exc.expected}, "
+                  f"got {exc.got}", file=sys.stderr)
         return 4
     except MemoryError:
         print("error: out of memory; the input is too large", file=sys.stderr)

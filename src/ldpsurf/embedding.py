@@ -6,20 +6,22 @@ exponents of the embedding monomials.  The defining ideal is generated by
 quadratic binomials z_a z_b - z_c z_d with a + b = c + d; a minimal
 generating system takes, inside the fiber of each sum point, the differences
 against the lexicographically smallest point pair.  The report holds those
-fibers, root first, in their built order, which is already sorted, and the
-text form renders each fiber's root once; the number of fibers is checked
-against |2P ∩ Z²| = 2·(2A) + B + 1 (Ehrhart, for area A and B boundary
-points).  Ranks and span membership of binomial sets are computed as graph
-connectivity on point pairs.
+fibers in index form, root first and already sorted, and the text form is
+streamed fiber by fiber with each root rendered once; the number of fibers
+is checked against |2P ∩ Z²| = 2·(2A) + B + 1 (Ehrhart, for area A and B
+boundary points) before any text is written.  Ranks and span membership of
+binomial sets are computed as graph connectivity on point pairs.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
+import io
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, TextIO
 
 from .delpezzo import LdpData, canonical_polygon, ldp_analyze
 from .errors import ConsistencyError, DomainError, ParseError
@@ -42,6 +44,15 @@ class EmbeddingData:
         """Lattice points, lexicographic: the sweep runs x up, columns lo to hi."""
         return tuple((x, y) for x, lo, hi, _ in _columns(self.polygon)
                      for y in range(lo, hi + 1))
+
+    @functools.cached_property
+    def keys(self) -> list[int]:
+        """Integer point keys x·w + y, in point order.  w exceeds the spread
+        of y_a + y_b, so a pair's key sum determines its sum point, and the
+        partner of point c in a pair with key sum s is the point keyed
+        s − keys[c]."""
+        w = 4 * max(abs(y) for _, y in self.points) + 1
+        return [x * w + y for x, y in self.points]
 
 
 Pair = tuple[Point, Point]
@@ -75,20 +86,24 @@ class Binomial(NamedTuple("_Binomial", [("plus", Pair), ("minus", Pair)])):
 
 @dataclass(frozen=True)
 class QuadricIdealReport:
-    """A minimal generating system as sum fibers, each a point pair sequence
-    with its root first; a generator (plus, minus) is the fiber [plus, minus]."""
+    """A minimal generating system as sum fibers in index form.  A fiber is
+    (s, firsts): its key sum s and the indices into `embedding.points` of
+    the first points of its pairs, root first; the pair of index c is
+    (points[c], the point keyed s − keys[c]).  Each non-root pair gives one
+    generator (root, other); a generator alone is a fiber of two pairs."""
 
     embedding: EmbeddingData
-    fibers: tuple[Sequence[Pair], ...]
+    fibers: tuple[tuple[int, Sequence[int]], ...]
 
     @property
     def count(self) -> int:
-        return sum(map(len, self.fibers)) - len(self.fibers)
+        return sum(len(firsts) for _, firsts in self.fibers) - len(self.fibers)
 
     @property
     def generators(self) -> tuple[tuple[Pair, Pair], ...]:
         """The (root, other) generators, fiber by fiber."""
-        return tuple((root, other) for root, *rest in self.fibers
+        return tuple((root, other) for root, *rest
+                     in _fiber_pairs(self.embedding, self.fibers)
                      for other in rest)
 
     @functools.cached_property
@@ -136,24 +151,20 @@ def embedding_data(data: LdpData) -> EmbeddingData:
     )
 
 
-def sum_fibers(e: EmbeddingData) -> dict[Point, list[Pair]]:
-    """Unordered point pairs grouped by their coordinate sum.
+def _fiber_pairs(e: EmbeddingData, fibers):
+    """Each index-form fiber's point pairs, root first."""
+    pts, keys = e.points, e.keys
+    at = dict(zip(keys, pts))
+    for s, firsts in fibers:
+        yield [(pts[c], at[s - keys[c]]) for c in firsts]
 
-    The points are lexicographic and pairs (a, b) with a <= b arrive in
-    lexicographic order, so each fiber is inserted at its smallest pair and
-    filled in sorted order: fibers iterate in the order of their smallest
-    pairs, and each fiber's list is sorted.  A pair's key is one addition of
-    integer point keys; sum points key the fibers only at the end.
-    """
-    pts = e.points
-    w = 4 * max(abs(y) for _, y in pts) + 1  # exceeds the spread of y_a + y_b
-    keys = [x * w + y for x, y in pts]
-    fibers: dict[int, list[Pair]] = {}
-    for i, (a, ka) in enumerate(zip(pts, keys)):
-        for b, kb in zip(pts[i:], keys[i:]):
-            fibers.setdefault(ka + kb, []).append((a, b))
+
+def sum_fibers(e: EmbeddingData) -> dict[Point, list[Pair]]:
+    """Unordered point pairs fibers by their coordinate sum, fibers and
+    pairs sorted: the fibers of `minimal_system` read as point pairs."""
     return {(a[0] + b[0], a[1] + b[1]): pairs
-            for pairs in fibers.values() for a, b in pairs[:1]}
+            for pairs in _fiber_pairs(e, minimal_system(e).fibers)
+            for a, b in pairs[:1]}
 
 
 def _connect(binomials):
@@ -198,20 +209,26 @@ def quadric_count_by_counting(e: EmbeddingData) -> int:
 def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
     """Minimal generating system of the embedding ideal.
 
-    In each sum-point fiber the smallest pair is the root of one generator
-    (root, other) per remaining pair; the report holds the fibers of
-    `sum_fibers`, root first, so the generators come out sorted.  The number
-    of fibers must equal |2P ∩ Z²|, which Ehrhart gives from the degree and
+    One walk groups the pairs (a, b), a <= b, by key sum.  The points are
+    lexicographic and the pairs arrive in lexicographic order, so each fiber
+    starts at its smallest pair, the root of one generator (root, other) per
+    later pair, and the generators come out sorted.  A pair costs one key
+    addition and one list slot; no pair tuple is built.  The number of
+    fibers must equal |2P ∩ Z²|, which Ehrhart gives from the degree and
     boundary count.
     """
-    fibers = sum_fibers(e)
+    fibers: dict[int, list[int]] = collections.defaultdict(list)
+    keys = e.keys
+    for i, ka in enumerate(keys):
+        for kb in keys[i:]:
+            fibers[ka + kb].append(i)
     doubled = 2 * e.degree + e.boundary_count + 1  # L_P(2), Ehrhart
     if len(fibers) != doubled:
         raise ConsistencyError(
             f"{len(fibers)} sum fibers but {doubled} lattice points in the "
             "doubled polygon", check="sum fibers == L_P(2)",
             expected=doubled, got=len(fibers))
-    return QuadricIdealReport(e, tuple(fibers.values()))
+    return QuadricIdealReport(e, tuple(fibers.items()))
 
 
 def span_membership(report: QuadricIdealReport, b: Binomial) -> bool:
@@ -227,7 +244,8 @@ def span_membership(report: QuadricIdealReport, b: Binomial) -> bool:
 def _exact_div(n: int, d: int) -> int:
     q, r = divmod(n, d)
     if r:
-        raise ConsistencyError(f"{n} is not divisible by {d}")
+        raise ConsistencyError(f"{n} is not divisible by {d}",
+                               check="d | n", expected=0, got=r)
     return q
 
 
@@ -293,19 +311,30 @@ def enumerated_row(k: int, p: int) -> TableRow:
 # ---------------------------------------------------------------------------
 # ideal file format
 
-def format_ideal(report: QuadricIdealReport) -> str:
-    """Deterministic text form: a header with the numerology, then one
-    generator per line in tuple-lexicographic order.  Each fiber's root
-    monomial is rendered once and prefixes the lines of its fiber."""
+def write_ideal(report: QuadricIdealReport, fh: TextIO) -> None:
+    """Stream the deterministic text form to fh, one write per fiber: a
+    header with the numerology, then one generator per line in
+    tuple-lexicographic order.  Factors are rendered once per point, and
+    each fiber's root monomial prefixes the lines of its fiber."""
     e = report.embedding
-    lines = ["# minimal quadric generating system\n"
+    fh.write("# minimal quadric generating system\n"
              f"# ambient_dim={e.ambient_dim} degree={e.degree} "
-             f"generators={report.count} sectional_genus={e.interior_count}\n"]
-    z = {pt: f"z({pt[0]},{pt[1]})" for pt in e.points}
-    for (a, b), *rest in report.fibers:
-        pre = f"{z[a]}*{z[b]} - "
-        lines += [f"{pre}{z[c]}*{z[d]}\n" for c, d in rest]
-    return "".join(lines)
+             f"generators={report.count} sectional_genus={e.interior_count}\n")
+    keys = e.keys
+    z = [f"z({x},{y})" for x, y in e.points]
+    at = dict(zip(keys, z))
+    for s, (r, *rest) in report.fibers:
+        if rest:
+            pre = f"{z[r]}*{at[s - keys[r]]} - "
+            fh.write("".join([f"{pre}{z[c]}*{at[s - keys[c]]}\n"
+                              for c in rest]))
+
+
+def format_ideal(report: QuadricIdealReport) -> str:
+    """The text form of `write_ideal` as one string."""
+    buf = io.StringIO()
+    write_ideal(report, buf)
+    return buf.getvalue()
 
 
 _FACTOR = r"z\((-?\d+),(-?\d+)\)"

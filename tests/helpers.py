@@ -8,8 +8,9 @@ import sys
 from fractions import Fraction
 
 from ldpsurf import (Binomial, EmbeddingData, FanAnalysis, LatticePolygon,
-                     UnimodularMap, WeightedCircularGraph, analyze_fan,
-                     embedding_data, fan_from_polygon, is_ldp, ldp_analyze)
+                     QuadricIdealReport, UnimodularMap, WeightedCircularGraph,
+                     analyze_fan, embedding_data, fan_from_polygon, is_ldp,
+                     ldp_analyze)
 
 
 def analysis_of(poly: LatticePolygon) -> FanAnalysis:
@@ -35,6 +36,20 @@ def count_derived_reads(monkeypatch) -> collections.Counter:
 
         monkeypatch.setattr(FanAnalysis, name, property(counting))
     return reads
+
+
+def lose_one_interior_point(monkeypatch) -> None:
+    """For the rest of the test, make the embedding's lattice point sweep
+    drop its smallest interior point, so the Pick check fails; no valid
+    input reaches that check otherwise."""
+    embedding = sys.modules["ldpsurf.embedding"]
+    real = embedding.lattice_points
+
+    def one_interior_point_lost(polygon):
+        boundary, interior = real(polygon)
+        return boundary, set(sorted(interior)[1:])
+
+    monkeypatch.setattr(embedding, "lattice_points", one_interior_point_lost)
 
 
 def count_calls(monkeypatch, *names) -> collections.Counter:
@@ -182,6 +197,16 @@ def koelman_quadrics(e: EmbeddingData) -> list[Binomial]:
         fibers[(a[0] + b[0], a[1] + b[1])].append((a, b))
     return sorted(Binomial(u, v) for pairs in fibers.values()
                   for u, v in itertools.combinations(pairs, 2))
+
+
+def report_of(e: EmbeddingData, generators) -> QuadricIdealReport:
+    """A report holding the given ((a, b), (c, d)) generators, each as its
+    own index-form fiber of two pairs: key sum of (a, b), then the indices
+    of a and c."""
+    index = {pt: i for i, pt in enumerate(e.points)}
+    return QuadricIdealReport(e, tuple(
+        (e.keys[index[a]] + e.keys[index[b]], (index[a], index[c]))
+        for (a, b), (c, _) in generators))
 
 
 def dense_rank(binomials) -> int:

@@ -3,14 +3,19 @@
 import dataclasses
 import hashlib
 import json
+import os
+import stat
+import threading
+import tracemalloc
 
 import pytest
 
 import helpers
 import ldpsurf.cli as cli
 import ldpsurf.fans as fans
-from ldpsurf import (EmbeddingData, LatticePolygon, TableRow, canonical_polygon,
-                     format_polygon_text, mirror_quad, parse_ideal)
+from ldpsurf import (EmbeddingData, LatticePolygon, TableRow, UnimodularMap,
+                     apply_map, canonical_polygon, format_polygon_text,
+                     mirror_quad, parse_ideal)
 
 SQUARE = LatticePolygon(((1, 1), (-1, 1), (-1, -1), (1, -1)))
 
@@ -192,11 +197,42 @@ def test_interrupt_exits_130(capsys, monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "enumerate_one_singularity", interrupted)
-    monkeypatch.setattr(cli, "format_ideal", interrupted)
+    monkeypatch.setattr(cli, "write_ideal", interrupted)
     for argv in (("enumerate", "--bound", "7"),
                  ("quadrics", "--canonical", "3", "15")):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (130, "", "error: interrupted\n")
+
+
+class _InterruptedFile:
+    """A file that lets the header and the first fiber through, then raises
+    KeyboardInterrupt on the next write."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 2:
+            raise KeyboardInterrupt
+        return self.fh.write(text)
+
+
+def test_interrupted_out_leaves_no_file(capsys, monkeypatch, tmp_path):
+    real = cli.write_ideal
+    monkeypatch.setattr(cli, "write_ideal",
+                        lambda report, fh: real(report, _InterruptedFile(fh)))
+    dest = tmp_path / "ideal.txt"
+    code, out, err = run(capsys, "quadrics", "--canonical", "2", "5",
+                         "--out", str(dest))
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+    assert list(tmp_path.iterdir()) == []
+    # a file already at --out is left as it was
+    dest.write_text("kept\n")
+    code, _, _ = run(capsys, "quadrics", "--canonical", "2", "5",
+                     "--out", str(dest))
+    assert code == 130 and dest.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [dest]
 
 
 def test_quadrics_stdout(capsys):
@@ -226,6 +262,59 @@ def test_quadrics_from_file(capsys, tmp_path):
     assert len(parse_ideal(out)) == 9
 
 
+def test_quadrics_out_file_matches_stdout_bytes(capsys, tmp_path):
+    # a sheared member, so the output has negative coordinates
+    poly = apply_map(UnimodularMap(1, 2, 0, 1), canonical_polygon(3, 11))
+    path = write_polygon(tmp_path, poly)
+    code, out, err = run(capsys, "quadrics", path)
+    assert (code, err) == (0, "") and "z(-" in out
+    dest = tmp_path / "ideal.txt"
+    code, printed, _ = run(capsys, "quadrics", path, "--out", str(dest))
+    assert code == 0 and printed.endswith(f" written to {dest}\n")
+    assert dest.read_bytes() == out.encode()
+
+
+def test_quadrics_out_through_a_symlink_or_into_a_pipe(capsys, tmp_path):
+    code, expect, _ = run(capsys, "quadrics", "--canonical", "2", "1")
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    code, _, _ = run(capsys, "quadrics", "--canonical", "2", "1",
+                     "--out", str(link))
+    assert code == 0 and link.is_symlink()
+    assert real.read_text() == expect
+    # a pipe is written in place, never replaced by a regular file
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    code, _, _ = run(capsys, "quadrics", "--canonical", "2", "1",
+                     "--out", str(fifo))
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [expect]
+    assert code == 0 and stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fifo", "link.txt", "real.txt"]
+
+
+def test_quadrics_out_memory_stays_small(capsys, tmp_path):
+    dest = tmp_path / "ideal.txt"
+    tracemalloc.start()
+    try:
+        code = cli.main(["quadrics", "--canonical", "3", "15",
+                         "--out", str(dest)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0 and dest.stat().st_size > 7_000_000
+    # the index-form fibers and one fiber's text at a time, never the
+    # whole text or a tuple per pair (about 41 MB when both were held)
+    assert peak < 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+
+
 # sha256 of `quadrics --canonical K P` stdout, pinned at benchmark size,
 # where the fixtures (14, 9 and 182 generators) do not reach
 QUADRICS_SHA256 = {
@@ -253,7 +342,16 @@ def test_fiber_count_failure_exits_4(capsys, monkeypatch):
     code, out, err = run(capsys, "quadrics", "--canonical", "3", "3")
     assert (code, out) == (4, "")
     assert err == ("internal error: 71 sum fibers but 73 lattice points in "
-                   "the doubled polygon\n")
+                   "the doubled polygon\n"
+                   "  check sum fibers == L_P(2): expected 73, got 71\n")
+
+
+def test_pick_failure_exits_4_with_both_values(capsys, monkeypatch):
+    helpers.lose_one_interior_point(monkeypatch)
+    code, out, err = run(capsys, "analyze", "--canonical", "3", "3")
+    assert (code, out) == (4, "")
+    assert err == ("internal error: point count violates the Pick identity\n"
+                   "  check Pick: 2·delta == 2A + B: expected 42, got 40\n")
 
 
 def test_tables(capsys):
@@ -267,8 +365,11 @@ def test_tables_mismatch_exits_4(capsys, monkeypatch):
                         lambda k, p: TableRow(0, 0, 0, 0, 0, 0))
     code, out, err = run(capsys, "tables", "--pmax", "1")
     assert code == 4
-    assert "MISMATCH" in out
-    assert err.startswith("internal error:")
+    failed = out.count("MISMATCH")
+    assert failed == len(out.splitlines()) > 0
+    assert err == (f"internal error: {failed} of 18 checks failed\n"
+                   "  check tables closed form == measured: "
+                   f"expected 0, got {failed}\n")
 
 
 def test_enumerate(capsys):

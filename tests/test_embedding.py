@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import functools
+import io
 import itertools
 import pathlib
 import random
@@ -16,12 +17,12 @@ import helpers
 import ldpsurf.embedding as emb
 from helpers import koelman_quadrics
 from ldpsurf import (Binomial, ConsistencyError, DomainError, ParseError,
-                     QuadricIdealReport, TableRow, apply_map,
-                     canonical_polygon, embedding_data, enumerated_row,
-                     format_ideal, lattice_points, ldp_analyze,
-                     minimal_system, parse_ideal, quadric_count_by_counting,
-                     relation_rank, span_membership, sum_fibers,
-                     table_formulas)
+                     TableRow, apply_map, canonical_polygon, embedding_data,
+                     enumerated_row, format_ideal, lattice_points,
+                     ldp_analyze, minimal_system, parse_ideal,
+                     quadric_count_by_counting, relation_rank,
+                     span_membership, sum_fibers, table_formulas,
+                     write_ideal)
 from ldpsurf.embedding import parse_binomial_line
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -186,7 +187,7 @@ def test_span_membership():
     for b in koelman_quadrics(e):
         assert span_membership(report, b)
     # dropping one generator removes its fiber pair from the span
-    truncated = QuadricIdealReport(e, report.generators[:-1])
+    truncated = helpers.report_of(e, report.generators[:-1])
     assert not span_membership(truncated, report.generators[-1])
     with pytest.raises(DomainError):
         span_membership(
@@ -220,14 +221,17 @@ def test_fiber_count_failure_names_check_and_values():
                         "in the doubled polygon")
 
 
+def test_exact_div_failure_names_check_and_values():
+    assert emb._exact_div(12, 4) == 3
+    with pytest.raises(ConsistencyError) as exc:
+        emb._exact_div(7, 2)
+    err = exc.value
+    assert (err.check, err.expected, err.got) == ("d | n", 0, 1)
+    assert str(err) == "7 is not divisible by 2"
+
+
 def test_pick_failure_names_check_and_values(monkeypatch):
-    real = emb.lattice_points
-
-    def one_interior_point_lost(polygon):
-        boundary, interior = real(polygon)
-        return boundary, set(sorted(interior)[1:])
-
-    monkeypatch.setattr(emb, "lattice_points", one_interior_point_lost)
+    helpers.lose_one_interior_point(monkeypatch)
     with pytest.raises(ConsistencyError) as exc:
         embedding_data(ldp_analyze(canonical_polygon(3, 3)))
     err = exc.value  # (3, 3): 22 points, 14 on the boundary, degree 28
@@ -254,7 +258,7 @@ def test_rank_and_span_match_dense_elimination(data):
     probe = data.draw(st.sampled_from(near))
     rank = helpers.dense_rank(subset)
     assert relation_rank(subset) == rank
-    report = QuadricIdealReport(e, tuple(subset))
+    report = helpers.report_of(e, subset)
     expect = helpers.dense_rank(subset + [probe]) == rank
     assert span_membership(report, probe) == expect
 
@@ -273,7 +277,7 @@ def test_fixture_systems(k, p, count, name):
     assert ours.count == count
     for b in fixture:
         assert span_membership(ours, b)
-    theirs = QuadricIdealReport(e, tuple(sorted(fixture)))
+    theirs = helpers.report_of(e, sorted(fixture))
     for b in ours.generators:
         assert span_membership(theirs, b)
 
@@ -281,9 +285,35 @@ def test_fixture_systems(k, p, count, name):
 def test_format_binomial():
     b = Binomial(((0, 1), (1, 0)), ((0, 0), (1, 1)))
     e = helpers.embedding_of(canonical_polygon(1, 1))
-    line = format_ideal(QuadricIdealReport(e, (b,))).splitlines()[-1]
+    line = format_ideal(helpers.report_of(e, [b])).splitlines()[-1]
     assert line == "z(0,0)*z(1,1) - z(0,1)*z(1,0)"
     assert parse_binomial_line(line) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_format_ideal_is_write_ideal_for_any_generators(data):
+    k, p = data.draw(st.sampled_from(((1, 1), (2, 1), (3, 1), (3, 3))))
+    e, relations = _relations(k, p)
+    # any generators, each pair in either order
+    drawn = data.draw(st.lists(st.tuples(st.sampled_from(relations),
+                                         st.booleans(), st.booleans()),
+                               max_size=30))
+    gens = [(plus[::-1] if flip_plus else plus,
+             minus[::-1] if flip_minus else minus)
+            for (plus, minus), flip_plus, flip_minus in drawn]
+    report = helpers.report_of(e, gens)
+    buf = io.StringIO()
+    write_ideal(report, buf)
+    text = format_ideal(report)
+    assert text == buf.getvalue()
+
+    def z(pt):
+        return f"z({pt[0]},{pt[1]})"
+
+    assert text.splitlines()[2:] == [f"{z(a)}*{z(b)} - {z(c)}*{z(d)}"
+                                     for (a, b), (c, d) in gens]
+    assert f"generators={len(gens)} " in text
 
 
 def test_format_parse_roundtrip():
