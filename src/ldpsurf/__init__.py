@@ -5,17 +5,15 @@ classification, and anticanonical quadric embeddings."""
 from .cones import Cone2, ConeData, cone_invariants, hj_expansion, socius
 from .delpezzo import (Classification, LdpData, canonical_polygon,
                        classify_one_singularity, enumerate_one_singularity,
-                       group_classes, index_parity_check, is_ldp, ldp_analyze,
+                       group_classes, index_parity_check, ldp_analyze,
                        mirror_quad, mirror_quad_map)
-from .embedding import (Binomial, EmbeddingData, QuadricIdealReport, TableRow,
+from .embedding import (EmbeddingData, QuadricIdealReport, TableRow,
                         embedding_data, enumerated_row, format_ideal,
-                        minimal_system, parse_ideal, quadric_count_by_counting,
-                        relation_rank, span_membership, sum_fibers,
+                        minimal_system, quadric_count_by_counting, sum_fibers,
                         table_formulas, write_ideal)
 from .errors import (ConsistencyError, DomainError, ParseError,
                      SingularityCountError)
-from .fans import (CompleteFan, FanAnalysis, analyze_fan, fan_from_polygon,
-                   hirzebruch_fan, star_subdivide)
+from .fans import CompleteFan, FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import (WeightedCircularGraph, canonical_key, graph_of,
                      render_graph, reverse_graph, surfaces_isomorphic)
 from .lattice import (LatticePolygon, PointCounts, RationalPolygon,

@@ -24,7 +24,7 @@ from .embedding import (TableRow, embedding_data, enumerated_row,
 from .errors import ConsistencyError, DomainError, SingularityCountError
 from .fans import FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import graph_of, render_graph
-from .lattice import LatticePolygon, read_polygon_file
+from .lattice import LatticePolygon, polygon_to_array, read_polygon_file
 
 
 def _frac_str(f: Fraction) -> str:
@@ -63,7 +63,7 @@ def _analyze_payload(q: LatticePolygon) -> dict:
             "local_index": cd.local_index,
         })
     return {
-        "vertices": [list(v) for v in q.vertices],
+        "vertices": polygon_to_array(q),
         "picard": data.analysis.picard,
         "index": data.index,
         "k2": _frac_str(data.analysis.k2),

@@ -116,7 +116,4 @@ def _refinement_chain(c: Cone2, p: int, q: int, hj: tuple[int, ...]) -> list[Poi
         chain.append((b_j * v[0] - u[0], b_j * v[1] - u[1]))
     if chain[-1] != c.n2:
         raise ConsistencyError(f"refinement chain of {c} misses its endpoint")
-    for i in range(len(chain) - 1):
-        if cross(chain[i], chain[i + 1]) != 1:
-            raise ConsistencyError(f"refinement chain of {c} is not unimodular")
     return chain

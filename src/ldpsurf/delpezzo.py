@@ -24,8 +24,7 @@ from .errors import ConsistencyError, DomainError, SingularityCountError
 from .fans import FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import canonical_key, graph_of
 from .lattice import (LatticePolygon, Point, RationalPolygon, UnimodularMap,
-                      _angular_before, contains_origin_interior,
-                      edge_lines, is_primitive)
+                      _angular_before, edge_lines)
 
 
 @dataclass(frozen=True)
@@ -84,17 +83,13 @@ def mirror_quad_map(p: int) -> UnimodularMap:
     return UnimodularMap(1, 1 - p, 0, -1)
 
 
-def is_ldp(q: LatticePolygon) -> bool:
-    """Log del Pezzo polygon: primitive vertices, origin strictly inside."""
-    return all(is_primitive(v) for v in q.vertices) and contains_origin_interior(q)
-
-
 def ldp_analyze(q: LatticePolygon) -> LdpData:
     """Fan invariants, facet local indices, index and polar polygon.
 
-    The index is computed twice (least common multiple of the facet local
-    indices, and the smallest dilation making the polar polygon integral) and
-    the two values are required to agree.
+    Each facet's level, the value of its primitive outer normal on it, must
+    equal the local index of the cone over it; the index is their least
+    common multiple, which is also the smallest dilation making the polar
+    polygon integral, since every normal is primitive.
     """
     analysis = analyze_fan(fan_from_polygon(q))
     locals_ = []
@@ -108,21 +103,12 @@ def ldp_analyze(q: LatticePolygon) -> LdpData:
             )
         locals_.append(level)
         polar_verts.append((Fraction(a, level), Fraction(b, level)))
-    index = math.lcm(*locals_)
-    denom_lcm = math.lcm(*(
-        math.lcm(x.denominator, y.denominator) for x, y in polar_verts
-    ))
-    if denom_lcm != index:
-        raise ConsistencyError(
-            f"polar denominators give index {denom_lcm}, local indices give {index}"
-        )
-    polar = RationalPolygon(tuple(polar_verts))
     return LdpData(
         polygon=q,
         analysis=analysis,
         local_indices=tuple(locals_),
-        index=index,
-        polar=polar,
+        index=math.lcm(*locals_),
+        polar=RationalPolygon(tuple(polar_verts)),
     )
 
 

@@ -9,8 +9,7 @@ against the lexicographically smallest point pair.  The report holds those
 fibers in index form, root first and already sorted, and the text form is
 streamed fiber by fiber with each root rendered once; the number of fibers
 is checked against |2P ∩ Z²| = 2·(2A) + B + 1 (Ehrhart, for area A and B
-boundary points) before any text is written.  Ranks and span membership of
-binomial sets are computed as graph connectivity on point pairs.
+boundary points) before any text is written.
 """
 
 from __future__ import annotations
@@ -19,12 +18,11 @@ import collections
 import dataclasses
 import functools
 import io
-import re
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .delpezzo import LdpData, canonical_polygon, ldp_analyze
-from .errors import ConsistencyError, DomainError, ParseError
+from .errors import ConsistencyError, DomainError
 from .lattice import (LatticePolygon, Point, _columns, dilate, lattice_points,
                       minkowski_double, polygon_area2, to_lattice)
 
@@ -55,42 +53,13 @@ class EmbeddingData:
         return [x * w + y for x, y in self.points]
 
 
-Pair = tuple[Point, Point]
-
-
-class Binomial(NamedTuple("_Binomial", [("plus", Pair), ("minus", Pair)])):
-    """z_a z_b - z_c z_d with a + b = c + d, stored with sorted pairs and
-    plus < minus.  A plain (plus, minus) tuple in that form compares equal."""
-
-    __slots__ = ()
-
-    def __new__(cls, plus, minus):
-        plus = tuple(sorted(tuple(pt) for pt in plus))
-        minus = tuple(sorted(tuple(pt) for pt in minus))
-        if plus == minus:
-            raise DomainError("binomial with equal monomials is zero")
-        sum_plus = (plus[0][0] + plus[1][0], plus[0][1] + plus[1][1])
-        sum_minus = (minus[0][0] + minus[1][0], minus[0][1] + minus[1][1])
-        if sum_plus != sum_minus:
-            raise DomainError(
-                f"monomial exponent sums differ: {sum_plus} vs {sum_minus}"
-            )
-        if minus < plus:
-            plus, minus = minus, plus
-        return super().__new__(cls, plus, minus)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make too
-        return cls(*iterable)
-
-
 @dataclass(frozen=True)
 class QuadricIdealReport:
     """A minimal generating system as sum fibers in index form.  A fiber is
     (s, firsts): its key sum s and the indices into `embedding.points` of
     the first points of its pairs, root first; the pair of index c is
     (points[c], the point keyed s − keys[c]).  Each non-root pair gives one
-    generator (root, other); a generator alone is a fiber of two pairs."""
+    generator (root, other)."""
 
     embedding: EmbeddingData
     fibers: tuple[tuple[int, Sequence[int]], ...]
@@ -98,18 +67,6 @@ class QuadricIdealReport:
     @property
     def count(self) -> int:
         return sum(len(firsts) for _, firsts in self.fibers) - len(self.fibers)
-
-    @property
-    def generators(self) -> tuple[tuple[Pair, Pair], ...]:
-        """The (root, other) generators, fiber by fiber."""
-        return tuple((root, other) for root, *rest
-                     in _fiber_pairs(self.embedding, self.fibers)
-                     for other in rest)
-
-    @functools.cached_property
-    def _span(self):
-        """Root finder and point set, built once for all span queries."""
-        return _connect(self.generators)[0], frozenset(self.embedding.points)
 
 
 @dataclass(frozen=True)
@@ -151,51 +108,17 @@ def embedding_data(data: LdpData) -> EmbeddingData:
     )
 
 
-def _fiber_pairs(e: EmbeddingData, fibers):
-    """Each index-form fiber's point pairs, root first."""
-    pts, keys = e.points, e.keys
-    at = dict(zip(keys, pts))
-    for s, firsts in fibers:
-        yield [(pts[c], at[s - keys[c]]) for c in firsts]
-
-
-def sum_fibers(e: EmbeddingData) -> dict[Point, list[Pair]]:
+def sum_fibers(e: EmbeddingData) -> dict[Point, list[tuple[Point, Point]]]:
     """Unordered point pairs fibers by their coordinate sum, fibers and
     pairs sorted: the fibers of `minimal_system` read as point pairs."""
-    return {(a[0] + b[0], a[1] + b[1]): pairs
-            for pairs in _fiber_pairs(e, minimal_system(e).fibers)
-            for a, b in pairs[:1]}
-
-
-def _connect(binomials):
-    """Union the two point pairs of every binomial.
-
-    Returns the root finder and the number of unions that merged two
-    components.  That number is the rank over the rationals of the binomials
-    (the rank of a graph's edge set is |vertices| - |components|), and
-    e_u - e_v lies in their span exactly when u and v share a root.
-    """
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    unions = 0
-    for plus, minus in binomials:
-        u, v = find(plus), find(minus)
-        if u != v:
-            parent[u] = v
-            unions += 1
-    return find, unions
-
-
-def relation_rank(binomials) -> int:
-    """Exact rank over the rationals of a set of binomial relations."""
-    return _connect(binomials)[1]
+    pts, keys = e.points, e.keys
+    at = dict(zip(keys, pts))
+    fibers = {}
+    for s, firsts in minimal_system(e).fibers:
+        pairs = [(pts[c], at[s - keys[c]]) for c in firsts]
+        (ax, ay), (bx, by) = pairs[0]
+        fibers[(ax + bx, ay + by)] = pairs
+    return fibers
 
 
 def quadric_count_by_counting(e: EmbeddingData) -> int:
@@ -229,16 +152,6 @@ def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
             "doubled polygon", check="sum fibers == L_P(2)",
             expected=doubled, got=len(fibers))
     return QuadricIdealReport(e, tuple(fibers.items()))
-
-
-def span_membership(report: QuadricIdealReport, b: Binomial) -> bool:
-    """True when b lies in the rational span of the report's generators."""
-    plus, minus = b
-    find, point_set = report._span
-    for pt in plus + minus:
-        if pt not in point_set:
-            raise DomainError(f"point {pt} is not an embedding monomial")
-    return find(plus) == find(minus)
 
 
 def _exact_div(n: int, d: int) -> int:
@@ -335,36 +248,3 @@ def format_ideal(report: QuadricIdealReport) -> str:
     buf = io.StringIO()
     write_ideal(report, buf)
     return buf.getvalue()
-
-
-_FACTOR = r"z\((-?\d+),(-?\d+)\)"
-_LINE = re.compile(
-    rf"^\s*{_FACTOR}\s*\*\s*{_FACTOR}\s*-\s*{_FACTOR}\s*\*\s*{_FACTOR}\s*$"
-)
-
-
-def parse_binomial_line(line: str) -> Binomial:
-    m = _LINE.match(line)
-    if not m:
-        raise ParseError(f"not a binomial line: {line!r}")
-    try:
-        nums = [int(g) for g in m.groups()]
-    except ValueError as exc:  # beyond the interpreter's int-digits limit
-        raise ParseError(f"not a binomial line: {exc}") from None
-    return Binomial(
-        ((nums[0], nums[1]), (nums[2], nums[3])),
-        ((nums[4], nums[5]), (nums[6], nums[7])),
-    )
-
-
-def parse_ideal(text: str) -> list[Binomial]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            out.append(parse_binomial_line(line))
-        except ParseError:
-            raise ParseError(f"line {lineno}: not a binomial line: {raw!r}") from None
-    return out

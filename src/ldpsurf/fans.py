@@ -136,30 +136,6 @@ def _ray_weights(f: CompleteFan, data: tuple[ConeData, ...]) -> tuple[int, ...]:
     return tuple(weights)
 
 
-def star_subdivide(f: CompleteFan, ray: Point) -> CompleteFan:
-    """Insert a primitive ray into the unique cone strictly containing it."""
-    ray = tuple(ray)
-    if ray == (0, 0) or not is_primitive(ray):
-        raise DomainError(f"ray {ray} is not primitive")
-    n = f.nu
-    for i in range(n):
-        d1 = cross(f.rays[i], ray)
-        d2 = cross(ray, f.rays[(i + 1) % n])
-        if d1 == 0 and f.rays[i] == ray:
-            raise DomainError(f"ray {ray} already belongs to the fan")
-        if d1 > 0 and d2 > 0:
-            return CompleteFan(f.rays[: i + 1] + (ray,) + f.rays[i + 1:])
-    raise DomainError(f"ray {ray} lies on an existing ray")
-
-
-def hirzebruch_fan(p: int) -> CompleteFan:
-    """The four-ray basic fan whose surface is the Hirzebruch surface of
-    parameter p + 1."""
-    if p < 1:
-        raise DomainError("parameter must be >= 1")
-    return CompleteFan(((1, -1), (1, 0), (p, 1), (-1, 0)))
-
-
 def analyze_fan(f: CompleteFan) -> FanAnalysis:
     """Cone invariants of every cone of f, computed once, and the weights,
     Picard rank and singular cones derived from them."""

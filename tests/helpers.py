@@ -1,16 +1,18 @@
-"""Shared randomized-instance generators for the test suite."""
+"""Shared randomized-instance generators and test-only oracles for the
+test suite."""
 
 import collections
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
-from ldpsurf import (Binomial, EmbeddingData, FanAnalysis, LatticePolygon,
-                     QuadricIdealReport, UnimodularMap, WeightedCircularGraph,
-                     analyze_fan, embedding_data, fan_from_polygon, is_ldp,
-                     ldp_analyze)
+from ldpsurf import (EmbeddingData, FanAnalysis, LatticePolygon,
+                     UnimodularMap, WeightedCircularGraph, analyze_fan,
+                     contains_origin_interior, embedding_data,
+                     fan_from_polygon, is_primitive, ldp_analyze)
 
 
 def analysis_of(poly: LatticePolygon) -> FanAnalysis:
@@ -149,6 +151,12 @@ def random_lattice_polygon(rng: random.Random, bound: int = 6,
     raise AssertionError("could not sample a polygon")
 
 
+def is_ldp(q: LatticePolygon) -> bool:
+    """Log del Pezzo polygon: primitive vertices, origin strictly inside."""
+    return (all(is_primitive(v) for v in q.vertices)
+            and contains_origin_interior(q))
+
+
 def random_ldp_polygon(rng: random.Random, bound: int = 4, tries: int = 2000,
                        max_index: int | None = None) -> LatticePolygon:
     """Random polygon with primitive vertices and the origin strictly inside,
@@ -187,39 +195,93 @@ def graphs_isomorphic(a: WeightedCircularGraph,
     return any(doubled[i: i + n] == b.nodes for i in range(n))
 
 
-def koelman_quadrics(e: EmbeddingData) -> list[Binomial]:
+_FACTOR = r"\s*z\((-?\d+),(-?\d+)\)\s*"
+_LINE = re.compile(rf"{_FACTOR}\*{_FACTOR}-{_FACTOR}\*{_FACTOR}")
+
+
+def parse_ideal(text: str) -> list:
+    """The binomials of a written ideal, one per line outside comments, as
+    ((a, b), (c, d)) with each pair sorted and (a, b) < (c, d).  Each line
+    must parse, have equal sums on both sides, and not be zero."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        m = _LINE.fullmatch(line)
+        assert m, f"line {lineno}: not a binomial line: {raw!r}"
+        ax, ay, bx, by, cx, cy, dx, dy = map(int, m.groups())
+        assert (ax + bx, ay + by) == (cx + dx, cy + dy), \
+            f"line {lineno}: exponent sums differ: {raw!r}"
+        plus = tuple(sorted([(ax, ay), (bx, by)]))
+        minus = tuple(sorted([(cx, cy), (dx, dy)]))
+        assert plus != minus, f"line {lineno}: zero binomial: {raw!r}"
+        out.append((plus, minus) if plus < minus else (minus, plus))
+    return out
+
+
+def connect(binomials):
+    """Union the two point pairs of every binomial.
+
+    Returns the root finder and the number of unions that merged two
+    components.  That number is the rank over the rationals of the binomials
+    (the rank of a graph's edge set is |vertices| - |components|), and
+    e_u - e_v lies in their span exactly when u and v share a root
+    (Sturmfels, Gröbner Bases and Convex Polytopes, ch. 5).
+    """
+    parent: dict = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    rank = 0
+    for plus, minus in binomials:
+        u, v = find(plus), find(minus)
+        if u != v:
+            parent[u] = v
+            rank += 1
+    return find, rank
+
+
+def relation_rank(binomials) -> int:
+    """Exact rank over the rationals of a set of binomial relations."""
+    return connect(binomials)[1]
+
+
+def span_membership(generators, binomials) -> bool:
+    """True when every binomial lies in the rational span of the
+    generators; one union-find serves all of them."""
+    find, _ = connect(generators)
+    return all(find(plus) == find(minus) for plus, minus in binomials)
+
+
+def koelman_quadrics(e: EmbeddingData) -> list:
     """The full relation set, sorted: every binomial z_a z_b - z_c z_d with
-    a + b = c + d over the embedding points, grouped by sum here without
-    the library's sum_fibers.  A test-only oracle; it grows quadratically in
-    the fiber sizes."""
+    a + b = c + d over the embedding points, as ((a, b), (c, d)), grouped by
+    sum here without the library's sum_fibers.  A test-only oracle; it grows
+    quadratically in the fiber sizes."""
     fibers = collections.defaultdict(list)
     for a, b in itertools.combinations_with_replacement(e.points, 2):
         fibers[(a[0] + b[0], a[1] + b[1])].append((a, b))
-    return sorted(Binomial(u, v) for pairs in fibers.values()
-                  for u, v in itertools.combinations(pairs, 2))
-
-
-def report_of(e: EmbeddingData, generators) -> QuadricIdealReport:
-    """A report holding the given ((a, b), (c, d)) generators, each as its
-    own index-form fiber of two pairs: key sum of (a, b), then the indices
-    of a and c."""
-    index = {pt: i for i, pt in enumerate(e.points)}
-    return QuadricIdealReport(e, tuple(
-        (e.keys[index[a]] + e.keys[index[b]], (index[a], index[c]))
-        for (a, b), (c, _) in generators))
+    return sorted(itertools.chain.from_iterable(
+        itertools.combinations(pairs, 2) for pairs in fibers.values()))
 
 
 def dense_rank(binomials) -> int:
     """Rank over the rationals of binomial relations by dense Gaussian
     elimination, one column per point pair that occurs: a test-only oracle
-    for the library's graph-connectivity rank."""
-    pairs = sorted({pair for b in binomials for pair in (b.plus, b.minus)})
+    for the graph-connectivity rank of `connect`."""
+    pairs = sorted({pair for b in binomials for pair in b})
     col = {pair: i for i, pair in enumerate(pairs)}
     rows = []
-    for b in binomials:
+    for plus, minus in binomials:
         row = [Fraction(0)] * len(pairs)
-        row[col[b.plus]] = Fraction(1)
-        row[col[b.minus]] = Fraction(-1)
+        row[col[plus]] = Fraction(1)
+        row[col[minus]] = Fraction(-1)
         rows.append(row)
     rank = 0
     for c in range(len(pairs)):

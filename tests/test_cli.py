@@ -13,9 +13,10 @@ import pytest
 import helpers
 import ldpsurf.cli as cli
 import ldpsurf.fans as fans
+from helpers import parse_ideal
 from ldpsurf import (EmbeddingData, LatticePolygon, TableRow, UnimodularMap,
                      apply_map, canonical_polygon, format_polygon_text,
-                     mirror_quad, parse_ideal)
+                     mirror_quad)
 
 SQUARE = LatticePolygon(((1, 1), (-1, 1), (-1, -1), (1, -1)))
 
@@ -315,20 +316,46 @@ def test_quadrics_out_memory_stays_small(capsys, tmp_path):
     assert peak < 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
-# sha256 of `quadrics --canonical K P` stdout, pinned at benchmark size,
-# where the fixtures (14, 9 and 182 generators) do not reach
-QUADRICS_SHA256 = {
-    (3, 15): "ff6974198b4a57ffc72d0d5a24b4e86c07e8364656f43870f8e613322d52a539",
-    (1, 13): "81ed4cac8c0d2142a92e40a158d7e77b6add662c1421d0a657c8639ef42ad016",
-    (2, 7): "801c2d42cf3e78136ced4d9baf7a9a0427fece405313561cc89271b579fde6e9",
+# sha256 of stdout, by test id: `quadrics --canonical K P` at benchmark
+# size, where the fixtures (14, 9 and 182 generators) do not reach, and the
+# other commands on a few inputs; a polygon argument is written to a file
+MULTI = LatticePolygon(((2, 1), (-1, 2), (-1, -1), (1, -2)))  # index 15
+STDOUT_SHA256 = {
+    "3-15": (("quadrics", "--canonical", "3", "15"),
+             "ff6974198b4a57ffc72d0d5a24b4e86c07e8364656f43870f8e613322d52a539"),
+    "1-13": (("quadrics", "--canonical", "1", "13"),
+             "81ed4cac8c0d2142a92e40a158d7e77b6add662c1421d0a657c8639ef42ad016"),
+    "2-7": (("quadrics", "--canonical", "2", "7"),
+            "801c2d42cf3e78136ced4d9baf7a9a0427fece405313561cc89271b579fde6e9"),
+    "analyze-1-1": (
+        ("analyze", "--canonical", "1", "1"),
+        "b4f47e7251da3aad6163321df1a37e91aaf6f36a2b3440e64b7c2b07fd2a127d"),
+    "analyze-3-15-json": (
+        ("analyze", "--canonical", "3", "15", "--json"),
+        "ea98bcfaaedb6ffe8194e8d0753294d59fb9209605f12ffce02af12eeb258591"),
+    "analyze-multi": (
+        ("analyze", MULTI),
+        "0224e19ae38b7785c9e0e7aaa7ccd907eb8e01f6409fd10285b566cae535338f"),
+    "classify-mirror-json": (
+        ("classify", mirror_quad(4), "--json"),
+        "0869859cfde9c71cffed90f105d126af955f64ae545f030c3bbbe73f93fb11f8"),
+    "enumerate-3": (
+        ("enumerate", "--bound", "3"),
+        "b0f31992cec3b1e6b3748d5f5cf26f7259abc4a6aeabb1fd740d7258b07bb8af"),
+    "tables-3": (
+        ("tables", "--pmax", "3"),
+        "67545abb364bd270a20fa94094b60ca1c7582af5f1c760d8316b1959aea94328"),
 }
 
 
-@pytest.mark.parametrize("k,p", sorted(QUADRICS_SHA256))
-def test_quadrics_output_is_byte_stable(capsys, k, p):
-    code, out, err = run(capsys, "quadrics", "--canonical", str(k), str(p))
+@pytest.mark.parametrize("case", sorted(STDOUT_SHA256))
+def test_quadrics_output_is_byte_stable(capsys, tmp_path, case):
+    argv, digest = STDOUT_SHA256[case]
+    code, out, err = run(capsys, *(
+        write_polygon(tmp_path, arg) if isinstance(arg, LatticePolygon)
+        else arg for arg in argv))
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == QUADRICS_SHA256[(k, p)]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_fiber_count_failure_exits_4(capsys, monkeypatch):

@@ -15,7 +15,7 @@ import ldpsurf.fans as fans
 from ldpsurf import (ConsistencyError, DomainError, LatticePolygon,
                      SingularityCountError, apply_map, canonical_polygon,
                      classify_one_singularity, enumerate_one_singularity,
-                     group_classes, index_parity_check, is_ldp, ldp_analyze,
+                     group_classes, index_parity_check, ldp_analyze,
                      mirror_quad, mirror_quad_map, polygon_area2,
                      surfaces_isomorphic)
 
@@ -27,7 +27,7 @@ def test_canonical_polygon_shapes():
     assert len(canonical_polygon(3, 5)) == 5
     for k in (1, 2, 3):
         for p in range(1, 12):
-            assert is_ldp(canonical_polygon(k, p))
+            assert helpers.is_ldp(canonical_polygon(k, p))
     with pytest.raises(DomainError):
         canonical_polygon(0, 1)
     with pytest.raises(DomainError):
@@ -48,6 +48,7 @@ def test_mirror_quad_relation():
 
 
 def test_is_ldp():
+    is_ldp = helpers.is_ldp
     assert is_ldp(canonical_polygon(3, 4))
     assert not is_ldp(LatticePolygon(((1, 1), (-1, 1), (1, -1))))  # origin on edge
     assert not is_ldp(LatticePolygon(((2, 0), (0, 1), (-1, -1))))  # non-primitive
@@ -206,7 +207,7 @@ def box_ldp_polygons(draw):
         poly = apply_map(m, canonical_polygon(draw(st.integers(1, 3)),
                                               draw(st.integers(1, 7))))
         assume(max(abs(c) for v in poly.vertices for c in v) <= 4)
-    assume(is_ldp(poly))
+    assume(helpers.is_ldp(poly))
     return poly
 
 

@@ -8,10 +8,24 @@ import pytest
 import helpers
 from ldpsurf import (CompleteFan, DomainError, LatticePolygon, analyze_fan,
                      apply_map, canonical_polygon, cross, fan_from_polygon,
-                     hirzebruch_fan, ldp_analyze, polygon_area2,
-                     star_subdivide, surfaces_isomorphic)
+                     ldp_analyze, polygon_area2, surfaces_isomorphic)
 
 P2_FAN = CompleteFan(((1, 0), (0, 1), (-1, -1)))
+
+
+def hirzebruch_fan(p: int) -> CompleteFan:
+    """The four-ray basic fan whose surface is the Hirzebruch surface of
+    parameter p + 1."""
+    return CompleteFan(((1, -1), (1, 0), (p, 1), (-1, 0)))
+
+
+def star_subdivide(fan: CompleteFan, ray) -> CompleteFan:
+    """Insert a ray into the cone strictly containing it: a test-only oracle
+    for FanAnalysis.resolution."""
+    n = fan.nu
+    i = next(i for i in range(n) if cross(fan.rays[i], ray) > 0
+             and cross(ray, fan.rays[(i + 1) % n]) > 0)
+    return CompleteFan(fan.rays[: i + 1] + (ray,) + fan.rays[i + 1:])
 
 
 def cyclic_equal(a, b) -> bool:
@@ -144,10 +158,13 @@ def test_minimal_desingularization_properties():
 def test_star_subdivide():
     fan = fan_from_polygon(canonical_polygon(1, 3))
     assert star_subdivide(fan, (1, 0)) == analyze_fan(fan).resolution
-    with pytest.raises(DomainError):
-        star_subdivide(fan, (2, 0))
-    with pytest.raises(DomainError):
-        star_subdivide(fan, fan.rays[0])
+    rng = random.Random(304)
+    for _ in range(30):
+        analysis = helpers.analysis_of(helpers.random_ldp_polygon(rng))
+        fan = analysis.fan
+        for ray, _ in analysis.exceptional:
+            fan = star_subdivide(fan, ray)
+        assert fan == analysis.resolution
 
 
 def test_analyze_fan_consistency():
@@ -165,8 +182,3 @@ def test_analyze_fan_consistency():
         # K^2 of a toric log del Pezzo surface is the normalized area of the
         # polar polygon, which is built from the facet lines, not the cones
         assert analysis.k2 == polygon_area2(ldp_analyze(poly).polar)
-
-
-def test_hirzebruch_fan_validation():
-    with pytest.raises(DomainError):
-        hirzebruch_fan(0)

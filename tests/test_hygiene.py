@@ -2,14 +2,16 @@
 
 Each library module (the package __init__, which re-exports, is skipped)
 must reference every name it imports, every module-level private function
-must be referenced somewhere in src/ outside its own body, and every
+must be referenced somewhere in src/ outside its own body, every
 module-level public function or class must be exported by the package or be
-so referenced.
+so referenced, and every exported name must be so referenced or be listed,
+with its reason, among the exports kept without a consumer.
 """
 
 import ast
 import collections
 import pathlib
+import types
 
 import ldpsurf
 
@@ -69,3 +71,30 @@ def test_every_public_definition_is_exported_or_used():
                     and refs[node.name] == _references(node)[node.name]):
                 orphans.append(f"{name}:{node.lineno} {node.name}")
     assert not orphans, f"public, not exported, used nowhere in src/: {orphans}"
+
+
+# Exports with no consumer in src/, each kept for the reason given.
+EXPORTS_WITHOUT_CONSUMER = {
+    "sum_fibers": "named by perfbench TRACED; goes with ROADMAP item 1/6",
+    "format_ideal": "named by perfbench TRACED; goes with ROADMAP item 1/6",
+    "apply_map": "named by perfbench TRACED; goes with ROADMAP item 1/6",
+    "surfaces_isomorphic": "named by perfbench TRACED; goes with ROADMAP "
+                           "item 1/6",
+    "format_polygon_text": "writes the CLI's text input format",
+    "index_parity_check": "the paper's index table; criterion 3 and item 4's "
+                          "oracle",
+}
+
+
+def test_every_export_has_a_consumer():
+    refs = sum(map(_references, MODULES.values()), collections.Counter())
+    own = collections.Counter()
+    for tree in MODULES.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own[node.name] += _references(node)[node.name]
+    unused = sorted(
+        name for name in ldpsurf.__all__
+        if not isinstance(getattr(ldpsurf, name), types.ModuleType)
+        and refs[name] == own[name] and name not in EXPORTS_WITHOUT_CONSUMER)
+    assert not unused, f"exported, used nowhere in src/: {unused}"
