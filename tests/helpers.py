@@ -10,8 +10,8 @@ import sys
 from fractions import Fraction
 
 from ldpsurf import (EmbeddingData, FanAnalysis, LatticePolygon,
-                     UnimodularMap, WeightedCircularGraph, analyze_fan,
-                     contains_origin_interior, embedding_data,
+                     QuadricIdealReport, UnimodularMap, WeightedCircularGraph,
+                     analyze_fan, contains_origin_interior, embedding_data,
                      fan_from_polygon, is_primitive, ldp_analyze)
 
 
@@ -257,6 +257,16 @@ def span_membership(generators, binomials) -> bool:
     generators; one union-find serves all of them."""
     find, _ = connect(generators)
     return all(find(plus) == find(minus) for plus, minus in binomials)
+
+
+def report_of(e: EmbeddingData, generators) -> QuadricIdealReport:
+    """A report holding the given ((a, b), (c, d)) generators, each as its
+    own index-form fiber of two pairs: key sum of (a, b), then the indices
+    of a and c."""
+    index = {pt: i for i, pt in enumerate(e.points)}
+    return QuadricIdealReport(e, tuple(
+        (e.keys[index[a]] + e.keys[index[b]], (index[a], index[c]))
+        for (a, b), (c, _) in generators))
 
 
 def koelman_quadrics(e: EmbeddingData) -> list:

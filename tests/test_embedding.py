@@ -258,6 +258,33 @@ def test_format_binomial():
     assert parse_ideal("z(1,0) * z(0,1) - z(1,2)*z(0,-1)") == [b]
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_format_ideal_is_write_ideal_for_any_generators(data):
+    k, p = data.draw(st.sampled_from(((1, 1), (2, 1), (3, 1), (3, 3))))
+    e, relations = _relations(k, p)
+    # any generators, each pair in either order
+    drawn = data.draw(st.lists(st.tuples(st.sampled_from(relations),
+                                         st.booleans(), st.booleans()),
+                               max_size=30))
+    gens = [(plus[::-1] if flip_plus else plus,
+             minus[::-1] if flip_minus else minus)
+            for (plus, minus), flip_plus, flip_minus in drawn]
+    report = helpers.report_of(e, gens)
+    buf = io.StringIO()
+    write_ideal(report, buf)
+    text = format_ideal(report)
+    assert text == buf.getvalue()
+
+    def z(pt):
+        return f"z({pt[0]},{pt[1]})"
+
+    assert text.splitlines()[2:] == [f"{z(a)}*{z(b)} - {z(c)}*{z(d)}"
+                                     for (a, b), (c, d) in gens]
+    assert f"generators={len(gens)} " in text
+
+
 def test_format_parse_roundtrip():
     report = minimal_system(helpers.embedding_of(canonical_polygon(2, 1)))
     text = format_ideal(report)
