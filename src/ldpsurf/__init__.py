@@ -22,7 +22,7 @@ from .lattice import (LatticePolygon, PointCounts, RationalPolygon,
                       format_polygon_text, is_primitive, lattice_points,
                       load_polygon, minkowski_double, parse_polygon_text,
                       polygon_area2, polygon_from_array, polygon_to_array,
-                      read_polygon_file, to_lattice)
+                      read_polygon_file)
 
 __version__ = "0.1.0"
 

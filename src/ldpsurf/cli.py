@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -159,9 +160,15 @@ def _cmd_quadrics(args) -> int:
         # a file is renamed into place only once complete, so a failed or
         # interrupted run leaves no partial file
         tmp = f"{target}.{os.getpid()}.tmp"
-        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            fh = open(tmp, "x", encoding="utf-8")
+        except OSError as exc:
+            exc.filename = args.out  # the path given, not the temporary one
+            raise
         try:
             with fh:
+                if os.path.isfile(target):  # a replaced file keeps its mode
+                    os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
                 write_ideal(report, fh)
             os.replace(tmp, target)
         except BaseException:

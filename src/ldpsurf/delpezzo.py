@@ -276,9 +276,7 @@ def group_classes(results: list[Enumerated]) -> dict[tuple, dict]:
                 f"polygon {poly.vertices} is not isomorphic to its normal "
                 f"form ({cls.k}, {cls.p})"
             )
-        entry = classes.setdefault(
-            key, {"k": cls.k, "p": cls.p, "count": 0, "representative": poly}
-        )
+        entry = classes.setdefault(key, {"k": cls.k, "p": cls.p, "count": 0})
         if (entry["k"], entry["p"]) != kp:
             raise ConsistencyError(
                 "polygons in one graph class classified differently"

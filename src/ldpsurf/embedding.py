@@ -1,15 +1,15 @@
 """Anticanonical quadric embeddings of one-singularity log del Pezzo surfaces.
 
-Dilating the polar polygon by the index gives a lattice polygon P whose
-lattice points, read off the column sweep in lexicographic order, are the
-exponents of the embedding monomials.  The defining ideal is generated by
-quadratic binomials z_a z_b - z_c z_d with a + b = c + d; a minimal
-generating system takes, inside the fiber of each sum point, the differences
-against the lexicographically smallest point pair.  The report holds those
-fibers in index form, root first and already sorted, and the text form is
-streamed fiber by fiber with each root rendered once; the number of fibers
-is checked against |2P ∩ Z²| = 2·(2A) + B + 1 (Ehrhart, for area A and B
-boundary points) before any text is written.
+Dilating the polar polygon by the index gives a lattice polygon P, built in
+integers, whose lattice points, read off the column sweep in lexicographic
+order, are the exponents of the embedding monomials.  The defining ideal is
+generated by quadratic binomials z_a z_b - z_c z_d with a + b = c + d; a
+minimal generating system takes, inside the fiber of each sum point, the
+differences against the lexicographically smallest point pair.  The report
+holds those fibers in index form, root first and already sorted, and the
+text form is streamed fiber by fiber with each root rendered once; the
+number of fibers is checked against |2P ∩ Z²| = 2·(2A) + B + 1 (Ehrhart, for
+area A and B boundary points) before any text is written.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Sequence, TextIO
 
 from .delpezzo import LdpData, canonical_polygon, ldp_analyze
 from .errors import ConsistencyError, DomainError
-from .lattice import (LatticePolygon, Point, _columns, dilate, lattice_points,
-                      minkowski_double, polygon_area2, to_lattice)
+from .lattice import (LatticePolygon, Point, _columns, lattice_points,
+                      minkowski_double, polygon_area2)
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,19 @@ class TableRow:
 
 
 def embedding_data(data: LdpData) -> EmbeddingData:
-    """Lattice data of the index-dilated polar polygon.
+    """Lattice data of P = index · polar.
 
-    Counts come from one column sweep, the degree from the shoelace sum, and
-    the points are derived on read.  Pick's identity is asserted, so a
-    failure here means a counting bug rather than unusual input.
+    P is integral by construction: each polar vertex is (a, b) / level, its
+    denominator divides the facet level, and the index is the lcm of the
+    levels, so P is built from the polar vertices in integers alone.  Counts
+    come from one column sweep, the degree from the shoelace sum, and the
+    points are derived on read.  Pick's identity is asserted, so a failure
+    here means a counting bug rather than unusual input.
     """
-    dilated = to_lattice(dilate(data.polar, data.index))
+    ell = data.index
+    dilated = LatticePolygon(tuple(
+        tuple(ell // c.denominator * c.numerator for c in v)
+        for v in data.polar.vertices))
     boundary, interior = lattice_points(dilated)
     degree = polygon_area2(dilated)
     delta = len(boundary) + len(interior) - 1

@@ -29,7 +29,6 @@ class WeightedCircularGraph:
     """Cycle of weighted nodes; the edge stored with node i leads to node i+1."""
 
     nodes: tuple[Token, ...]
-    anticlockwise: bool = True
 
     def __post_init__(self):
         if len(self.nodes) < 3:
@@ -37,9 +36,6 @@ class WeightedCircularGraph:
         for w, p, q in self.nodes:
             if q < 1 or not 0 <= p < q or math.gcd(p, q) != 1:
                 raise DomainError(f"({p}, {q}) is not a normalized edge weight")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 def graph_of(a: FanAnalysis) -> WeightedCircularGraph:
@@ -56,7 +52,7 @@ def reverse_graph(g: WeightedCircularGraph) -> WeightedCircularGraph:
         w = g.nodes[(n - 1 - j) % n][0]
         _, p, q = g.nodes[(n - 2 - j) % n]
         nodes.append((w, socius(p, q), q))
-    return WeightedCircularGraph(tuple(nodes), not g.anticlockwise)
+    return WeightedCircularGraph(tuple(nodes))
 
 
 def canonical_key(g: WeightedCircularGraph) -> tuple[Token, ...]:

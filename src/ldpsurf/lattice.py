@@ -1,11 +1,13 @@
 """Exact plane lattice geometry: points, unimodular maps, convex polygons.
 
-All arithmetic is exact: integer coordinates for lattice data and
-`fractions.Fraction` for rational data. Polygons are immutable and stored in
-a canonical form (anticlockwise, lexicographically smallest vertex first), so
-two polygons are equal exactly when their canonical vertex tuples are equal.
-Lattice point sets and counts come from one integer sweep over the columns of
-a polygon, which tests for the boundary only at the ends of each column.
+All arithmetic is exact.  Lattice polygons have integer vertices; the polar
+polygon of a log del Pezzo polygon is the one rational polygon, kept as
+`fractions.Fraction` vertices for its area and its printed form.  Polygons
+are immutable and stored in a canonical form (anticlockwise,
+lexicographically smallest vertex first), so two polygons are equal exactly
+when their canonical vertex tuples are equal.  Lattice point sets and counts
+come from one integer sweep over the columns of a lattice polygon, which
+tests for the boundary only at the ends of each column.
 """
 
 from __future__ import annotations
@@ -186,9 +188,6 @@ class RationalPolygon:
             verts.append((x, y))
         object.__setattr__(self, "vertices", _canonical_cycle(verts))
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
 
 AnyPolygon = Union[LatticePolygon, RationalPolygon]
 
@@ -204,53 +203,32 @@ def apply_map(m: UnimodularMap, p: AnyPolygon) -> AnyPolygon:
     return type(p)(tuple(m.apply(v) for v in p.vertices))
 
 
-def dilate(p: AnyPolygon, factor: Coord) -> AnyPolygon:
-    """Scale about the origin by a positive factor."""
-    if factor <= 0:
-        raise DomainError("dilation factor must be positive")
-    verts = tuple((factor * x, factor * y) for x, y in p.vertices)
-    if isinstance(p, LatticePolygon) and isinstance(factor, int):
-        return LatticePolygon(verts)
-    return RationalPolygon(verts)
+def dilate(p: LatticePolygon, factor: int) -> LatticePolygon:
+    """Scale about the origin by a positive integer factor."""
+    if not isinstance(factor, int) or factor <= 0:
+        raise DomainError("dilation factor must be a positive integer")
+    return LatticePolygon(tuple((factor * x, factor * y) for x, y in p.vertices))
 
 
-def to_lattice(p: AnyPolygon) -> LatticePolygon:
-    """Reinterpret a polygon with integral vertices as a lattice polygon."""
-    if isinstance(p, LatticePolygon):
-        return p
-    verts = []
-    for x, y in p.vertices:
-        if x.denominator != 1 or y.denominator != 1:
-            raise DomainError(f"vertex ({x}, {y}) is not integral")
-        verts.append((int(x), int(y)))
-    return LatticePolygon(tuple(verts))
-
-
-def edge_lines(p: AnyPolygon) -> list[tuple[int, int, Coord]]:
-    """Inner half-plane presentation: triples (a, b, c) with gcd(a, b) = 1 and
-    a*x + b*y >= c on the polygon, equality exactly on the edge.
-
-    c is an int for a lattice polygon and a Fraction for a rational one.
-    """
+def edge_lines(p: LatticePolygon) -> list[tuple[int, int, int]]:
+    """Inner half-plane presentation: integer triples (a, b, c) with
+    gcd(a, b) = 1 and a*x + b*y >= c on the polygon, equality exactly on the
+    edge."""
     out = []
     verts = p.vertices
     n = len(verts)
     for i in range(n):
         vx, vy = verts[i]
         wx, wy = verts[(i + 1) % n]
-        ex, ey = wx - vx, wy - vy
         # left (inner) normal of an anticlockwise edge
-        a, b = -ey, ex
-        if isinstance(a, Fraction) or isinstance(b, Fraction):
-            den = math.lcm(Fraction(a).denominator, Fraction(b).denominator)
-            a, b = int(a * den), int(b * den)
+        a, b = vy - wy, wx - vx
         g = math.gcd(a, b)
         a, b = a // g, b // g
         out.append((a, b, a * vx + b * vy))
     return out
 
 
-def contains_origin_interior(p: AnyPolygon) -> bool:
+def contains_origin_interior(p: LatticePolygon) -> bool:
     return all(c < 0 for _, _, c in edge_lines(p))
 
 
@@ -260,16 +238,15 @@ class PointCounts(NamedTuple):
     interior: int
 
 
-def _columns(p: AnyPolygon):
+def _columns(p: LatticePolygon):
     """Integer column sweep: yield (x, lo, hi, edge) for every abscissa x
     whose slice holds a lattice point, where lo..hi is the slice's y-range and
     `edge` holds the y values of the slice that lie on the boundary.
 
-    Each half-plane a*x + b*y >= n/d is scaled by d once, so no Fraction is
-    built per column: with B = |b*d|, the slice's lower (b > 0) and upper
-    (b < 0) ends are -q and q for the least pair (q, r) = divmod(a*d*x - n, B)
-    over the edges on that side. Among edges giving the same q the least r is
-    0 if any of them passes through the end, so the end lies on an edge
+    With B = |b|, the slice's lower (b > 0) and upper (b < 0) ends are -q and
+    q for the least pair (q, r) = divmod(a*x - c, B) over the half-planes
+    a*x + b*y >= c on that side.  Among edges giving the same q the least r
+    is 0 if any of them passes through the end, so the end lies on an edge
     exactly when r = 0.
     A point strictly between lo and hi lies on no edge with b != 0 (such an
     edge bounds the slice at that point), so it can only lie on a vertical
@@ -278,20 +255,19 @@ def _columns(p: AnyPolygon):
     """
     lower, upper, walls = [], [], set()
     for a, b, c in edge_lines(p):
-        a, b, n = a * c.denominator, b * c.denominator, c.numerator
         if b:
-            (lower if b > 0 else upper).append((a, abs(b), n))
-        elif n % a == 0:
-            walls.add(n // a)
+            (lower if b > 0 else upper).append((a, abs(b), c))
+        else:
+            walls.add(c // a)  # the edge lies on x = c / a, a = +-1
     xs = [x for x, _ in p.vertices]
-    for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
+    for x in range(min(xs), max(xs) + 1):
         low = high = None
-        for a, b, n in lower:
-            qr = divmod(a * x - n, b)
+        for a, b, c in lower:
+            qr = divmod(a * x - c, b)
             if low is None or qr < low:
                 low = qr
-        for a, b, n in upper:
-            qr = divmod(a * x - n, b)
+        for a, b, c in upper:
+            qr = divmod(a * x - c, b)
             if high is None or qr < high:
                 high = qr
         lo, hi = -low[0], high[0]
@@ -304,7 +280,7 @@ def _columns(p: AnyPolygon):
         yield x, lo, hi, edge
 
 
-def lattice_points(p: AnyPolygon) -> tuple[set[Point], set[Point]]:
+def lattice_points(p: LatticePolygon) -> tuple[set[Point], set[Point]]:
     """Exact lattice point sets of a polygon, split as (boundary, interior),
     materialized from the column sweep."""
     boundary: set[Point] = set()
@@ -315,9 +291,9 @@ def lattice_points(p: AnyPolygon) -> tuple[set[Point], set[Point]]:
     return boundary, interior
 
 
-def count_lattice_points(p: AnyPolygon) -> PointCounts:
+def count_lattice_points(p: LatticePolygon) -> PointCounts:
     """Lattice point counts summed over the column sweep, without
-    materializing a point; the same route for lattice and rational polygons."""
+    materializing a point."""
     total = boundary = 0
     for _, lo, hi, edge in _columns(p):
         total += hi - lo + 1
@@ -325,10 +301,9 @@ def count_lattice_points(p: AnyPolygon) -> PointCounts:
     return PointCounts(total, boundary, total - boundary)
 
 
-def minkowski_double(p: AnyPolygon) -> int:
-    """Number of lattice points of 2P, for a polygon P with integral vertices."""
-    q = to_lattice(p)
-    return count_lattice_points(dilate(q, 2)).total
+def minkowski_double(p: LatticePolygon) -> int:
+    """Number of lattice points of 2P."""
+    return count_lattice_points(dilate(p, 2)).total
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,7 @@ def dense_rank(binomials) -> int:
 
 
 def brute_force_points(vertices) -> tuple[set, set]:
-    """Lattice points of a convex polygon given by its vertex cycle, split as
+    """Lattice points of a lattice polygon given by its vertex cycle, split as
     (boundary, interior): every integer point of the bounding box is
     classified by exact cross products against the edges. A test-only oracle
     for the library's column sweep."""
@@ -319,8 +319,8 @@ def brute_force_points(vertices) -> tuple[set, set]:
     xs = [x for x, _ in vertices]
     ys = [y for _, y in vertices]
     boundary, interior = set(), set()
-    for x in range(math.floor(min(xs)), math.ceil(max(xs)) + 1):
-        for y in range(math.floor(min(ys)), math.ceil(max(ys)) + 1):
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
             sides = [sign * ((wx - vx) * (y - vy) - (wy - vy) * (x - vx))
                      for (vx, vy), (wx, wy) in edges]
             if min(sides) < 0:

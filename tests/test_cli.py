@@ -300,6 +300,33 @@ def test_quadrics_out_through_a_symlink_or_into_a_pipe(capsys, tmp_path):
         "fifo", "link.txt", "real.txt"]
 
 
+def test_quadrics_out_keeps_the_mode_of_a_replaced_file(capsys, tmp_path):
+    old_umask = os.umask(0o022)
+    try:
+        private, fresh = tmp_path / "private.txt", tmp_path / "fresh.txt"
+        private.write_text("old\n")
+        private.chmod(0o600)
+        for dest in (private, fresh):
+            code, _, _ = run(capsys, "quadrics", "--canonical", "2", "1",
+                             "--out", str(dest))
+            assert code == 0
+    finally:
+        os.umask(old_umask)
+    assert len(parse_ideal(private.read_text())) == 14
+    assert stat.S_IMODE(private.stat().st_mode) == 0o600
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o644  # the umask default
+
+
+def test_quadrics_out_into_a_missing_directory_names_the_given_path(
+        capsys, tmp_path):
+    dest = tmp_path / "missing" / "ideal.txt"
+    code, out, err = run(capsys, "quadrics", "--canonical", "2", "1",
+                         "--out", str(dest))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{dest}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_quadrics_out_memory_stays_small(capsys, tmp_path):
     dest = tmp_path / "ideal.txt"
     tracemalloc.start()

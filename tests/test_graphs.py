@@ -27,14 +27,12 @@ def test_graph_validation():
 def test_graph_of_known_fan():
     g = graph_of(family_analysis(1, 1))
     assert g.nodes == ((2, 0, 1), (0, 1, 2), (0, 0, 1))
-    assert g.anticlockwise
 
 
 def test_reverse_graph_explicit():
     g = WeightedCircularGraph(((2, 0, 1), (0, 1, 2), (0, 0, 1)))
     r = reverse_graph(g)
     assert r.nodes == ((0, 1, 2), (0, 0, 1), (2, 0, 1))
-    assert not r.anticlockwise
 
 
 def test_reverse_graph_is_involution():
