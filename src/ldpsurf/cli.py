@@ -152,27 +152,28 @@ def _cmd_quadrics(args) -> int:
         write_ideal(report, sys.stdout)
         return 0
     target = os.path.realpath(args.out)  # a symlink stays a symlink
-    if os.path.exists(target) and not os.path.isfile(target):
-        # a device or pipe cannot be renamed over; it is written directly
-        with open(target, "w", encoding="utf-8") as fh:
+    # a device or pipe cannot be renamed over, so it is written directly; a
+    # file is renamed into place only once complete, so a failed or
+    # interrupted run leaves no partial file
+    direct = os.path.exists(target) and not os.path.isfile(target)
+    path = target if direct else f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(path, "w" if direct else "x", encoding="utf-8")
+    except OSError as exc:
+        exc.filename = args.out  # the path given, not the one opened
+        raise
+    if direct:
+        with fh:
             write_ideal(report, fh)
     else:
-        # a file is renamed into place only once complete, so a failed or
-        # interrupted run leaves no partial file
-        tmp = f"{target}.{os.getpid()}.tmp"
-        try:
-            fh = open(tmp, "x", encoding="utf-8")
-        except OSError as exc:
-            exc.filename = args.out  # the path given, not the temporary one
-            raise
         try:
             with fh:
                 if os.path.isfile(target):  # a replaced file keeps its mode
-                    os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+                    os.chmod(path, stat.S_IMODE(os.stat(target).st_mode))
                 write_ideal(report, fh)
-            os.replace(tmp, target)
+            os.replace(path, target)
         except BaseException:
-            os.remove(tmp)
+            os.remove(path)
             raise
     print(f"{report.count} generators written to {args.out}")
     return 0

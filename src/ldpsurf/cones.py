@@ -108,12 +108,17 @@ def cone_invariants(c: Cone2) -> ConeData:
 
 def _refinement_chain(c: Cone2, p: int, q: int, hj: tuple[int, ...]) -> list[Point]:
     num = ((q - p) * c.n[0] + c.n2[0], (q - p) * c.n[1] + c.n2[1])
-    if num[0] % q or num[1] % q:
-        raise ConsistencyError(f"refinement point of {c} is not integral")
+    rem = (num[0] % q, num[1] % q)
+    if rem != (0, 0):
+        raise ConsistencyError(f"refinement point of {c} is not integral",
+                               check="q | (q - p)·n + n2", expected=(0, 0),
+                               got=rem)
     chain = [c.n, (num[0] // q, num[1] // q)]
     for b_j in hj:
         u, v = chain[-2], chain[-1]
         chain.append((b_j * v[0] - u[0], b_j * v[1] - u[1]))
     if chain[-1] != c.n2:
-        raise ConsistencyError(f"refinement chain of {c} misses its endpoint")
+        raise ConsistencyError(f"refinement chain of {c} misses its endpoint",
+                               check="refinement chain ends at n2",
+                               expected=c.n2, got=chain[-1])
     return chain

@@ -8,7 +8,9 @@ of polygons with 3, 4 and 5 vertices (plus a mirrored presentation of the
 4-vertex family); classify_one_singularity computes the family parameters
 and the unimodular map realizing the normal form from the fan analysis.
 Enumeration is a depth-first search in angular order from each polygon's
-smallest vertex; it analyses each polygon once and returns (polygon,
+smallest vertex; once the one non-basic cone is placed it walks only the
+points c with det(last, c) = 1, a line parallel to the last vertex listed
+once per call.  It analyses each polygon once and returns (polygon,
 classification, key) triples, the key being the canonical graph key of the
 same analysis; group_classes checks that each key equals its normal form's.
 """
@@ -55,8 +57,11 @@ class Classification:
     mu: int
 
 
+@functools.cache
 def canonical_polygon(k: int, p: int) -> LatticePolygon:
-    """Representative polygon of the family with 3 <= k+2 <= 5 vertices."""
+    """Representative polygon of the family with 3 <= k+2 <= 5 vertices.
+    Memoized: the polygon is immutable, and classification asks for each
+    normal form once per polygon classified."""
     if k not in (1, 2, 3):
         raise DomainError("k must be 1, 2 or 3")
     if p < 1:
@@ -70,9 +75,10 @@ def canonical_polygon(k: int, p: int) -> LatticePolygon:
     return LatticePolygon(verts)
 
 
+@functools.cache
 def mirror_quad(p: int) -> LatticePolygon:
     """The second 4-vertex presentation, image of canonical_polygon(2, p)
-    under mirror_quad_map(p)."""
+    under mirror_quad_map(p).  Memoized like canonical_polygon."""
     if p < 1:
         raise DomainError("p must be >= 1")
     return LatticePolygon(((1, -1), (p, 1), (-1, 0), (0, -1)))
@@ -96,11 +102,12 @@ def ldp_analyze(q: LatticePolygon) -> LdpData:
     polar_verts = []
     for i, (a, b, c) in enumerate(edge_lines(q)):
         level = -c  # value of the primitive outer normal on the facet
-        if level != analysis.cone_data[i].local_index:
+        local_index = analysis.cone_data[i].local_index
+        if level != local_index:
             raise ConsistencyError(
                 f"facet level {level} differs from cone local index "
-                f"{analysis.cone_data[i].local_index}"
-            )
+                f"{local_index}", check="facet level == cone local index",
+                expected=local_index, got=level)
         locals_.append(level)
         polar_verts.append((Fraction(a, level), Fraction(b, level)))
     return LdpData(
@@ -131,12 +138,14 @@ def classify_one_singularity(a: FanAnalysis) -> Classification:
     if cd.q != p + 1:
         raise ConsistencyError(
             f"one-singularity polygon with cone type ({cd.p}, {cd.q}); "
-            "the non-adjacent parameter pair should be impossible"
-        )
+            "the non-adjacent parameter pair should be impossible",
+            check="cone type q == p + 1", expected=p + 1, got=cd.q)
     fan = a.fan
     nu = fan.nu
     if nu - 2 not in (1, 2, 3):
-        raise ConsistencyError(f"one-singularity polygon with {nu} vertices")
+        raise ConsistencyError(f"one-singularity polygon with {nu} vertices",
+                               check="vertex count", expected="3, 4 or 5",
+                               got=nu)
     k = nu - 2
     rotated = fan.rays[j:] + fan.rays[:j]
     upsilon = _TILT.compose(cd.normalizer)
@@ -144,8 +153,8 @@ def classify_one_singularity(a: FanAnalysis) -> Classification:
     mu_hits = [i for i, v in enumerate(image_verts) if v == (-1, 0)]
     if len(mu_hits) != 1:
         raise ConsistencyError(
-            f"expected exactly one vertex at (-1, 0), found {len(mu_hits)}"
-        )
+            f"expected exactly one vertex at (-1, 0), found {len(mu_hits)}",
+            check="vertices at (-1, 0)", expected=1, got=len(mu_hits))
     mu = mu_hits[0] + 1
     image = LatticePolygon(image_verts)
     target = canonical_polygon(k, p)
@@ -186,6 +195,83 @@ def _primitive_box_points(bound: int) -> list[Point]:
 Enumerated = tuple[LatticePolygon, Classification, tuple]
 
 
+def _one_singularity_search(bound: int) -> list[LatticePolygon]:
+    """The polygons enumerate_one_singularity(bound) classifies, found in
+    search order; its docstring gives the search."""
+    cands = _primitive_box_points(bound)
+    n = len(cands)
+    # basic[l]: the points c with det(l, c) == 1, in angular order from l,
+    # each with its angular offset (index in cands - index of l) mod n
+    basic: dict[Point, list[tuple[Point, int]]] = {}
+    for i, (lx, ly) in enumerate(cands):
+        line = basic[lx, ly] = []
+        for d in range(1, n):
+            c = cands[(i + d) % n]
+            det = lx * c[1] - ly * c[0]
+            if det <= 0:
+                break  # past -l
+            if det == 1:
+                line.append((c, d))
+    found: list[LatticePolygon] = []
+
+    def extend(chain: list[Point], nonbasic: int, succ: list[tuple[Point, int]],
+               pos: int, wrap: int, fx: int, fy: int, px: int, py: int,
+               lx: int, ly: int) -> None:
+        # first = (fx, fy), prev = (px, py), last = (lx, ly), and first is
+        # wrap steps after last in cands' angular order; closing needs no
+        # turn test: the first-vertex prune gives the turn at last, and the
+        # smallest vertex of a star-shaped chain is a hull vertex
+        det = lx * fy - ly * fx  # negative while chain is [first, second]
+        if det > 0 and nonbasic + (det > 1) == 1:
+            found.append(LatticePolygon(tuple(chain)))
+        if nonbasic:  # every later cone is basic: walk the det = 1 line
+            first = chain[0]
+            for cand, d in basic[lx, ly]:
+                if d >= wrap:
+                    break  # this and every later point is at or past first
+                if cand < first:
+                    continue
+                cx, cy = cand
+                ex, ey = cx - lx, cy - ly
+                if (lx - px) * ey - (ly - py) * ex <= 0:
+                    continue  # no strict left turn at last
+                if ex * (fy - ly) - ey * (fx - lx) <= 0:
+                    continue  # first not strictly left of last -> cand
+                chain.append(cand)
+                extend(chain, 1, succ, pos, wrap - d, fx, fy, lx, ly, cx, cy)
+                chain.pop()
+            return
+        for idx in range(pos, len(succ)):
+            cand, rank = succ[idx]
+            cx, cy = cand
+            det = lx * cy - ly * cx
+            if det <= 0:
+                break  # this and every later candidate is past -last
+            ex, ey = cx - lx, cy - ly
+            if (lx - px) * ey - (ly - py) * ex <= 0:
+                continue  # no strict left turn at last
+            if ex * (fy - ly) - ey * (fx - lx) <= 0:
+                continue  # first not strictly left of last -> cand
+            chain.append(cand)
+            extend(chain, det > 1, succ, idx + 1, n - rank,
+                   fx, fy, lx, ly, cx, cy)
+            chain.pop()
+
+    for si, first in enumerate(cands):
+        # the points after first in angular order, each with its rank there
+        rotated = cands[si:] + cands[:si]
+        succ = [(c, r) for r, c in enumerate(rotated) if c > first]
+        fx, fy = first
+        for idx, (second, rank) in enumerate(succ):
+            det = fx * second[1] - fy * second[0]
+            if det <= 0:
+                break
+            extend([first, second], det > 1, succ, idx + 1, n - rank,
+                   fx, fy, fx, fy, *second)
+    del extend  # a self-reference: without this the lists outlive the call
+    return found
+
+
 def enumerate_one_singularity(bound: int) -> list[Enumerated]:
     """Exhaustively enumerate one-singularity log del Pezzo polygons whose
     vertex coordinates lie in [-bound, bound]^2.
@@ -195,9 +281,12 @@ def enumerate_one_singularity(bound: int) -> list[Enumerated]:
     order; a step last -> cand needs det(last, cand) > 0, a strict left turn
     and at most one det > 1 in all.  No prune drops a polygon: along the
     angular order det(last, cand) <= 0 from the ray opposite last on, so the
-    scan stops there; only points after first are candidates, as first is
-    the smallest vertex, so each polygon is found once; and a strictly
-    convex polygon has first strictly left of every edge not containing it.
+    scan stops there; with the singular cone placed, every later cone is
+    basic, so the candidates lie on the det = 1 line, whose points are
+    listed once per box point in angular order and walked up to first; only
+    points after first are candidates, as first is the smallest vertex, so
+    each polygon is found once; and a strictly convex polygon has first
+    strictly left of every edge not containing it.
 
     Returns (polygon, classification, key) triples in vertex order, where
     classification and the canonical graph key come from one analysis of the
@@ -208,44 +297,7 @@ def enumerate_one_singularity(bound: int) -> list[Enumerated]:
     """
     if bound < 1:
         raise DomainError("bound must be >= 1")
-    cands = _primitive_box_points(bound)
-    found: list[LatticePolygon] = []
-
-    def extend(chain: list[Point], nonbasic: int, succ: list[Point], pos: int,
-               fx: int, fy: int, px: int, py: int, lx: int, ly: int) -> None:
-        # first = (fx, fy), prev = (px, py), last = (lx, ly); closing needs no
-        # turn test: the first-vertex prune gives the turn at last, and the
-        # smallest vertex of a star-shaped chain is a hull vertex
-        det = lx * fy - ly * fx  # negative while chain is [first, second]
-        if det > 0 and nonbasic + (det > 1) == 1:
-            found.append(LatticePolygon(tuple(chain)))
-        for idx in range(pos, len(succ)):
-            cx, cy = cand = succ[idx]
-            det = lx * cy - ly * cx
-            if det <= 0:
-                break  # this and every later candidate is past -last
-            nb = nonbasic + (det > 1)
-            if nb > 1:
-                continue
-            ex, ey = cx - lx, cy - ly
-            if (lx - px) * ey - (ly - py) * ex <= 0:
-                continue  # no strict left turn at last
-            if ex * (fy - ly) - ey * (fx - lx) <= 0:
-                continue  # first not strictly left of last -> cand
-            chain.append(cand)
-            extend(chain, nb, succ, idx + 1, fx, fy, lx, ly, cx, cy)
-            chain.pop()
-
-    for si, first in enumerate(cands):
-        succ = [c for c in cands[si + 1:] + cands[:si] if c > first]
-        fx, fy = first
-        for idx, second in enumerate(succ):
-            det = fx * second[1] - fy * second[0]
-            if det <= 0:
-                break
-            extend([first, second], det > 1, succ, idx + 1,
-                   fx, fy, fx, fy, *second)
-
+    found = _one_singularity_search(bound)
     keys: dict[tuple, tuple] = {}
     results = []
     for poly in sorted(found, key=lambda q: q.vertices):

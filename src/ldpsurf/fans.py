@@ -124,14 +124,12 @@ def _ray_weights(f: CompleteFan, data: tuple[ConeData, ...]) -> tuple[int, ...]:
         left = data[(i - 1) % n].chain[-2]
         right = data[i].chain[1]
         s = (left[0] + right[0], left[1] + right[1])
-        if ray[0] != 0:
-            r, rem = divmod(s[0], ray[0])
-        else:
-            r, rem = divmod(s[1], ray[1])
-        if rem or (r * ray[0], r * ray[1]) != s:
+        r = s[0] // ray[0] if ray[0] != 0 else s[1] // ray[1]
+        multiple = (r * ray[0], r * ray[1])
+        if multiple != s:
             raise ConsistencyError(
-                f"neighbour sum {s} of ray {ray} is not an integer multiple of it"
-            )
+                f"neighbour sum {s} of ray {ray} is not an integer multiple of it",
+                check="neighbour sum == r·ray", expected=multiple, got=s)
         weights.append(r)
     return tuple(weights)
 

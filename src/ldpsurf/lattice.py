@@ -171,9 +171,6 @@ class LatticePolygon:
             verts.append((x, y))
         object.__setattr__(self, "vertices", _canonical_cycle(verts))
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
 
 @dataclass(frozen=True)
 class RationalPolygon:

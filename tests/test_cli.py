@@ -327,6 +327,18 @@ def test_quadrics_out_into_a_missing_directory_names_the_given_path(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_quadrics_out_to_a_directory_link_names_the_given_path(
+        capsys, tmp_path, monkeypatch):
+    (tmp_path / "realdir").mkdir()
+    (tmp_path / "linkdir").symlink_to("realdir")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "quadrics", "--canonical", "2", "1",
+                         "--out", "linkdir")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 21] Is a directory: 'linkdir'\n"
+    assert list((tmp_path / "realdir").iterdir()) == []
+
+
 def test_quadrics_out_memory_stays_small(capsys, tmp_path):
     dest = tmp_path / "ideal.txt"
     tracemalloc.start()

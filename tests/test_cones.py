@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from ldpsurf import (Cone2, DomainError, LatticePolygon, cone_invariants,
-                     count_lattice_points, cross, hj_expansion, socius)
+import ldpsurf.cones as cones
+from ldpsurf import (Cone2, ConsistencyError, DomainError, LatticePolygon,
+                     cone_invariants, count_lattice_points, cross,
+                     hj_expansion, socius)
 
 
 def random_cone(rng: random.Random, bound: int = 6) -> Cone2:
@@ -162,6 +164,23 @@ def test_refinement_chain_known_values():
     assert chain((1, -1), (2, 1)) == ((1, -1), (1, 0), (2, 1))
     # a basic cone needs no refinement: its chain is the generator pair
     assert chain((1, 0), (0, 1)) == ((1, 0), (0, 1))
+
+
+def test_refinement_chain_failures_name_check_and_values():
+    cone = Cone2((1, 0), (1, 2))  # p = 1, q = 2, hj = (2,)
+    assert cones._refinement_chain(cone, 1, 2, (2,)) == [(1, 0), (1, 1), (1, 2)]
+    with pytest.raises(ConsistencyError) as exc:
+        cones._refinement_chain(cone, 2, 2, (2,))  # wrong p
+    err = exc.value
+    assert (err.check, err.expected, err.got) == (
+        "q | (q - p)·n + n2", (0, 0), (1, 0))
+    assert str(err) == f"refinement point of {cone} is not integral"
+    with pytest.raises(ConsistencyError) as exc:
+        cones._refinement_chain(cone, 1, 2, (3,))  # wrong expansion
+    err = exc.value
+    assert (err.check, err.expected, err.got) == (
+        "refinement chain ends at n2", (1, 2), (2, 3))
+    assert str(err) == f"refinement chain of {cone} misses its endpoint"
 
 
 def test_refinement_chain_properties():

@@ -1,6 +1,7 @@
 """Log del Pezzo analysis and the one-singularity classification."""
 
 import functools
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -22,9 +23,9 @@ from ldpsurf import (ConsistencyError, DomainError, LatticePolygon,
 
 def test_canonical_polygon_shapes():
     assert canonical_polygon(1, 2).vertices == ((-1, 0), (1, -1), (2, 1))
-    assert len(canonical_polygon(1, 5)) == 3
-    assert len(canonical_polygon(2, 5)) == 4
-    assert len(canonical_polygon(3, 5)) == 5
+    assert len(canonical_polygon(1, 5).vertices) == 3
+    assert len(canonical_polygon(2, 5).vertices) == 4
+    assert len(canonical_polygon(3, 5).vertices) == 5
     for k in (1, 2, 3):
         for p in range(1, 12):
             assert helpers.is_ldp(canonical_polygon(k, p))
@@ -77,6 +78,21 @@ def test_ldp_analyze_polar_known():
     assert data.index == 1
     # polar area recovers the canonical self-intersection
     assert polygon_area2(data.polar) == data.analysis.k2
+
+
+def test_facet_level_failure_names_check_and_values(monkeypatch):
+    real = delpezzo.edge_lines
+
+    def doubled(q):  # every facet's level is its cone's local index
+        return [(a, b, 2 * c) for a, b, c in real(q)]
+
+    monkeypatch.setattr(delpezzo, "edge_lines", doubled)
+    with pytest.raises(ConsistencyError) as exc:
+        ldp_analyze(canonical_polygon(1, 1))
+    err = exc.value
+    assert (err.check, err.expected, err.got) == (
+        "facet level == cone local index", 1, 2)
+    assert str(err) == "facet level 2 differs from cone local index 1"
 
 
 def test_ldp_analyze_rejects_non_ldp():
@@ -228,10 +244,25 @@ def test_enumerate_bound_seven():
         {(k, p) for k in (1, 2, 3) for p in range(1, 14)}
 
 
+def test_enumerate_output_is_pinned():
+    # (vertices, k, p, normal_form, mu) in the order returned, at bounds past
+    # the subset oracle's 2 and the property test's 4
+    for bound, count, digest in (
+        (5, 1872,
+         "03554c412a4a6a526dcc072eea8387920666135fcb873168c0ea9b508382f890"),
+        (8, 5488,
+         "1630da03a402f9d35a44d745908136775a79cb0bb97cea450402ca3b63b22b9e"),
+    ):
+        rows = [(poly.vertices, cls.k, cls.p, cls.normal_form, cls.mu)
+                for poly, cls, _ in enumerate_one_singularity(bound)]
+        assert len(rows) == count
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
 def test_enumerate_is_search_order_independent(monkeypatch):
-    forward = enumerate_one_singularity(2)
+    forward = {b: enumerate_one_singularity(b) for b in (2, 4)}
     # rotating the candidates keeps their cyclic angular order but starts the
-    # search elsewhere
+    # search, and every index the det = 1 walk compares, elsewhere
     box_points = delpezzo._primitive_box_points
 
     def rotated(bound):
@@ -240,8 +271,10 @@ def test_enumerate_is_search_order_independent(monkeypatch):
         return pts[half:] + pts[:half]
 
     monkeypatch.setattr(delpezzo, "_primitive_box_points", rotated)
-    shifted = enumerate_one_singularity(2)
-    assert [poly for poly, _, _ in forward] == [poly for poly, _, _ in shifted]
+    for b, results in forward.items():
+        shifted = enumerate_one_singularity(b)
+        assert [poly for poly, _, _ in results] == \
+            [poly for poly, _, _ in shifted]
 
 
 def test_enumerate_validation():
@@ -283,7 +316,7 @@ def test_enumeration_analyses_each_polygon_once(monkeypatch):
     # one analysis per polygon serves classification and graph key; plus
     # each normal form once
     kps = {(cls.k, cls.p) for _, cls, _ in results}
-    assert len(calls) == sum(len(poly) for poly, _, _ in results) \
+    assert len(calls) == sum(len(poly.vertices) for poly, _, _ in results) \
         + sum(k + 2 for k, _ in kps) == 612
     assert not reads  # neither K^2 nor the desingularization is built
     # equal keys are one shared object

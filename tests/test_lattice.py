@@ -78,7 +78,7 @@ def test_polygon_canonical_storage():
     assert LatticePolygon(((3, 0), (0, 3), (0, 0))) == TRIANGLE
     assert LatticePolygon(((0, 3), (3, 0), (0, 0))) == TRIANGLE  # clockwise input
     assert SQUARE.vertices[0] == (-1, -1)
-    assert len(SQUARE) == 4
+    assert len(SQUARE.vertices) == 4
 
 
 def test_polygon_rejects_bad_input():
