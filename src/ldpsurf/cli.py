@@ -71,8 +71,9 @@ def _analyze_payload(q: LatticePolygon) -> dict:
         "singular_count": len(data.analysis.singular_indices),
         "singularities": singularities,
         "graph": render_graph(graph_of(data.analysis)),
-        "polar_vertices": [
-            [_frac_str(x), _frac_str(y)] for x, y in data.polar.vertices
+        "polar_vertices": [  # P = index · polar keeps the polar's order
+            [_frac_str(Fraction(c, data.index)) for c in v]
+            for v in data.dilated_polar.vertices
         ],
         "embedding": {
             "ambient_dim": emb.ambient_dim,
@@ -148,7 +149,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_quadrics(args) -> int:
     report = minimal_system(embedding_data(ldp_analyze(_load_input(args))))
-    if not args.out:
+    if args.out is None:
         write_ideal(report, sys.stdout)
         return 0
     target = os.path.realpath(args.out)  # a symlink stays a symlink

@@ -20,13 +20,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, SingularityCountError
 from .fans import FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import canonical_key, graph_of
-from .lattice import (LatticePolygon, Point, RationalPolygon, UnimodularMap,
-                      _angular_before, edge_lines)
+from .lattice import (LatticePolygon, Point, UnimodularMap, _angular_before,
+                      edge_lines)
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class LdpData:
     analysis: FanAnalysis
     local_indices: tuple[int, ...]
     index: int
-    polar: RationalPolygon
+    dilated_polar: LatticePolygon  # index · polar, in integers
 
 
 @dataclass(frozen=True)
@@ -90,17 +89,20 @@ def mirror_quad_map(p: int) -> UnimodularMap:
 
 
 def ldp_analyze(q: LatticePolygon) -> LdpData:
-    """Fan invariants, facet local indices, index and polar polygon.
+    """Fan invariants, facet local indices, index and dilated polar polygon.
 
     Each facet's level, the value of its primitive outer normal on it, must
     equal the local index of the cone over it; the index is their least
     common multiple, which is also the smallest dilation making the polar
-    polygon integral, since every normal is primitive.
+    polygon integral, since every normal is primitive.  The facet with inner
+    normal (a, b) gives the polar vertex (a, b) / level, so P = index · polar
+    has the vertex (index // level) · (a, b), an integer point because every
+    level divides the index: P is built in integers alone.
     """
     analysis = analyze_fan(fan_from_polygon(q))
+    lines = edge_lines(q)
     locals_ = []
-    polar_verts = []
-    for i, (a, b, c) in enumerate(edge_lines(q)):
+    for i, (_, _, c) in enumerate(lines):
         level = -c  # value of the primitive outer normal on the facet
         local_index = analysis.cone_data[i].local_index
         if level != local_index:
@@ -109,13 +111,15 @@ def ldp_analyze(q: LatticePolygon) -> LdpData:
                 f"{local_index}", check="facet level == cone local index",
                 expected=local_index, got=level)
         locals_.append(level)
-        polar_verts.append((Fraction(a, level), Fraction(b, level)))
+    ell = math.lcm(*locals_)
     return LdpData(
         polygon=q,
         analysis=analysis,
         local_indices=tuple(locals_),
-        index=math.lcm(*locals_),
-        polar=RationalPolygon(tuple(polar_verts)),
+        index=ell,
+        dilated_polar=LatticePolygon(tuple(
+            (ell // level * a, ell // level * b)
+            for (a, b, _), level in zip(lines, locals_))),
     )
 
 
@@ -149,23 +153,23 @@ def classify_one_singularity(a: FanAnalysis) -> Classification:
     k = nu - 2
     rotated = fan.rays[j:] + fan.rays[:j]
     upsilon = _TILT.compose(cd.normalizer)
-    image_verts = tuple(upsilon.apply(v) for v in rotated)
-    mu_hits = [i for i, v in enumerate(image_verts) if v == (-1, 0)]
-    if len(mu_hits) != 1:
-        raise ConsistencyError(
-            f"expected exactly one vertex at (-1, 0), found {len(mu_hits)}",
-            check="vertices at (-1, 0)", expected=1, got=len(mu_hits))
-    mu = mu_hits[0] + 1
-    image = LatticePolygon(image_verts)
-    target = canonical_polygon(k, p)
+    image_verts = [upsilon.apply(v) for v in rotated]
+    # upsilon has det +1, so the image is anticlockwise like the fan: started
+    # at its smallest vertex it is in canonical order, and a match with the
+    # target puts exactly one vertex at (-1, 0)
+    start = image_verts.index(min(image_verts))
+    image = tuple(image_verts[start:] + image_verts[:start])
+    target = canonical_polygon(k, p).vertices
     if image == target:
         transform, form = upsilon, "standard"
-    elif k == 2 and image == mirror_quad(p):
+    elif k == 2 and image == mirror_quad(p).vertices:
         transform, form = mirror_quad_map(p).compose(upsilon), "mirror"
     else:
         raise ConsistencyError(
-            f"normalized polygon {image.vertices} matches no family member"
-        )
+            f"normalized polygon {image} matches no family member",
+            check="normalized vertices == canonical_polygon(k, p)",
+            expected=target, got=image)
+    mu = image_verts.index((-1, 0)) + 1
     return Classification(k=k, p=p, transform=transform, normal_form=form, mu=mu)
 
 
@@ -326,12 +330,13 @@ def group_classes(results: list[Enumerated]) -> dict[tuple, dict]:
         if key != target_keys[kp]:
             raise ConsistencyError(
                 f"polygon {poly.vertices} is not isomorphic to its normal "
-                f"form ({cls.k}, {cls.p})"
-            )
+                f"form ({cls.k}, {cls.p})", check="graph key == normal form's",
+                expected=target_keys[kp], got=key)
         entry = classes.setdefault(key, {"k": cls.k, "p": cls.p, "count": 0})
         if (entry["k"], entry["p"]) != kp:
             raise ConsistencyError(
-                "polygons in one graph class classified differently"
-            )
+                "polygons in one graph class classified differently",
+                check="one (k, p) per graph class",
+                expected=(entry["k"], entry["p"]), got=kp)
         entry["count"] += 1
     return classes

@@ -1,15 +1,15 @@
 """Anticanonical quadric embeddings of one-singularity log del Pezzo surfaces.
 
-Dilating the polar polygon by the index gives a lattice polygon P, built in
-integers, whose lattice points, read off the column sweep in lexicographic
-order, are the exponents of the embedding monomials.  The defining ideal is
-generated by quadratic binomials z_a z_b - z_c z_d with a + b = c + d; a
-minimal generating system takes, inside the fiber of each sum point, the
-differences against the lexicographically smallest point pair.  The report
-holds those fibers in index form, root first and already sorted, and the
-text form is streamed fiber by fiber with each root rendered once; the
-number of fibers is checked against |2P ∩ Z²| = 2·(2A) + B + 1 (Ehrhart, for
-area A and B boundary points) before any text is written.
+The polar polygon dilated by the index is the lattice polygon P that
+`ldp_analyze` builds in integers; its lattice points, read off the column
+sweep in lexicographic order, are the exponents of the embedding monomials.
+The defining ideal is generated by quadratic binomials z_a z_b - z_c z_d
+with a + b = c + d; a minimal generating system takes, inside the fiber of
+each sum point, the differences against the lexicographically smallest point
+pair.  The report holds those fibers in index form, root first and already
+sorted, and the text form is streamed fiber by fiber with each root rendered
+once; the number of fibers is checked against |2P ∩ Z²| = 2·(2A) + B + 1
+(Ehrhart, for area A and B boundary points) before any text is written.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .lattice import (LatticePolygon, Point, _columns, lattice_points,
 class EmbeddingData:
     """The dilated polar polygon and its embedding numerology."""
 
-    polygon: LatticePolygon          # index * polar, integral by construction
+    polygon: LatticePolygon          # LdpData.dilated_polar, index · polar
     ambient_dim: int                 # one less than the number of points
     degree: int                      # twice the polygon area
     boundary_count: int
@@ -85,19 +85,13 @@ class TableRow:
 
 
 def embedding_data(data: LdpData) -> EmbeddingData:
-    """Lattice data of P = index · polar.
+    """Lattice data of P = index · polar, the polygon `ldp_analyze` built.
 
-    P is integral by construction: each polar vertex is (a, b) / level, its
-    denominator divides the facet level, and the index is the lcm of the
-    levels, so P is built from the polar vertices in integers alone.  Counts
-    come from one column sweep, the degree from the shoelace sum, and the
-    points are derived on read.  Pick's identity is asserted, so a failure
-    here means a counting bug rather than unusual input.
+    Counts come from one column sweep, the degree from the shoelace sum,
+    and the points are derived on read.  Pick's identity is asserted, so a
+    failure here means a counting bug rather than unusual input.
     """
-    ell = data.index
-    dilated = LatticePolygon(tuple(
-        tuple(ell // c.denominator * c.numerator for c in v)
-        for v in data.polar.vertices))
+    dilated = data.dilated_polar
     boundary, interior = lattice_points(dilated)
     degree = polygon_area2(dilated)
     delta = len(boundary) + len(interior) - 1

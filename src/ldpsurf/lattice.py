@@ -1,9 +1,8 @@
 """Exact plane lattice geometry: points, unimodular maps, convex polygons.
 
-All arithmetic is exact.  Lattice polygons have integer vertices; the polar
-polygon of a log del Pezzo polygon is the one rational polygon, kept as
-`fractions.Fraction` vertices for its area and its printed form.  Polygons
-are immutable and stored in a canonical form (anticlockwise,
+All arithmetic is in integers.  Polygons have integer vertices (a log del
+Pezzo polygon's polar is held as its dilation by the index, which is
+integral), are immutable and are stored in a canonical form (anticlockwise,
 lexicographically smallest vertex first), so two polygons are equal exactly
 when their canonical vertex tuples are equal.  Lattice point sets and counts
 come from one integer sweep over the columns of a lattice polygon, which
@@ -15,17 +14,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ParseError
 
 Point = tuple[int, int]
-RatPoint = tuple[Fraction, Fraction]
-Coord = Union[int, Fraction]
 
 
-def cross(u: Sequence[Coord], v: Sequence[Coord]) -> Coord:
+def cross(u: Sequence[int], v: Sequence[int]) -> int:
     """Determinant of the 2x2 matrix with columns u, v."""
     return u[0] * v[1] - u[1] * v[0]
 
@@ -53,25 +49,25 @@ def is_primitive(v: Sequence[int]) -> bool:
     return math.gcd(v[0], v[1]) == 1
 
 
-def _orientation_area2(vertices: Sequence[Sequence[Coord]]) -> Coord:
+def _orientation_area2(vertices: Sequence[Sequence[int]]) -> int:
     n = len(vertices)
     return sum(cross(vertices[i], vertices[(i + 1) % n]) for i in range(n))
 
 
-def _angular_half(v: Sequence[Coord]) -> int:
+def _angular_half(v: Sequence[int]) -> int:
     # 0 on the half-open upper half plane (positive x-axis included),
     # 1 on the lower one; gives a total angular order together with cross.
     return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
 
 
-def _angular_before(u: Sequence[Coord], v: Sequence[Coord]) -> bool:
+def _angular_before(u: Sequence[int], v: Sequence[int]) -> bool:
     hu, hv = _angular_half(u), _angular_half(v)
     if hu != hv:
         return hu < hv
     return cross(u, v) > 0
 
 
-def _wraps_once(vectors: Sequence[Sequence[Coord]]) -> bool:
+def _wraps_once(vectors: Sequence[Sequence[int]]) -> bool:
     """True if a cyclic sequence of directions with positive consecutive
     cross products sweeps the full circle exactly once.
 
@@ -85,34 +81,6 @@ def _wraps_once(vectors: Sequence[Sequence[Coord]]) -> bool:
         for i in range(n)
     )
     return descents == 1
-
-
-def _canonical_cycle(vertices: list) -> tuple:
-    n = len(vertices)
-    if n < 3:
-        raise DomainError("a polygon needs at least 3 vertices")
-    if len(set(vertices)) != n:
-        raise DomainError("duplicate vertex")
-    area2 = _orientation_area2(vertices)
-    if area2 == 0:
-        raise DomainError("degenerate polygon (zero area)")
-    if area2 < 0:
-        vertices = vertices[::-1]
-    edges = [
-        (vertices[(i + 1) % n][0] - vertices[i][0],
-         vertices[(i + 1) % n][1] - vertices[i][1])
-        for i in range(n)
-    ]
-    for i in range(n):
-        if cross(edges[i], edges[(i + 1) % n]) <= 0:
-            raise DomainError(
-                "vertices are not in strictly convex position "
-                "(collinear or reflex vertex)"
-            )
-    if not _wraps_once(edges):
-        raise DomainError("vertex cycle winds around more than once")
-    start = min(range(n), key=lambda i: vertices[i])
-    return tuple(vertices[start:] + vertices[:start])
 
 
 @dataclass(frozen=True)
@@ -136,7 +104,7 @@ class UnimodularMap:
     def identity(cls) -> "UnimodularMap":
         return cls(1, 0, 0, 1)
 
-    def apply(self, p: Sequence[Coord]):
+    def apply(self, p: Point) -> Point:
         return (self.a * p[0] + self.b * p[1], self.c * p[0] + self.d * p[1])
 
     def compose(self, other: "UnimodularMap") -> "UnimodularMap":
@@ -163,41 +131,49 @@ class LatticePolygon:
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        verts = []
+        vertices = []
         for v in self.vertices:
             x, y = v
             if not isinstance(x, int) or not isinstance(y, int):
                 raise DomainError(f"non-integer vertex {v!r}")
-            verts.append((x, y))
-        object.__setattr__(self, "vertices", _canonical_cycle(verts))
+            vertices.append((x, y))
+        n = len(vertices)
+        if n < 3:
+            raise DomainError("a polygon needs at least 3 vertices")
+        if len(set(vertices)) != n:
+            raise DomainError("duplicate vertex")
+        area2 = _orientation_area2(vertices)
+        if area2 == 0:
+            raise DomainError("degenerate polygon (zero area)")
+        if area2 < 0:
+            vertices = vertices[::-1]
+        edges = [
+            (vertices[(i + 1) % n][0] - vertices[i][0],
+             vertices[(i + 1) % n][1] - vertices[i][1])
+            for i in range(n)
+        ]
+        for i in range(n):
+            if cross(edges[i], edges[(i + 1) % n]) <= 0:
+                raise DomainError(
+                    "vertices are not in strictly convex position "
+                    "(collinear or reflex vertex)"
+                )
+        if not _wraps_once(edges):
+            raise DomainError("vertex cycle winds around more than once")
+        start = min(range(n), key=lambda i: vertices[i])
+        object.__setattr__(self, "vertices",
+                           tuple(vertices[start:] + vertices[:start]))
 
 
-@dataclass(frozen=True)
-class RationalPolygon:
-    """Convex polygon with rational vertices, canonically stored."""
-
-    vertices: tuple[RatPoint, ...]
-
-    def __post_init__(self):
-        verts = []
-        for v in self.vertices:
-            x, y = Fraction(v[0]), Fraction(v[1])
-            verts.append((x, y))
-        object.__setattr__(self, "vertices", _canonical_cycle(verts))
-
-
-AnyPolygon = Union[LatticePolygon, RationalPolygon]
-
-
-def polygon_area2(p: AnyPolygon) -> Coord:
+def polygon_area2(p: LatticePolygon) -> int:
     """Twice the enclosed area (exact shoelace sum; positive)."""
     return _orientation_area2(p.vertices)
 
 
-def apply_map(m: UnimodularMap, p: AnyPolygon) -> AnyPolygon:
+def apply_map(m: UnimodularMap, p: LatticePolygon) -> LatticePolygon:
     """Image polygon under a unimodular map; canonical storage reorients
     automatically when det = -1."""
-    return type(p)(tuple(m.apply(v) for v in p.vertices))
+    return LatticePolygon(tuple(m.apply(v) for v in p.vertices))
 
 
 def dilate(p: LatticePolygon, factor: int) -> LatticePolygon:

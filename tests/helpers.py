@@ -9,10 +9,14 @@ import re
 import sys
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from ldpsurf import (EmbeddingData, FanAnalysis, LatticePolygon,
                      QuadricIdealReport, UnimodularMap, WeightedCircularGraph,
-                     analyze_fan, contains_origin_interior, embedding_data,
+                     analyze_fan, apply_map, canonical_polygon,
+                     contains_origin_interior, embedding_data,
                      fan_from_polygon, is_primitive, ldp_analyze)
+from ldpsurf.lattice import edge_lines
 
 
 def analysis_of(poly: LatticePolygon) -> FanAnalysis:
@@ -172,6 +176,32 @@ def random_ldp_polygon(rng: random.Random, bound: int = 4, tries: int = 2000,
                              or ldp_analyze(poly).index <= max_index):
             return poly
     raise AssertionError("could not sample an LDP polygon")
+
+
+@st.composite
+def ldp_presentations(draw):
+    """Random LDP polygons of index at most 6 (larger ones dilate to millions
+    of points), or family members in a random GL2(Z) presentation."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        return random_ldp_polygon(rng, max_index=6)
+    m = random_unimodular(rng, shears=draw(st.integers(0, 4)))
+    return apply_map(m, canonical_polygon(draw(st.integers(1, 3)),
+                                          draw(st.integers(1, 9))))
+
+
+def polar_oracle(q: LatticePolygon) -> tuple[tuple, Fraction]:
+    """The polar polygon of a log del Pezzo polygon and twice its area.  The
+    facet line a*x + b*y >= -level gives the vertex (a/level, b/level), as
+    Fractions; the vertices are ordered by convex_hull (anticlockwise from
+    the smallest) and the area is the shoelace sum.  A test-only oracle for
+    the integral dilated polar that ldp_analyze builds."""
+    polar = convex_hull([(Fraction(a, -c), Fraction(b, -c))
+                         for a, b, c in edge_lines(q)])
+    assert len(polar) == len(q.vertices)  # one vertex per facet
+    area2 = sum(ux * vy - uy * vx
+                for (ux, uy), (vx, vy) in zip(polar, polar[1:] + polar[:1]))
+    return tuple(polar), area2
 
 
 # Polygon files that once escaped the parser with a traceback: nesting past

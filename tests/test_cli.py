@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
 
 import helpers
 import ldpsurf.cli as cli
@@ -31,6 +32,16 @@ def write_polygon(tmp_path, polygon, name="poly.txt"):
     path = tmp_path / name
     path.write_text(format_polygon_text(polygon))
     return str(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(helpers.ldp_presentations())
+def test_printed_polar_and_k2_match_the_polar_from_facet_lines(poly):
+    payload = cli._analyze_payload(poly)
+    polar, area2 = helpers.polar_oracle(poly)
+    assert payload["polar_vertices"] == [
+        [f"{c.numerator}/{c.denominator}" for c in v] for v in polar]
+    assert payload["k2"] == f"{area2.numerator}/{area2.denominator}"
 
 
 def test_analyze_canonical_text(capsys):
@@ -245,6 +256,15 @@ def test_quadrics_stdout(capsys):
                         "sectional_genus=1")
     assert len(lines) == 16
     assert len(parse_ideal(out)) == 14
+
+
+def test_quadrics_empty_out_is_refused(capsys, tmp_path, monkeypatch):
+    # an empty path names no file; it must not fall back to stdout
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "quadrics", "--canonical", "2", "1",
+                         "--out", "")
+    assert (code, out) == (2, "") and err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_quadrics_out_file(capsys, tmp_path):

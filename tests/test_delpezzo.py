@@ -14,11 +14,11 @@ import helpers
 import ldpsurf.delpezzo as delpezzo
 import ldpsurf.fans as fans
 from ldpsurf import (ConsistencyError, DomainError, LatticePolygon,
-                     SingularityCountError, apply_map, canonical_polygon,
-                     classify_one_singularity, enumerate_one_singularity,
-                     group_classes, index_parity_check, ldp_analyze,
-                     mirror_quad, mirror_quad_map, polygon_area2,
-                     surfaces_isomorphic)
+                     SingularityCountError, apply_map, canonical_key,
+                     canonical_polygon, classify_one_singularity,
+                     enumerate_one_singularity, graph_of, group_classes,
+                     index_parity_check, ldp_analyze, mirror_quad,
+                     mirror_quad_map, surfaces_isomorphic)
 
 
 def test_canonical_polygon_shapes():
@@ -69,15 +69,18 @@ def test_ldp_analyze_family_indices():
 
 
 def test_ldp_analyze_polar_known():
-    data = ldp_analyze(canonical_polygon(1, 1))
-    assert data.polar.vertices == (
+    poly = canonical_polygon(1, 1)
+    data = ldp_analyze(poly)
+    polar, area2 = helpers.polar_oracle(poly)
+    assert polar == (
         (Fraction(-1), Fraction(0)),
         (Fraction(1), Fraction(-2)),
         (Fraction(1), Fraction(2)),
     )
     assert data.index == 1
+    assert data.dilated_polar.vertices == ((-1, 0), (1, -2), (1, 2))
     # polar area recovers the canonical self-intersection
-    assert polygon_area2(data.polar) == data.analysis.k2
+    assert area2 == data.analysis.k2
 
 
 def test_facet_level_failure_names_check_and_values(monkeypatch):
@@ -282,13 +285,20 @@ def test_enumerate_validation():
         enumerate_one_singularity(0)
 
 
-def test_group_classes_rejects_mixed_class():
+def test_group_classes_rejects_mixed_class(monkeypatch):
     results = enumerate_one_singularity(1)
     poly, cls, key = results[0]
     forged = cls.__class__(k=cls.k % 3 + 1, p=cls.p, transform=cls.transform,
                            normal_form=cls.normal_form, mu=cls.mu)
-    with pytest.raises(ConsistencyError):
+    # distinct normal forms have distinct keys, so the forged entry would
+    # fail the normal-form check first; give every normal form this key to
+    # reach the check that one class holds one (k, p)
+    monkeypatch.setattr(delpezzo, "_graph_key", lambda q: key)
+    with pytest.raises(ConsistencyError) as exc:
         group_classes([(poly, cls, key), (poly, forged, key)])
+    err = exc.value
+    assert (err.check, err.expected, err.got) == (
+        "one (k, p) per graph class", (cls.k, cls.p), (forged.k, forged.p))
 
 
 def test_group_classes_rejects_misclassified_entry():
@@ -297,8 +307,29 @@ def test_group_classes_rejects_misclassified_entry():
     poly, cls, key = enumerate_one_singularity(1)[0]
     forged = cls.__class__(k=cls.k % 3 + 1, p=cls.p, transform=cls.transform,
                            normal_form=cls.normal_form, mu=cls.mu)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError) as exc:
         group_classes([(poly, forged, key)])
+    err = exc.value
+    assert (err.check, err.expected, err.got) == (
+        "graph key == normal form's",
+        canonical_key(graph_of(helpers.analysis_of(
+            canonical_polygon(forged.k, forged.p)))), key)
+
+
+def test_classify_mismatch_names_check_and_values(monkeypatch):
+    # no valid input reaches the check: a wrong target stands in for a
+    # normalization bug
+    poly = canonical_polygon(3, 2)
+    wrong = canonical_polygon(3, 3)
+    monkeypatch.setattr(delpezzo, "canonical_polygon", lambda k, p: wrong)
+    with pytest.raises(ConsistencyError) as exc:
+        classify_one_singularity(helpers.analysis_of(poly))
+    err = exc.value
+    assert (err.check, err.expected, err.got) == (
+        "normalized vertices == canonical_polygon(k, p)", wrong.vertices,
+        poly.vertices)
+    assert str(err) == (f"normalized polygon {poly.vertices} matches no "
+                        "family member")
 
 
 def test_enumeration_analyses_each_polygon_once(monkeypatch):

@@ -297,20 +297,8 @@ def test_format_parse_roundtrip():
     assert gens == sorted(gens) and relation_rank(gens) == 14
 
 
-@st.composite
-def ldp_presentations(draw):
-    """Random LDP polygons of index at most 6 (larger ones dilate to millions
-    of points), or family members in a random GL2(Z) presentation."""
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    if draw(st.booleans()):
-        return helpers.random_ldp_polygon(rng, max_index=6)
-    m = helpers.random_unimodular(rng, shears=draw(st.integers(0, 4)))
-    return apply_map(m, canonical_polygon(draw(st.integers(1, 3)),
-                                          draw(st.integers(1, 9))))
-
-
 @settings(max_examples=60, deadline=None)
-@given(ldp_presentations())
+@given(helpers.ldp_presentations())
 def test_format_ideal_matches_a_rendering_grouped_here(poly):
     e = embedding_data(ldp_analyze(poly))
     fibers: dict = {}
@@ -340,7 +328,7 @@ def test_format_ideal_matches_a_rendering_grouped_here(poly):
 
 
 @settings(max_examples=150, deadline=None)
-@given(ldp_presentations())
+@given(helpers.ldp_presentations())
 def test_points_and_doubled_count_match_their_direct_routes(poly):
     e = embedding_data(ldp_analyze(poly))
     boundary, interior = lattice_points(e.polygon)

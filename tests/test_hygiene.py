@@ -2,7 +2,8 @@
 
 Each library module (the package __init__, which re-exports, is skipped)
 must reference every name it imports, every module-level private function
-must be referenced somewhere in src/ outside its own body, every
+and every name assigned at module level (type aliases, constants) must be
+referenced somewhere in src/ outside its own body or assignment, every
 module-level public function or class must be exported by the package or be
 so referenced, and every exported name must be so referenced or be listed,
 with its reason, among the exports kept without a consumer.
@@ -71,6 +72,21 @@ def test_every_public_definition_is_exported_or_used():
                     and refs[node.name] == _references(node)[node.name]):
                 orphans.append(f"{name}:{node.lineno} {node.name}")
     assert not orphans, f"public, not exported, used nowhere in src/: {orphans}"
+
+
+def test_every_module_level_name_is_read():
+    refs = sum(map(_references, TREES.values()), collections.Counter())
+    unread = []
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    if (isinstance(target, ast.Name) and refs[target.id]
+                            == _references(node)[target.id]):
+                        unread.append(f"{name}:{node.lineno} {target.id}")
+    assert not unread, f"assigned, read nowhere else in src/: {unread}"
 
 
 # Exports with no consumer in src/, each kept for the reason given.

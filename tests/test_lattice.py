@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from ldpsurf import (DomainError, LatticePolygon, ParseError, RationalPolygon,
-                     UnimodularMap, apply_map, contains_origin_interior,
+from ldpsurf import (DomainError, LatticePolygon, ParseError, UnimodularMap,
+                     apply_map, contains_origin_interior,
                      count_lattice_points, cross, dilate, extended_gcd,
                      format_polygon_text, is_primitive, lattice_points,
                      load_polygon, minkowski_double, parse_polygon_text,
@@ -97,12 +97,6 @@ def test_polygon_rejects_bad_input():
     # pentagram: strictly convex turns everywhere but winds around twice
     with pytest.raises(DomainError):
         LatticePolygon(((5, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)))
-
-
-def test_rational_polygon():
-    half = Fraction(1, 2)
-    p = RationalPolygon(((half, half), (-half, half), (0, -half)))
-    assert polygon_area2(p) == Fraction(1)
 
 
 def test_area_and_map_invariance():
