@@ -88,12 +88,12 @@ def cone_invariants(c: Cone2) -> ConeData:
     cc, dd = c.n2
     q = cross(c.n, c.n2)
     _, kappa, lam = extended_gcd(a, b)
-    # base change sending n to (1, 0); it sends n2 to (t, q)
-    base = UnimodularMap(kappa, -lam, -b, a)
+    # the base change (kappa, -lam; -b, a) sends n to (1, 0) and n2 to
+    # (t, q); the shear (1, s; 0, 1) after it keeps (1, 0) and moves t to p
     t = kappa * cc - lam * dd
     p = t % q
-    shear = UnimodularMap(1, (p - t) // q, 0, 1)
-    psi = shear.compose(base)
+    s = (p - t) // q
+    psi = UnimodularMap(kappa - s * b, s * a - lam, -b, a)
     local_index = q // math.gcd(q, p - 1)
     if q == 1:
         return ConeData(p=0, q=1, socius=0, normalizer=psi, local_index=1,

@@ -8,11 +8,13 @@ of polygons with 3, 4 and 5 vertices (plus a mirrored presentation of the
 4-vertex family); classify_one_singularity computes the family parameters
 and the unimodular map realizing the normal form from the fan analysis.
 Enumeration is a depth-first search in angular order from each polygon's
-smallest vertex; once the one non-basic cone is placed it walks only the
-points c with det(last, c) = 1, a line parallel to the last vertex listed
-once per call.  It analyses each polygon once and returns (polygon,
-classification, key) triples, the key being the canonical graph key of the
-same analysis; group_classes checks that each key equals its normal form's.
+smallest vertex with one candidate walk: each step scans the last vertex's
+half-turn list, the points c with det(last, c) > 0 in angular order, each
+with that determinant, or once the non-basic cone is placed only its det = 1
+entries, a line parallel to the last vertex.  It analyses each polygon once
+and returns (polygon, classification, key) triples, the key being the
+canonical graph key of that analysis; group_classes checks that each key
+equals its normal form's.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class LdpData:
 
     polygon: LatticePolygon
     analysis: FanAnalysis
-    local_indices: tuple[int, ...]
     index: int
     dilated_polar: LatticePolygon  # index · polar, in integers
 
@@ -115,7 +116,6 @@ def ldp_analyze(q: LatticePolygon) -> LdpData:
     return LdpData(
         polygon=q,
         analysis=analysis,
-        local_indices=tuple(locals_),
         index=ell,
         dilated_polar=LatticePolygon(tuple(
             (ell // level * a, ell // level * b)
@@ -204,23 +204,24 @@ def _one_singularity_search(bound: int) -> list[LatticePolygon]:
     search order; its docstring gives the search."""
     cands = _primitive_box_points(bound)
     n = len(cands)
-    # basic[l]: the points c with det(l, c) == 1, in angular order from l,
-    # each with its angular offset (index in cands - index of l) mod n
-    basic: dict[Point, list[tuple[Point, int]]] = {}
+    # half[l]: the points c with det(l, c) > 0, in angular order from l, as
+    # (c, d, det(l, c)) with d = (index in cands - index of l) mod n;
+    # basic[l]: its entries with det == 1, a line parallel to l
+    half: dict[Point, list[tuple[Point, int, int]]] = {}
+    basic: dict[Point, list[tuple[Point, int, int]]] = {}
     for i, (lx, ly) in enumerate(cands):
-        line = basic[lx, ly] = []
+        line = half[lx, ly] = []
         for d in range(1, n):
             c = cands[(i + d) % n]
             det = lx * c[1] - ly * c[0]
             if det <= 0:
                 break  # past -l
-            if det == 1:
-                line.append((c, d))
+            line.append((c, d, det))
+        basic[lx, ly] = [e for e in line if e[2] == 1]
     found: list[LatticePolygon] = []
 
-    def extend(chain: list[Point], nonbasic: int, succ: list[tuple[Point, int]],
-               pos: int, wrap: int, fx: int, fy: int, px: int, py: int,
-               lx: int, ly: int) -> None:
+    def extend(chain: list[Point], nonbasic: int, wrap: int, fx: int, fy: int,
+               px: int, py: int, lx: int, ly: int) -> None:
         # first = (fx, fy), prev = (px, py), last = (lx, ly), and first is
         # wrap steps after last in cands' angular order; closing needs no
         # turn test: the first-vertex prune gives the turn at last, and the
@@ -228,50 +229,28 @@ def _one_singularity_search(bound: int) -> list[LatticePolygon]:
         det = lx * fy - ly * fx  # negative while chain is [first, second]
         if det > 0 and nonbasic + (det > 1) == 1:
             found.append(LatticePolygon(tuple(chain)))
-        if nonbasic:  # every later cone is basic: walk the det = 1 line
-            first = chain[0]
-            for cand, d in basic[lx, ly]:
-                if d >= wrap:
-                    break  # this and every later point is at or past first
-                if cand < first:
-                    continue
-                cx, cy = cand
-                ex, ey = cx - lx, cy - ly
-                if (lx - px) * ey - (ly - py) * ex <= 0:
-                    continue  # no strict left turn at last
-                if ex * (fy - ly) - ey * (fx - lx) <= 0:
-                    continue  # first not strictly left of last -> cand
-                chain.append(cand)
-                extend(chain, 1, succ, pos, wrap - d, fx, fy, lx, ly, cx, cy)
-                chain.pop()
-            return
-        for idx in range(pos, len(succ)):
-            cand, rank = succ[idx]
+        first = chain[0]
+        # once the non-basic cone is placed every later cone is basic
+        for cand, d, det in (basic if nonbasic else half)[lx, ly]:
+            if d >= wrap:
+                break  # this and every later point is at or past first
+            if cand < first:
+                continue
             cx, cy = cand
-            det = lx * cy - ly * cx
-            if det <= 0:
-                break  # this and every later candidate is past -last
             ex, ey = cx - lx, cy - ly
             if (lx - px) * ey - (ly - py) * ex <= 0:
                 continue  # no strict left turn at last
             if ex * (fy - ly) - ey * (fx - lx) <= 0:
                 continue  # first not strictly left of last -> cand
             chain.append(cand)
-            extend(chain, det > 1, succ, idx + 1, n - rank,
+            extend(chain, nonbasic or det > 1, wrap - d,
                    fx, fy, lx, ly, cx, cy)
             chain.pop()
 
-    for si, first in enumerate(cands):
-        # the points after first in angular order, each with its rank there
-        rotated = cands[si:] + cands[:si]
-        succ = [(c, r) for r, c in enumerate(rotated) if c > first]
-        fx, fy = first
-        for idx, (second, rank) in enumerate(succ):
-            det = fx * second[1] - fy * second[0]
-            if det <= 0:
-                break
-            extend([first, second], det > 1, succ, idx + 1, n - rank,
-                   fx, fy, fx, fy, *second)
+    for first in cands:
+        for second, d, det in half[first]:
+            if second > first:
+                extend([first, second], det > 1, n - d, *first, *first, *second)
     del extend  # a self-reference: without this the lists outlive the call
     return found
 
@@ -283,14 +262,17 @@ def enumerate_one_singularity(bound: int) -> list[Enumerated]:
     A depth-first search grows each polygon from its lexicographically
     smallest vertex, first, through the box's primitive points in angular
     order; a step last -> cand needs det(last, cand) > 0, a strict left turn
-    and at most one det > 1 in all.  No prune drops a polygon: along the
-    angular order det(last, cand) <= 0 from the ray opposite last on, so the
-    scan stops there; with the singular cone placed, every later cone is
-    basic, so the candidates lie on the det = 1 line, whose points are
-    listed once per box point in angular order and walked up to first; only
-    points after first are candidates, as first is the smallest vertex, so
-    each polygon is found once; and a strictly convex polygon has first
-    strictly left of every edge not containing it.
+    and at most one det > 1 in all.  Each step walks one list, built once
+    per box point: the half-turn list of last, the points c with
+    det(last, c) > 0 in angular order with their determinants, or, once the
+    singular cone is placed, its det = 1 entries.  No prune drops a polygon:
+    along the angular order det(last, cand) <= 0 from the ray opposite last
+    on, so the half-turn list ends there; with the singular cone placed,
+    every later cone is basic, so the candidates lie on the det = 1 line;
+    each walk stops at first; only points after first are candidates, as
+    first is the smallest vertex, so each polygon is found once; and a
+    strictly convex polygon has first strictly left of every edge not
+    containing it.
 
     Returns (polygon, classification, key) triples in vertex order, where
     classification and the canonical graph key come from one analysis of the

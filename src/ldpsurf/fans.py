@@ -3,9 +3,9 @@
 A complete fan is a cyclic anticlockwise list of primitive rays; cone i is
 spanned by rays i and i+1 (indices wrap around).  analyze_fan computes the
 per-cone data once and derives from it the integer weight attached to each
-ray.  The self-intersection of the canonical divisor and the minimal
-desingularization obtained by inserting every refinement chain are derived
-from the same data on read, since enumeration reads neither.  Graphs and the
+ray.  The self-intersection of the canonical divisor is derived from the same
+data on read, since enumeration does not read it.  The refinement chains of
+the cone data are the minimal desingularization.  Graphs and the
 classification read this FanAnalysis rather than recompute it.
 """
 
@@ -59,8 +59,7 @@ class CompleteFan:
 class FanAnalysis:
     """Per-cone invariants plus the derived surface data of a complete fan.
 
-    k2, resolution and exceptional are not stored: each read derives them
-    from fan and cone_data.
+    k2 is not stored: each read derives it from fan and cone_data.
     """
 
     fan: CompleteFan
@@ -79,21 +78,6 @@ class FanAnalysis:
                           + Fraction(cd.q - cd.socius + 1, cd.q)
                           - 2 + sum(b - 3 for b in cd.hj))
         return total
-
-    @property
-    def resolution(self) -> CompleteFan:
-        """The minimal desingularization: every non-basic cone refined along
-        its chain, so all cones are basic."""
-        return CompleteFan(tuple(
-            ray for r, cd in zip(self.fan.rays, self.cone_data)
-            for ray in (r, *cd.chain[1:-1])
-        ))
-
-    @property
-    def exceptional(self) -> tuple[tuple[Point, int], ...]:
-        """Curves the resolution inserts, as (ray, self-intersection -b)."""
-        return tuple((u, -b) for cd in self.cone_data
-                     for u, b in zip(cd.chain[1:-1], cd.hj))
 
 
 def fan_from_polygon(q: LatticePolygon) -> CompleteFan:

@@ -100,10 +100,6 @@ class UnimodularMap:
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
-    @classmethod
-    def identity(cls) -> "UnimodularMap":
-        return cls(1, 0, 0, 1)
-
     def apply(self, p: Point) -> Point:
         return (self.a * p[0] + self.b * p[1], self.c * p[0] + self.d * p[1])
 
@@ -115,10 +111,6 @@ class UnimodularMap:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def inverse(self) -> "UnimodularMap":
-        s = self.det
-        return UnimodularMap(s * self.d, -s * self.b, -s * self.c, s * self.a)
 
     def matrix(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]

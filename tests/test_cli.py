@@ -169,7 +169,7 @@ def test_analyze_computes_each_cone_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "analyze", "--canonical", "3", "9", "--json")
     assert code == 0
     assert len(calls) == 5  # one per cone of the five-vertex polygon
-    assert reads == {"k2": 1}  # K^2 is printed; no desingularization is built
+    assert reads == {"k2": 1}  # K^2 is printed, and computed once
 
 
 def test_analyze_sweeps_once_and_tables_sweeps_2p(capsys, monkeypatch):

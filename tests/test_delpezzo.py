@@ -14,11 +14,12 @@ import helpers
 import ldpsurf.delpezzo as delpezzo
 import ldpsurf.fans as fans
 from ldpsurf import (ConsistencyError, DomainError, LatticePolygon,
-                     SingularityCountError, apply_map, canonical_key,
-                     canonical_polygon, classify_one_singularity,
-                     enumerate_one_singularity, graph_of, group_classes,
-                     index_parity_check, ldp_analyze, mirror_quad,
-                     mirror_quad_map, surfaces_isomorphic)
+                     SingularityCountError, UnimodularMap, apply_map,
+                     canonical_key, canonical_polygon,
+                     classify_one_singularity, enumerate_one_singularity,
+                     graph_of, group_classes, index_parity_check,
+                     ldp_analyze, mirror_quad, mirror_quad_map,
+                     surfaces_isomorphic)
 
 
 def test_canonical_polygon_shapes():
@@ -41,7 +42,7 @@ def test_mirror_quad_relation():
     for p in range(1, 10):
         m = mirror_quad_map(p)
         assert m.det == -1
-        assert m.compose(m) == m.identity()
+        assert m.compose(m) == UnimodularMap(1, 0, 0, 1)
         assert apply_map(m, canonical_polygon(2, p)) == mirror_quad(p)
         assert apply_map(m, mirror_quad(p)) == canonical_polygon(2, p)
     with pytest.raises(DomainError):
@@ -63,8 +64,9 @@ def test_ldp_analyze_family_indices():
             data = ldp_analyze(canonical_polygon(k, p))
             assert data.index == expected, (k, p)
             assert len(data.analysis.singular_indices) == 1
-            assert max(data.local_indices) == expected
-            assert sorted(set(data.local_indices)) == \
+            local_indices = [cd.local_index for cd in data.analysis.cone_data]
+            assert max(local_indices) == expected
+            assert sorted(set(local_indices)) == \
                 ([expected] if expected == 1 else [1, expected])
 
 
@@ -349,6 +351,6 @@ def test_enumeration_analyses_each_polygon_once(monkeypatch):
     kps = {(cls.k, cls.p) for _, cls, _ in results}
     assert len(calls) == sum(len(poly.vertices) for poly, _, _ in results) \
         + sum(k + 2 for k, _ in kps) == 612
-    assert not reads  # neither K^2 nor the desingularization is built
+    assert not reads  # K^2 is not computed
     # equal keys are one shared object
     assert len({id(key) for _, _, key in results}) == 9

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from ldpsurf import (CompleteFan, DomainError, LatticePolygon, analyze_fan,
-                     apply_map, canonical_polygon, cross, fan_from_polygon,
-                     surfaces_isomorphic)
+from ldpsurf import (CompleteFan, DomainError, FanAnalysis, LatticePolygon,
+                     analyze_fan, apply_map, canonical_polygon, cross,
+                     fan_from_polygon, surfaces_isomorphic)
 
 P2_FAN = CompleteFan(((1, 0), (0, 1), (-1, -1)))
 
@@ -19,9 +19,24 @@ def hirzebruch_fan(p: int) -> CompleteFan:
     return CompleteFan(((1, -1), (1, 0), (p, 1), (-1, 0)))
 
 
+def resolution(analysis: FanAnalysis) -> CompleteFan:
+    """The minimal desingularization: every non-basic cone refined along
+    its chain, so all cones are basic."""
+    return CompleteFan(tuple(
+        ray for r, cd in zip(analysis.fan.rays, analysis.cone_data)
+        for ray in (r, *cd.chain[1:-1])
+    ))
+
+
+def exceptional(analysis: FanAnalysis) -> tuple:
+    """Curves the resolution inserts, as (ray, self-intersection -b)."""
+    return tuple((u, -b) for cd in analysis.cone_data
+                 for u, b in zip(cd.chain[1:-1], cd.hj))
+
+
 def star_subdivide(fan: CompleteFan, ray) -> CompleteFan:
-    """Insert a ray into the cone strictly containing it: a test-only oracle
-    for FanAnalysis.resolution."""
+    """Insert a ray into the cone strictly containing it: an oracle for
+    resolution."""
     n = fan.nu
     i = next(i for i in range(n) if cross(fan.rays[i], ray) > 0
              and cross(ray, fan.rays[(i + 1) % n]) > 0)
@@ -122,17 +137,17 @@ def test_k2_unimodular_invariance():
 def test_minimal_desingularization_family():
     for p in range(1, 7):
         analysis = helpers.analysis_of(canonical_polygon(1, p))
-        assert analysis.exceptional == (((1, 0), -(p + 1)),)
-        assert analysis.resolution.nu == 4
-        assert surfaces_isomorphic(analyze_fan(analysis.resolution),
+        assert exceptional(analysis) == (((1, 0), -(p + 1)),)
+        assert resolution(analysis).nu == 4
+        assert surfaces_isomorphic(analyze_fan(resolution(analysis)),
                                    analyze_fan(hirzebruch_fan(p)))
 
 
 def test_minimal_desingularization_basic_fan_is_identity():
     fan = hirzebruch_fan(4)
     analysis = analyze_fan(fan)
-    assert analysis.resolution == fan
-    assert analysis.exceptional == ()
+    assert resolution(analysis) == fan
+    assert exceptional(analysis) == ()
 
 
 def test_minimal_desingularization_properties():
@@ -141,30 +156,30 @@ def test_minimal_desingularization_properties():
         poly = helpers.random_ldp_polygon(rng)
         fan = fan_from_polygon(poly)
         analysis = analyze_fan(fan)
-        refined, exceptional = analysis.resolution, analysis.exceptional
+        refined, inserted = resolution(analysis), exceptional(analysis)
         n = refined.nu
         for i in range(n):
             assert cross(refined.rays[i], refined.rays[(i + 1) % n]) == 1
         assert set(fan.rays) <= set(refined.rays)
-        assert len(exceptional) == refined.nu - fan.nu
-        for ray, weight in exceptional:
+        assert len(inserted) == refined.nu - fan.nu
+        for ray, weight in inserted:
             assert weight <= -2
         # weights of the refined fan restricted to exceptional rays match
         refined_weights = analyze_fan(refined).weights
-        for ray, weight in exceptional:
+        for ray, weight in inserted:
             assert -refined_weights[refined.rays.index(ray)] == weight
 
 
 def test_star_subdivide():
     fan = fan_from_polygon(canonical_polygon(1, 3))
-    assert star_subdivide(fan, (1, 0)) == analyze_fan(fan).resolution
+    assert star_subdivide(fan, (1, 0)) == resolution(analyze_fan(fan))
     rng = random.Random(304)
     for _ in range(30):
         analysis = helpers.analysis_of(helpers.random_ldp_polygon(rng))
         fan = analysis.fan
-        for ray, _ in analysis.exceptional:
+        for ray, _ in exceptional(analysis):
             fan = star_subdivide(fan, ray)
-        assert fan == analysis.resolution
+        assert fan == resolution(analysis)
 
 
 def test_analyze_fan_consistency():

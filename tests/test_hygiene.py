@@ -6,7 +6,9 @@ and every name assigned at module level (type aliases, constants) must be
 referenced somewhere in src/ outside its own body or assignment, every
 module-level public function or class must be exported by the package or be
 so referenced, and every exported name must be so referenced or be listed,
-with its reason, among the exports kept without a consumer.
+with its reason, among the exports kept without a consumer.  Likewise every
+public method, property and annotated field of a class must be loaded as an
+attribute somewhere in src/ outside its own definition, or be listed.
 """
 
 import ast
@@ -114,3 +116,55 @@ def test_every_export_has_a_consumer():
         if not isinstance(getattr(ldpsurf, name), types.ModuleType)
         and refs[name] == own[name] and name not in EXPORTS_WITHOUT_CONSUMER)
     assert not unused, f"exported, used nowhere in src/: {unused}"
+
+
+# Public class members with no reader in src/, each kept for the reason given.
+MEMBERS_WITHOUT_READER = {
+    "PointCounts.boundary": "acceptance tests read it through "
+                            "count_lattice_points; goes with ROADMAP item 2",
+    "PointCounts.interior": "acceptance tests read it through "
+                            "count_lattice_points; goes with ROADMAP item 2",
+    "TableRow.astuple": "perfbench's tests read it; goes with ROADMAP item 1",
+}
+
+
+def _public_members(cls: ast.ClassDef):
+    """The class's public methods and properties as their definitions, and
+    its annotated dataclass or NamedTuple fields as their annotations."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)
+              and not node.target.id.startswith("_")):
+            yield node.target.id, node
+
+
+def test_every_public_member_is_read():
+    loads = collections.Counter(
+        sub.attr for tree in TREES.values() for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+    # dataclasses.fields(C) reads every field of C by name
+    fields_read = {
+        sub.args[0].id for tree in TREES.values() for sub in ast.walk(tree)
+        if isinstance(sub, ast.Call) and sub.args
+        and isinstance(sub.args[0], ast.Name)
+        and (getattr(sub.func, "attr", None) == "fields"
+             or getattr(sub.func, "id", None) == "fields")}
+    unread = []
+    for name, tree in MODULES.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member, node in _public_members(cls):
+                own = sum(1 for sub in ast.walk(node)
+                          if isinstance(sub, ast.Attribute)
+                          and isinstance(sub.ctx, ast.Load)
+                          and sub.attr == member)
+                qualified = f"{cls.name}.{member}"
+                is_field = isinstance(node, ast.AnnAssign)
+                if (loads[member] == own
+                        and not (is_field and cls.name in fields_read)
+                        and qualified not in MEMBERS_WITHOUT_READER):
+                    unread.append(f"{name}:{node.lineno} {qualified}")
+    assert not unread, f"public members read nowhere in src/: {unread}"
