@@ -18,7 +18,7 @@ from .errors import ConsistencyError, DomainError
 from .lattice import Point, UnimodularMap, cross, extended_gcd, is_primitive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cone2:
     """Cone spanned by two primitive generators in anticlockwise order."""
 
@@ -36,7 +36,7 @@ class Cone2:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConeData:
     """Normal form and singularity invariants of a cone.
 

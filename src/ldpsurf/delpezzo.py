@@ -11,10 +11,11 @@ Enumeration is a depth-first search in angular order from each polygon's
 smallest vertex with one candidate walk: each step scans the last vertex's
 half-turn list, the points c with det(last, c) > 0 in angular order, each
 with that determinant, or once the non-basic cone is placed only its det = 1
-entries, a line parallel to the last vertex.  It analyses each polygon once
-and returns (polygon, classification, key) triples, the key being the
-canonical graph key of that analysis; group_classes checks that each key
-equals its normal form's.
+entries, a line parallel to the last vertex.  It analyses each polygon's
+fan once, which computes each distinct cone once, and returns (polygon,
+classification, key) triples, the key being the canonical graph key of that
+analysis, computed once per distinct graph; group_classes checks that each
+key equals its normal form's.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .lattice import (LatticePolygon, Point, UnimodularMap, _angular_before,
                       edge_lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LdpData:
     """Invariants attached to a log del Pezzo polygon."""
 
@@ -40,7 +41,7 @@ class LdpData:
     dilated_polar: LatticePolygon  # index · polar, in integers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     """Result of the one-singularity normal form computation.
 
@@ -276,21 +277,28 @@ def enumerate_one_singularity(bound: int) -> list[Enumerated]:
 
     Returns (polygon, classification, key) triples in vertex order, where
     classification and the canonical graph key come from one analysis of the
-    polygon's face fan; equal keys are one shared tuple.  Every found polygon
-    is required to classify successfully; a violation raises
+    polygon's face fan.  The key is computed once per distinct graph node
+    sequence in the call, and equal keys are one shared tuple.  Every found
+    polygon is required to classify successfully; a violation raises
     ConsistencyError.  That each gives a surface isomorphic to its normal
     form's is checked by group_classes.
     """
     if bound < 1:
         raise DomainError("bound must be >= 1")
     found = _one_singularity_search(bound)
+    # node sequence -> its canonical key; a key is a node sequence of its own
+    # orbit, so it maps to itself, and setdefault shares equal keys
     keys: dict[tuple, tuple] = {}
     results = []
     for poly in sorted(found, key=lambda q: q.vertices):
         a = analyze_fan(fan_from_polygon(poly))
         cls = classify_one_singularity(a)
-        key = canonical_key(graph_of(a))
-        results.append((poly, cls, keys.setdefault(key, key)))
+        g = graph_of(a)
+        key = keys.get(g.nodes)
+        if key is None:
+            key = canonical_key(g)
+            key = keys[g.nodes] = keys.setdefault(key, key)
+        results.append((poly, cls, key))
     return results
 
 

@@ -53,7 +53,7 @@ class EmbeddingData:
         return [x * w + y for x, y in self.points]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadricIdealReport:
     """A minimal generating system as sum fibers in index form.  A fiber is
     (s, firsts): its key sum s and the indices into `embedding.points` of
@@ -69,7 +69,7 @@ class QuadricIdealReport:
         return sum(len(firsts) for _, firsts in self.fibers) - len(self.fibers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRow:
     """Closed-form row of embedding numerology for a family member."""
 

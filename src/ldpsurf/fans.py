@@ -1,16 +1,18 @@
 """Complete fans in the plane and surface-level invariants derived from them.
 
 A complete fan is a cyclic anticlockwise list of primitive rays; cone i is
-spanned by rays i and i+1 (indices wrap around).  analyze_fan computes the
-per-cone data once and derives from it the integer weight attached to each
-ray.  The self-intersection of the canonical divisor is derived from the same
-data on read, since enumeration does not read it.  The refinement chains of
-the cone data are the minimal desingularization.  Graphs and the
+spanned by rays i and i+1 (indices wrap around).  analyze_fan reads the
+per-cone data from a cache of at most 2**14 ray pairs, so a cone shared by
+many fans is analysed once, and derives from it the integer weight attached
+to each ray.  The self-intersection of the canonical divisor is derived from
+the same data on read, since enumeration does not read it.  The refinement
+chains of the cone data are the minimal desingularization.  Graphs and the
 classification read this FanAnalysis rather than recompute it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from .lattice import (LatticePolygon, Point, contains_origin_interior, cross,
                       is_primitive, _wraps_once)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompleteFan:
     """Anticlockwise cyclic ray list covering the plane exactly once."""
 
@@ -55,7 +57,7 @@ class CompleteFan:
         return Cone2(self.rays[i % n], self.rays[(i + 1) % n])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FanAnalysis:
     """Per-cone invariants plus the derived surface data of a complete fan.
 
@@ -118,10 +120,19 @@ def _ray_weights(f: CompleteFan, data: tuple[ConeData, ...]) -> tuple[int, ...]:
     return tuple(weights)
 
 
+@functools.lru_cache(maxsize=2**14)
+def _cone_data(n: Point, n2: Point) -> ConeData:
+    # an invalid pair raises, and a raise is not cached: it raises again
+    return cone_invariants(Cone2(n, n2))
+
+
 def analyze_fan(f: CompleteFan) -> FanAnalysis:
-    """Cone invariants of every cone of f, computed once, and the weights,
-    Picard rank and singular cones derived from them."""
-    data = tuple(cone_invariants(f.cone(i)) for i in range(f.nu))
+    """Cone invariants of every cone of f, and the weights, Picard rank and
+    singular cones derived from them.  The invariants of a ray pair are
+    computed on first use and then read from a least-recently-used cache of
+    at most 2**14 pairs; ConeData is immutable, so fans share it."""
+    rays = f.rays
+    data = tuple(_cone_data(n, n2) for n, n2 in zip(rays, rays[1:] + rays[:1]))
     return FanAnalysis(
         fan=f,
         cone_data=data,

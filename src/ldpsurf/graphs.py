@@ -24,7 +24,7 @@ from .fans import FanAnalysis
 Token = tuple[int, int, int]  # (node weight, edge p, edge q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedCircularGraph:
     """Cycle of weighted nodes; the edge stored with node i leads to node i+1."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ParseError
@@ -83,7 +84,7 @@ def _wraps_once(vectors: Sequence[Sequence[int]]) -> bool:
     return descents == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnimodularMap:
     """Integer 2x2 matrix [[a, b], [c, d]] with determinant +1 or -1."""
 
@@ -116,7 +117,7 @@ class UnimodularMap:
         return [[self.a, self.b], [self.c, self.d]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticePolygon:
     """Convex polygon with integer vertices, canonically stored."""
 
@@ -208,40 +209,52 @@ def _columns(p: LatticePolygon):
     whose slice holds a lattice point, where lo..hi is the slice's y-range and
     `edge` holds the y values of the slice that lie on the boundary.
 
-    With B = |b|, the slice's lower (b > 0) and upper (b < 0) ends are -q and
-    q for the least pair (q, r) = divmod(a*x - c, B) over the half-planes
-    a*x + b*y >= c on that side.  Among edges giving the same q the least r
-    is 0 if any of them passes through the end, so the end lies on an edge
-    exactly when r = 0.
+    The edges with b > 0 form the lower chain and those with b < 0 the upper
+    one; the sweep walks both left to right with one active edge per side,
+    the edge whose x-range holds the column, so a column costs one divmod
+    per side.  With B = |b|, the slice's lower and upper ends are -q and q
+    for (q, r) = divmod(a*x - c, B) on that side's active edge, and the end
+    lies on the boundary exactly when r = 0: a convex polygon's other edges
+    bound the column no more tightly there, so none of them passes through
+    an end the active edge misses.
     A point strictly between lo and hi lies on no edge with b != 0 (such an
     edge bounds the slice at that point), so it can only lie on a vertical
     edge: `edge` is the whole column when a vertical edge sits at x, and
     otherwise the ends that lie on an edge.
     """
+    verts = p.vertices
     lower, upper, walls = [], [], set()
-    for a, b, c in edge_lines(p):
-        if b:
-            (lower if b > 0 else upper).append((a, abs(b), c))
+    # anticlockwise from the lexicographically smallest vertex, the lower
+    # chain runs left to right and the upper chain right to left; each edge
+    # is stored with the abscissa of its right end
+    for (a, b, c), (vx, _), (wx, _) in zip(edge_lines(p), verts,
+                                           verts[1:] + verts[:1]):
+        if b > 0:
+            lower.append((wx, a, b, c))
+        elif b < 0:
+            upper.append((vx, a, -b, c))
         else:
-            walls.add(c // a)  # the edge lies on x = c / a, a = +-1
-    xs = [x for x, _ in p.vertices]
-    for x in range(min(xs), max(xs) + 1):
-        low = high = None
-        for a, b, c in lower:
-            qr = divmod(a * x - c, b)
-            if low is None or qr < low:
-                low = qr
-        for a, b, c in upper:
-            qr = divmod(a * x - c, b)
-            if high is None or qr < high:
-                high = qr
-        lo, hi = -low[0], high[0]
+            walls.add(vx)
+    upper.reverse()
+    lower_edges, upper_edges = iter(lower), iter(upper)
+    lend, la, lb, lc = next(lower_edges)
+    hend, ha, hb, hc = next(upper_edges)
+    # every edge is at least one column wide, so a step of x passes at most
+    # one right end per side
+    for x in range(verts[0][0], lower[-1][0] + 1):
+        if x > lend:
+            lend, la, lb, lc = next(lower_edges)
+        if x > hend:
+            hend, ha, hb, hc = next(upper_edges)
+        low, low_r = divmod(la * x - lc, lb)
+        hi, high_r = divmod(ha * x - hc, hb)
+        lo = -low
         if lo > hi:
             continue
         if x in walls:
             edge = range(lo, hi + 1)
         else:
-            edge = {y for y, r in ((lo, low[1]), (hi, high[1])) if r == 0}
+            edge = {y for y, r in ((lo, low_r), (hi, high_r)) if r == 0}
         yield x, lo, hi, edge
 
 
@@ -251,8 +264,10 @@ def lattice_points(p: LatticePolygon) -> tuple[set[Point], set[Point]]:
     boundary: set[Point] = set()
     interior: set[Point] = set()
     for x, lo, hi, edge in _columns(p):
-        boundary.update((x, y) for y in edge)
-        interior.update((x, y) for y in range(lo, hi + 1) if y not in edge)
+        boundary.update(zip(repeat(x), edge))
+        if isinstance(edge, set):  # a wall's column is all boundary
+            interior.update(zip(repeat(x), range(lo + (lo in edge),
+                                                 hi + 1 - (hi in edge))))
     return boundary, interior
 
 

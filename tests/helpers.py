@@ -57,6 +57,28 @@ def lose_one_interior_point(monkeypatch) -> None:
     monkeypatch.setattr(embedding, "lattice_points", one_interior_point_lost)
 
 
+def count_cone_computations(monkeypatch) -> list:
+    """Empty the cache of cone data that analyze_fan reads, then record, for
+    the rest of the test, each cone whose invariants it computes."""
+    fans = sys.modules["ldpsurf.fans"]
+    fans._cone_data.cache_clear()
+    calls = []
+    real = fans.cone_invariants
+
+    def counting(cone):
+        calls.append(cone)
+        return real(cone)
+
+    monkeypatch.setattr(fans, "cone_invariants", counting)
+    return calls
+
+
+def ray_pairs(polygons) -> set:
+    """The distinct cones (ray, next ray) of the polygons' face fans."""
+    return {(v, w) for poly in polygons
+            for v, w in zip(poly.vertices, poly.vertices[1:] + poly.vertices[:1])}
+
+
 def count_calls(monkeypatch, *names) -> collections.Counter:
     """Count, for the rest of the test, the calls of the named ldpsurf
     functions, in every module of the package that binds them."""

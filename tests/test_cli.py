@@ -13,7 +13,6 @@ from hypothesis import given, settings
 
 import helpers
 import ldpsurf.cli as cli
-import ldpsurf.fans as fans
 from helpers import parse_ideal
 from ldpsurf import (EmbeddingData, LatticePolygon, TableRow, UnimodularMap,
                      apply_map, canonical_polygon, format_polygon_text,
@@ -157,19 +156,15 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
 
 
 def test_analyze_computes_each_cone_once(capsys, monkeypatch):
-    calls = []
-    cone_invariants = fans.cone_invariants
-
-    def counting(cone):
-        calls.append(cone)
-        return cone_invariants(cone)
-
-    monkeypatch.setattr(fans, "cone_invariants", counting)
+    calls = helpers.count_cone_computations(monkeypatch)
     reads = helpers.count_derived_reads(monkeypatch)
     code, _, _ = run(capsys, "analyze", "--canonical", "3", "9", "--json")
     assert code == 0
-    assert len(calls) == 5  # one per cone of the five-vertex polygon
+    # one per cone of the five-vertex polygon
+    assert len(calls) == len(helpers.ray_pairs([canonical_polygon(3, 9)])) == 5
     assert reads == {"k2": 1}  # K^2 is printed, and computed once
+    code, _, _ = run(capsys, "analyze", "--canonical", "3", "9", "--json")
+    assert code == 0 and len(calls) == 5  # a second run reads the cache
 
 
 def test_analyze_sweeps_once_and_tables_sweeps_2p(capsys, monkeypatch):

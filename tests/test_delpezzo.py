@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import helpers
 import ldpsurf.delpezzo as delpezzo
-import ldpsurf.fans as fans
 from ldpsurf import (ConsistencyError, DomainError, LatticePolygon,
                      SingularityCountError, UnimodularMap, apply_map,
                      canonical_key, canonical_polygon,
@@ -334,23 +333,23 @@ def test_classify_mismatch_names_check_and_values(monkeypatch):
                         "family member")
 
 
+def test_enumeration_repeats_within_a_process():
+    # the second call reads every cone from the cache the first one filled
+    assert enumerate_one_singularity(4) == enumerate_one_singularity(4)
+
+
 def test_enumeration_analyses_each_polygon_once(monkeypatch):
-    calls = []
-    cone_invariants = fans.cone_invariants
-
-    def counting(cone):
-        calls.append(cone)
-        return cone_invariants(cone)
-
-    monkeypatch.setattr(fans, "cone_invariants", counting)
+    calls = helpers.count_cone_computations(monkeypatch)
     reads = helpers.count_derived_reads(monkeypatch)
     results = enumerate_one_singularity(2)
     group_classes(results)
-    # one analysis per polygon serves classification and graph key; plus
-    # each normal form once
+    # one computation per distinct cone of the found polygons and of the
+    # normal forms, which serves classification and graph key alike
     kps = {(cls.k, cls.p) for _, cls, _ in results}
-    assert len(calls) == sum(len(poly.vertices) for poly, _, _ in results) \
-        + sum(k + 2 for k, _ in kps) == 612
+    pairs = helpers.ray_pairs([poly for poly, _, _ in results]
+                              + [canonical_polygon(*kp) for kp in kps])
+    assert sorted((c.n, c.n2) for c in calls) == sorted(pairs)
+    assert len(calls) == 91  # 612 cones counted with repeats
     assert not reads  # K^2 is not computed
     # equal keys are one shared object
     assert len({id(key) for _, _, key in results}) == 9

@@ -1,14 +1,19 @@
-"""Complete fans, ray weights, canonical self-intersection, resolutions."""
+"""Complete fans, the cone data cache, ray weights, canonical
+self-intersection, resolutions."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from ldpsurf import (CompleteFan, DomainError, FanAnalysis, LatticePolygon,
-                     analyze_fan, apply_map, canonical_polygon, cross,
-                     fan_from_polygon, surfaces_isomorphic)
+import ldpsurf.fans as fans
+from ldpsurf import (Cone2, CompleteFan, DomainError, FanAnalysis,
+                     LatticePolygon, analyze_fan, apply_map, canonical_polygon,
+                     cone_invariants, cross, fan_from_polygon,
+                     surfaces_isomorphic)
 
 P2_FAN = CompleteFan(((1, 0), (0, 1), (-1, -1)))
 
@@ -197,3 +202,30 @@ def test_analyze_fan_consistency():
         # K^2 of a toric log del Pezzo surface is the normalized area of the
         # polar polygon, which is built from the facet lines, not the cones
         assert analysis.k2 == helpers.polar_oracle(poly)[1]
+
+
+@st.composite
+def anticlockwise_pairs(draw):
+    """Primitive (n, n2) in anticlockwise order, coordinates in [-12, 12]."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    while True:
+        n, n2 = (helpers.random_primitive(rng, 12) for _ in range(2))
+        if cross(n, n2) > 0:
+            return n, n2
+
+
+@settings(max_examples=200, deadline=None)
+@given(anticlockwise_pairs())
+def test_cached_cone_data_equals_fresh_invariants(pair):
+    cached = fans._cone_data(*pair)
+    assert cached == cone_invariants(Cone2(*pair))
+    assert fans._cone_data(*pair) is cached
+
+
+def test_cone_data_cache_raises_on_every_invalid_call():
+    fans._cone_data.cache_clear()
+    for n, n2 in (((2, 0), (0, 1)), ((0, 1), (1, 0))):  # non-primitive, clockwise
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                fans._cone_data(n, n2)
+    assert fans._cone_data.cache_info().currsize == 0

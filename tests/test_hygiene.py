@@ -8,11 +8,16 @@ module-level public function or class must be exported by the package or be
 so referenced, and every exported name must be so referenced or be listed,
 with its reason, among the exports kept without a consumer.  Likewise every
 public method, property and annotated field of a class must be loaded as an
-attribute somewhere in src/ outside its own definition, or be listed.
+attribute somewhere in src/ outside its own definition, or be listed.  A
+frozen dataclass keeps no per-instance __dict__ unless a cached_property
+needs one.
 """
 
 import ast
 import collections
+import dataclasses
+import functools
+import importlib
 import pathlib
 import types
 
@@ -168,3 +173,21 @@ def test_every_public_member_is_read():
                         and qualified not in MEMBERS_WITHOUT_READER):
                     unread.append(f"{name}:{node.lineno} {qualified}")
     assert not unread, f"public members read nowhere in src/: {unread}"
+
+
+def test_frozen_dataclasses_have_slots():
+    checked, missing = [], []
+    for name in MODULES:
+        mod = importlib.import_module(f"ldpsurf.{name[:-3]}")
+        for cls in vars(mod).values():
+            if (not isinstance(cls, type) or cls.__module__ != mod.__name__
+                    or not dataclasses.is_dataclass(cls)
+                    or not cls.__dataclass_params__.frozen
+                    or any(isinstance(v, functools.cached_property)
+                           for v in vars(cls).values())):
+                continue
+            checked.append(cls.__name__)
+            if "__slots__" not in vars(cls):
+                missing.append(f"{name} {cls.__name__}")
+    assert {"LatticePolygon", "ConeData", "FanAnalysis"} <= set(checked)
+    assert not missing, f"frozen dataclasses without __slots__: {missing}"

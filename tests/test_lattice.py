@@ -196,6 +196,13 @@ def polygons(draw):
 # thin slivers with a vertical edge and columns holding no point
 @example(LatticePolygon(((0, 0), (3, 1), (3, 2))))
 @example(LatticePolygon(((0, 1), (0, 2), (5, 0))))
+# long lower chains: under one upper edge, between walls at both ends, and
+# ending in a wall
+@example(LatticePolygon(tuple((x, (x - 4) ** 2) for x in range(9))))
+@example(LatticePolygon(((0, 0), (1, -2), (3, -3), (6, -2), (7, 0), (7, 3),
+                         (4, 5), (1, 5), (0, 4))))
+@example(LatticePolygon(((0, 0), (2, -3), (5, -5), (9, -6), (14, -6),
+                         (14, -5), (0, 1))))
 def test_sweep_matches_brute_force(poly):
     boundary, interior = helpers.brute_force_points(poly.vertices)
     assert lattice_points(poly) == (boundary, interior)
