@@ -17,11 +17,10 @@ from .fans import CompleteFan, FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import (WeightedCircularGraph, canonical_key, graph_of,
                      render_graph, reverse_graph, surfaces_isomorphic)
 from .lattice import (LatticePolygon, PointCounts, UnimodularMap, apply_map,
-                      contains_origin_interior, count_lattice_points, cross,
-                      dilate, extended_gcd, format_polygon_text, is_primitive,
-                      lattice_points, load_polygon, minkowski_double,
-                      parse_polygon_text, polygon_area2, polygon_from_array,
-                      polygon_to_array, read_polygon_file)
+                      count_lattice_points, cross, dilate, format_polygon_text,
+                      is_primitive, lattice_points, load_polygon,
+                      minkowski_double, parse_polygon_text, polygon_area2,
+                      polygon_from_array, polygon_to_array, read_polygon_file)
 
 __version__ = "0.1.0"
 

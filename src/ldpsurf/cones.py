@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
-from .lattice import Point, UnimodularMap, cross, extended_gcd, is_primitive
+from .lattice import Point, UnimodularMap, cross, is_primitive
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,7 +27,7 @@ class Cone2:
 
     def __post_init__(self):
         for v in (self.n, self.n2):
-            if v == (0, 0) or not is_primitive(v):
+            if not is_primitive(v):
                 raise DomainError(f"generator {v} is not primitive")
         if cross(self.n, self.n2) <= 0:
             raise DomainError(
@@ -87,7 +87,9 @@ def cone_invariants(c: Cone2) -> ConeData:
     a, b = c.n
     cc, dd = c.n2
     q = cross(c.n, c.n2)
-    _, kappa, lam = extended_gcd(a, b)
+    # kappa*a - lam*b = 1, since n is primitive; b = 0 forces a = +-1
+    kappa = pow(a, -1, abs(b)) if b else a
+    lam = (kappa * a - 1) // b if b else 0
     # the base change (kappa, -lam; -b, a) sends n to (1, 0) and n2 to
     # (t, q); the shear (1, s; 0, 1) after it keeps (1, 0) and moves t to p
     t = kappa * cc - lam * dd

@@ -35,7 +35,6 @@ from .lattice import (LatticePolygon, Point, UnimodularMap, _angular_before,
 class LdpData:
     """Invariants attached to a log del Pezzo polygon."""
 
-    polygon: LatticePolygon
     analysis: FanAnalysis
     index: int
     dilated_polar: LatticePolygon  # index · polar, in integers
@@ -115,7 +114,6 @@ def ldp_analyze(q: LatticePolygon) -> LdpData:
         locals_.append(level)
     ell = math.lcm(*locals_)
     return LdpData(
-        polygon=q,
         analysis=analysis,
         index=ell,
         dilated_polar=LatticePolygon(tuple(

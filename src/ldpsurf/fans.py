@@ -1,13 +1,17 @@
 """Complete fans in the plane and surface-level invariants derived from them.
 
 A complete fan is a cyclic anticlockwise list of primitive rays; cone i is
-spanned by rays i and i+1 (indices wrap around).  analyze_fan reads the
-per-cone data from a cache of at most 2**14 ray pairs, so a cone shared by
-many fans is analysed once, and derives from it the integer weight attached
-to each ray.  The self-intersection of the canonical divisor is derived from
-the same data on read, since enumeration does not read it.  The refinement
-chains of the cone data are the minimal desingularization.  Graphs and the
-classification read this FanAnalysis rather than recompute it.
+spanned by rays i and i+1 (indices wrap around).  LatticePolygon checks
+convexity, orientation and one winding; CompleteFan checks primitive rays
+and steps with cross(v_i, v_i+1) > 0, which for a convex polygon's vertices
+say the origin is strictly inside, so fan_from_polygon checks nothing.
+analyze_fan reads the per-cone data from a cache of at most 2**14 ray
+pairs, so a cone shared by many fans is analysed once, and derives from it
+the integer weight attached to each ray.  The self-intersection of the
+canonical divisor is derived from the same data on read, since enumeration
+does not read it.  The refinement chains of the cone data are the minimal
+desingularization.  Graphs and the classification read this FanAnalysis
+rather than recompute it.
 """
 
 from __future__ import annotations
@@ -18,33 +22,30 @@ from fractions import Fraction
 
 from .cones import Cone2, ConeData, cone_invariants
 from .errors import ConsistencyError, DomainError
-from .lattice import (LatticePolygon, Point, contains_origin_interior, cross,
-                      is_primitive, _wraps_once)
+from .lattice import LatticePolygon, Point, cross, is_primitive, _wraps_once
 
 
 @dataclass(frozen=True, slots=True)
 class CompleteFan:
-    """Anticlockwise cyclic ray list covering the plane exactly once."""
+    """Anticlockwise cyclic ray list covering the plane exactly once: it
+    checks primitive rays, steps with cross > 0 and one winding, which make
+    the angles strictly increase, so no ray repeats."""
 
     rays: tuple[Point, ...]
 
     def __post_init__(self):
         rays = tuple(tuple(r) for r in self.rays)
         object.__setattr__(self, "rays", rays)
-        n = len(rays)
-        if n < 3:
+        if len(rays) < 3:
             raise DomainError("a complete fan needs at least 3 rays")
-        if len(set(rays)) != n:
-            raise DomainError("duplicate ray")
         for r in rays:
-            if r == (0, 0) or not is_primitive(r):
+            if not is_primitive(r):
                 raise DomainError(f"ray {r} is not primitive")
-        for i in range(n):
-            if cross(rays[i], rays[(i + 1) % n]) <= 0:
+        for u, v in zip(rays, rays[1:] + rays[:1]):
+            if cross(u, v) <= 0:
                 raise DomainError(
-                    f"rays {rays[i]}, {rays[(i + 1) % n]} are not in strict "
-                    "anticlockwise order"
-                )
+                    f"origin is not strictly inside: rays {u}, {v} do not "
+                    "turn strictly anticlockwise")
         if not _wraps_once(rays):
             raise DomainError("rays wind around the origin more than once")
 
@@ -83,16 +84,9 @@ class FanAnalysis:
 
 
 def fan_from_polygon(q: LatticePolygon) -> CompleteFan:
-    """Face fan of a polygon: rays through its vertices.
-
-    Requires the origin strictly inside and primitive vertices, otherwise the
-    cones over the facets do not form a complete fan of the right shape.
-    """
-    if not contains_origin_interior(q):
-        raise DomainError("origin is not strictly inside the polygon")
-    for v in q.vertices:
-        if not is_primitive(v):
-            raise DomainError(f"vertex {v} is not primitive")
+    """Face fan of a polygon: rays through its vertices.  CompleteFan checks
+    that the vertices are primitive and the origin strictly inside, and
+    raises DomainError otherwise."""
     return CompleteFan(q.vertices)
 
 

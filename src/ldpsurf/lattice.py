@@ -27,25 +27,6 @@ def cross(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, kappa, lam) with g = gcd(a, b) > 0 and kappa*a - lam*b = g."""
-    if a == 0 and b == 0:
-        raise DomainError("gcd certificate of (0, 0) is undefined")
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    g, x, y = old_r, old_s, old_t
-    if g < 0:
-        g, x, y = -g, -x, -y
-    # x*a + y*b = g, so kappa = x and lam = -y.
-    return g, x, -y
-
-
 def is_primitive(v: Sequence[int]) -> bool:
     return math.gcd(v[0], v[1]) == 1
 
@@ -119,7 +100,8 @@ class UnimodularMap:
 
 @dataclass(frozen=True, slots=True)
 class LatticePolygon:
-    """Convex polygon with integer vertices, canonically stored."""
+    """Convex polygon with integer vertices, canonically stored; strictly
+    convex turns that wind once make its vertices distinct."""
 
     vertices: tuple[Point, ...]
 
@@ -133,8 +115,6 @@ class LatticePolygon:
         n = len(vertices)
         if n < 3:
             raise DomainError("a polygon needs at least 3 vertices")
-        if len(set(vertices)) != n:
-            raise DomainError("duplicate vertex")
         area2 = _orientation_area2(vertices)
         if area2 == 0:
             raise DomainError("degenerate polygon (zero area)")
@@ -192,10 +172,6 @@ def edge_lines(p: LatticePolygon) -> list[tuple[int, int, int]]:
         a, b = a // g, b // g
         out.append((a, b, a * vx + b * vy))
     return out
-
-
-def contains_origin_interior(p: LatticePolygon) -> bool:
-    return all(c < 0 for _, _, c in edge_lines(p))
 
 
 class PointCounts(NamedTuple):

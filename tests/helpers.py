@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from ldpsurf import (EmbeddingData, FanAnalysis, LatticePolygon,
                      QuadricIdealReport, UnimodularMap, WeightedCircularGraph,
-                     analyze_fan, apply_map, canonical_polygon,
-                     contains_origin_interior, embedding_data,
+                     analyze_fan, apply_map, canonical_polygon, embedding_data,
                      fan_from_polygon, is_primitive, ldp_analyze)
 from ldpsurf.lattice import edge_lines
 
@@ -79,9 +78,11 @@ def ray_pairs(polygons) -> set:
             for v, w in zip(poly.vertices, poly.vertices[1:] + poly.vertices[:1])}
 
 
-def count_calls(monkeypatch, *names) -> collections.Counter:
+def count_calls(monkeypatch, *names, by_argument=False) -> collections.Counter:
     """Count, for the rest of the test, the calls of the named ldpsurf
-    functions, in every module of the package that binds them."""
+    functions, in every module of the package that binds them.  A call is
+    counted under the function's name, or with by_argument under the pair
+    (name, first argument)."""
     calls = collections.Counter()
     modules = [mod for key, mod in list(sys.modules.items())
                if key == "ldpsurf" or key.startswith("ldpsurf.")]
@@ -89,7 +90,7 @@ def count_calls(monkeypatch, *names) -> collections.Counter:
         fn = next(getattr(mod, name) for mod in modules if hasattr(mod, name))
 
         def counting(*args, name=name, fn=fn, **kwargs):
-            calls[name] += 1
+            calls[(name, args[0]) if by_argument else name] += 1
             return fn(*args, **kwargs)
 
         for mod in modules:
@@ -174,6 +175,12 @@ def random_lattice_polygon(rng: random.Random, bound: int = 6,
         if len(hull) >= 3:
             return LatticePolygon(tuple(hull))
     raise AssertionError("could not sample a polygon")
+
+
+def contains_origin_interior(q: LatticePolygon) -> bool:
+    """The origin lies strictly inside q: every inner facet line a*x + b*y
+    >= c has c < 0.  A test-only oracle for the fan's anticlockwise steps."""
+    return all(c < 0 for _, _, c in edge_lines(q))
 
 
 def is_ldp(q: LatticePolygon) -> bool:

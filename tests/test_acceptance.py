@@ -106,7 +106,7 @@ def test_criterion_4_degree_identity():
             measured = _row(k, p).degree
             closed = table_formulas(k, p).degree
             checks = (
-                k2 == helpers.polar_oracle(data.polygon)[1],
+                k2 == helpers.polar_oracle(canonical_polygon(k, p))[1],
                 Fraction(measured, ell * ell) == k2,
                 Fraction(closed, ell * ell) == k2,
             )

@@ -155,6 +155,29 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("vertices, names_origin", [
+    (((1, 0), (2, 1), (1, 1)), True),  # origin outside
+    (((1, 1), (-1, 1), (1, -1)), True),  # origin on an edge
+    (((0, 0), (1, 0), (0, 1)), False),  # origin at a vertex
+    (((2, 0), (0, 1), (-1, -1)), False),  # a non-primitive vertex
+])
+def test_non_ldp_polygon_files_exit_2(capsys, tmp_path, vertices,
+                                      names_origin):
+    path = write_polygon(tmp_path, LatticePolygon(vertices))
+    for command in ("analyze", "classify"):
+        code, out, err = run(capsys, command, path)
+        assert code == 2 and out == "" and err.startswith("error:")
+        if names_origin:
+            assert "origin" in err
+
+
+def test_analyze_reads_the_input_facet_lines_once(capsys, monkeypatch):
+    calls = helpers.count_calls(monkeypatch, "edge_lines", by_argument=True)
+    code, _, _ = run(capsys, "analyze", "--canonical", "3", "9")
+    assert code == 0
+    assert calls[("edge_lines", canonical_polygon(3, 9))] == 1
+
+
 def test_analyze_computes_each_cone_once(capsys, monkeypatch):
     calls = helpers.count_cone_computations(monkeypatch)
     reads = helpers.count_derived_reads(monkeypatch)

@@ -132,8 +132,14 @@ def test_cone_invariants_unimodular_invariance():
 
 def test_normalizer_contract():
     rng = random.Random(205)
-    for _ in range(300):
-        cone = random_cone(rng)
+    # generators on the axes (b = 0 or a = 0) and with |b| = 1, where the
+    # Bezout pair comes from no modular inverse or from one modulo 1
+    axis = [Cone2(n, n2) for n, n2 in (
+        ((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, -1)),
+        ((0, -1), (1, 0)), ((1, 0), (3, 7)), ((-1, 0), (4, -9)),
+        ((0, 1), (-5, 2)), ((0, -1), (2, 3)), ((3, 1), (0, 1)),
+        ((2, -5), (1, 0)), ((5, 1), (0, 1)), ((4, -1), (1, 0)))]
+    for cone in axis + [random_cone(rng) for _ in range(300)]:
         data = cone_invariants(cone)
         psi = data.normalizer
         assert psi.det == 1

@@ -1,11 +1,12 @@
 """Complete fans, the cone data cache, ray weights, canonical
 self-intersection, resolutions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -67,6 +68,105 @@ def test_fan_validation():
     # strictly positive consecutive turns, but winding number two
     with pytest.raises(DomainError):
         CompleteFan(((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)))
+
+
+def is_once_winding_fan(rays) -> bool:
+    """At least three distinct primitive rays, each step strictly
+    anticlockwise and the steps' angles summing to one full turn: a
+    test-only oracle, by floating angles, for CompleteFan's checks."""
+    n = len(rays)
+    if n < 3 or len(set(rays)) != n:
+        return False
+    if not all(math.gcd(*r) == 1 for r in rays):
+        return False
+    steps = list(zip(rays, rays[1:] + rays[:1]))
+    if any(cross(u, v) <= 0 for u, v in steps):
+        return False
+    turn = sum((math.atan2(v[1], v[0]) - math.atan2(u[1], u[0])) % math.tau
+               for u, v in steps)
+    return round(turn / math.tau) == 1
+
+
+def is_ldp_vertex_list(vs) -> bool:
+    """Distinct integer points in strictly convex position, listed once
+    around in either direction, primitive, with the origin strictly inside:
+    a test-only oracle for LatticePolygon followed by fan_from_polygon."""
+    if len(vs) < 3 or len(set(vs)) != len(vs):
+        return False
+    if not all(isinstance(c, int) for v in vs for c in v):
+        return False
+    hull = helpers.convex_hull(vs)
+    if len(hull) != len(vs) or not (cyclic_equal(hull, vs)
+                                    or cyclic_equal(hull, vs[::-1])):
+        return False
+    return helpers.is_ldp(LatticePolygon(tuple(hull)))
+
+
+PRIMITIVE = [(x, y) for x in range(-4, 5) for y in range(-4, 5)
+             if math.gcd(x, y) == 1]
+
+
+@st.composite
+def point_lists(draw):
+    """3 to 6 points of [-4, 4]^2, most drawn primitive, the origin
+    and repeats allowed; as drawn, in angular order or as their hull's
+    vertices, so that many wind once around the origin."""
+    coord = st.integers(-4, 4)
+    primitive = st.sampled_from(PRIMITIVE)
+    point = st.one_of(primitive, primitive, primitive, st.tuples(coord, coord))
+    points = draw(st.lists(point, min_size=3, max_size=6,
+                           unique=draw(st.booleans())))
+    order = draw(st.sampled_from(("drawn", "angular", "hull")))
+    if order == "angular":
+        points.sort(key=lambda v: math.atan2(v[1], v[0]))
+    elif order == "hull" and len(helpers.convex_hull(points)) >= 3:
+        points = helpers.convex_hull(points)
+    if draw(st.booleans()):
+        points.reverse()
+    shift = draw(st.integers(0, len(points) - 1))
+    return tuple(points[shift:] + points[:shift])
+
+
+@settings(max_examples=500, deadline=None)
+@given(point_lists())
+@example(((1, 0), (0, 1)))
+@example(((1, 0), (0, 1), (1, 0)))
+@example(((2, 0), (0, 1), (-1, -1)))
+@example(((0, 1), (1, 0), (-1, -1)))
+@example(((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)))
+@example(((1, 0), (0, 1), (-1, -1)))
+@example(((1, 0), (-1, 0), (0, -1)))  # a step of half a turn
+def test_complete_fan_accepts_exactly_once_winding_primitive_rays(rays):
+    try:
+        fan = CompleteFan(rays)
+    except DomainError:
+        assert not is_once_winding_fan(rays)
+    else:
+        assert is_once_winding_fan(rays) and fan.rays == rays
+
+
+@settings(max_examples=500, deadline=None)
+@given(point_lists())
+@example(((0, 0), (1, 0)))
+@example(((0, 0), (1, 0), (0, 0)))
+@example(((0, 0), (1, 1), (2, 2)))
+@example(((0, 0), (1, 0), (2, 0), (0, 1)))
+@example(((0, 0), (4, 0), (1, 1), (0, 4)))
+@example(((0, 0), (1, 0), (0, 1.5)))
+@example(((5, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)))
+@example(((0, 0), (1, 0), (0, 1)))
+@example(((2, 0), (0, 2), (-1, -1)))
+@example(((1, 0), (2, 1), (1, 1)))
+@example(((1, 1), (-1, 1), (1, -1)))
+@example(((1, 1), (-1, 1), (-1, -1), (1, -1)))
+def test_face_fan_accepts_exactly_ldp_vertex_lists(vs):
+    try:
+        fan = fan_from_polygon(LatticePolygon(vs))
+    except DomainError:
+        assert not is_ldp_vertex_list(vs)
+    else:
+        assert is_ldp_vertex_list(vs)
+        assert set(fan.rays) == set(vs)
 
 
 def test_fan_cones_wrap():

@@ -11,9 +11,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import contains_origin_interior
 from ldpsurf import (DomainError, LatticePolygon, ParseError, UnimodularMap,
-                     apply_map, contains_origin_interior,
-                     count_lattice_points, cross, dilate, extended_gcd,
+                     apply_map, count_lattice_points, cross, dilate,
                      format_polygon_text, is_primitive, lattice_points,
                      load_polygon, minkowski_double, parse_polygon_text,
                      polygon_area2, polygon_from_array, polygon_to_array,
@@ -37,24 +37,6 @@ def test_cross_and_primitive():
     assert is_primitive((0, 1))
     assert not is_primitive((2, 4))
     assert not is_primitive((0, 2))
-
-
-def test_extended_gcd_certificate():
-    g, kappa, lam = extended_gcd(12, 18)
-    assert g == 6 and kappa * 12 - lam * 18 == 6
-    g, kappa, lam = extended_gcd(0, 5)
-    assert g == 5 and kappa * 0 - lam * 5 == 5
-    with pytest.raises(DomainError):
-        extended_gcd(0, 0)
-    rng = random.Random(101)
-    for _ in range(500):
-        a = rng.randint(-200, 200)
-        b = rng.randint(-200, 200)
-        if a == 0 and b == 0:
-            continue
-        g, kappa, lam = extended_gcd(a, b)
-        assert g == math.gcd(a, b)
-        assert kappa * a - lam * b == g
 
 
 def test_unimodular_map_validation():
