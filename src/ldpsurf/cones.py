@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
-from .lattice import Point, UnimodularMap, cross, is_primitive
+from .lattice import Point, UnimodularMap, bezout, cross, is_primitive
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,9 +87,7 @@ def cone_invariants(c: Cone2) -> ConeData:
     a, b = c.n
     cc, dd = c.n2
     q = cross(c.n, c.n2)
-    # kappa*a - lam*b = 1, since n is primitive; b = 0 forces a = +-1
-    kappa = pow(a, -1, abs(b)) if b else a
-    lam = (kappa * a - 1) // b if b else 0
+    kappa, lam = bezout(a, b)  # kappa*a - lam*b = 1, since n is primitive
     # the base change (kappa, -lam; -b, a) sends n to (1, 0) and n2 to
     # (t, q); the shear (1, s; 0, 1) after it keeps (1, 0) and moves t to p
     t = kappa * cc - lam * dd

@@ -39,7 +39,8 @@ class EmbeddingData:
 
     @functools.cached_property
     def points(self) -> tuple[Point, ...]:
-        """Lattice points, lexicographic: the sweep runs x up, columns lo to hi."""
+        """Lattice points, lexicographic: the sweep keeps the x frame rather
+        than the narrowest one and runs x up, columns lo to hi."""
         return tuple((x, y) for x, lo, hi, _ in _columns(self.polygon)
                      for y in range(lo, hi + 1))
 
@@ -87,9 +88,10 @@ class TableRow:
 def embedding_data(data: LdpData) -> EmbeddingData:
     """Lattice data of P = index · polar, the polygon `ldp_analyze` built.
 
-    Counts come from one column sweep, the degree from the shoelace sum,
-    and the points are derived on read.  Pick's identity is asserted, so a
-    failure here means a counting bug rather than unusual input.
+    Counts come from the column sweep of the narrowest frame, the degree
+    from the shoelace sum, and the points are derived on read.  Pick's
+    identity is asserted, so a failure here means a counting bug rather
+    than unusual input.
     """
     dilated = data.dilated_polar
     boundary, interior = lattice_points(dilated)

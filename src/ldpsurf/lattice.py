@@ -6,7 +6,10 @@ integral), are immutable and are stored in a canonical form (anticlockwise,
 lexicographically smallest vertex first), so two polygons are equal exactly
 when their canonical vertex tuples are equal.  Lattice point sets and counts
 come from one integer sweep over the columns of a lattice polygon, which
-tests for the boundary only at the ends of each column.
+tests for the boundary only at the ends of each column.  The sweep runs in
+the polygon's narrowest frame, its unimodular image with the fewest columns
+among the x-axis and the edge normals; only the lexicographic point order of
+`EmbeddingData.points` sweeps the x frame itself.
 """
 
 from __future__ import annotations
@@ -29,6 +32,13 @@ def cross(u: Sequence[int], v: Sequence[int]) -> int:
 
 def is_primitive(v: Sequence[int]) -> bool:
     return math.gcd(v[0], v[1]) == 1
+
+
+def bezout(a: int, b: int) -> tuple[int, int]:
+    """(kappa, lam) with kappa*a - lam*b = 1 for primitive (a, b): rows
+    (a, b) and (lam, kappa) make a determinant 1 map."""
+    kappa = pow(a, -1, abs(b)) if b else a
+    return kappa, (kappa * a - 1) // b if b else 0
 
 
 def _orientation_area2(vertices: Sequence[Sequence[int]]) -> int:
@@ -197,6 +207,8 @@ def _columns(p: LatticePolygon):
     edge bounds the slice at that point), so it can only lie on a vertical
     edge: `edge` is the whole column when a vertical edge sits at x, and
     otherwise the ends that lie on an edge.
+    It sweeps p's own x frame; `lattice_points` and `count_lattice_points`
+    pass it the image of the narrowest frame.
     """
     verts = p.vertices
     lower, upper, walls = [], [], set()
@@ -234,24 +246,58 @@ def _columns(p: LatticePolygon):
         yield x, lo, hi, edge
 
 
+def _narrowest_frame(p: LatticePolygon):
+    """(image, (a, b, kappa, lam)): p under the determinant 1 map
+    (x, y) -> (a*x + b*y, lam*x + kappa*y), where (a, b) is the x-axis or,
+    if strictly narrower, the inner edge normal with the fewest columns."""
+    verts = p.vertices
+    xs = [x for x, _ in verts]
+    width, a, b = max(xs) - min(xs), 1, 0
+    # rotating calipers: the vertex farthest from edge i moves anticlockwise
+    # with i, so j walks the doubled vertex cycle once in all
+    ring, j = verts * 2, 2
+    for ea, eb, c in edge_lines(p):
+        while ea * (ring[j + 1][0] - ring[j][0]) + \
+                eb * (ring[j + 1][1] - ring[j][1]) > 0:
+            j += 1
+        w = ea * ring[j][0] + eb * ring[j][1] - c
+        if w < width:
+            width, a, b = w, ea, eb
+    kappa, lam = bezout(a, b)
+    if b:  # b = 0 only for the x-axis itself
+        p = LatticePolygon(tuple((a * x + b * y, lam * x + kappa * y)
+                                 for x, y in verts))
+    return p, (a, b, kappa, lam)
+
+
 def lattice_points(p: LatticePolygon) -> tuple[set[Point], set[Point]]:
     """Exact lattice point sets of a polygon, split as (boundary, interior),
-    materialized from the column sweep."""
+    materialized from the column sweep of its narrowest frame.  Column u of
+    the image maps back to the progression from (kappa*u, -lam*u) with
+    steps (-b, a), one C-level set update per column."""
+    image, (a, b, kappa, lam) = _narrowest_frame(p)
     boundary: set[Point] = set()
     interior: set[Point] = set()
-    for x, lo, hi, edge in _columns(p):
-        boundary.update(zip(repeat(x), edge))
-        if isinstance(edge, set):  # a wall's column is all boundary
-            interior.update(zip(repeat(x), range(lo + (lo in edge),
-                                                 hi + 1 - (hi in edge))))
+    for u, lo, hi, edge in _columns(image):
+        x, y = kappa * u, -lam * u
+        if isinstance(edge, set):
+            boundary.update((x - b * v, y + a * v) for v in edge)
+            lo, hi, points = lo + (lo in edge), hi - (hi in edge), interior
+        else:  # a wall's column is all boundary
+            points = boundary
+        n = hi - lo + 1
+        points.update(zip(
+            range(x - b * lo, x - b * (hi + 1), -b) if b else repeat(x, n),
+            range(y + a * lo, y + a * (hi + 1), a) if a else repeat(y, n)))
     return boundary, interior
 
 
 def count_lattice_points(p: LatticePolygon) -> PointCounts:
-    """Lattice point counts summed over the column sweep, without
-    materializing a point."""
+    """Lattice point counts summed over the column sweep of the narrowest
+    frame, without materializing a point; a unimodular map is a bijection
+    of Z^2 that keeps the boundary, so the counts are p's own."""
     total = boundary = 0
-    for _, lo, hi, edge in _columns(p):
+    for _, lo, hi, edge in _columns(_narrowest_frame(p)[0]):
         total += hi - lo + 1
         boundary += len(edge)
     return PointCounts(total, boundary, total - boundary)

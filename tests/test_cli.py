@@ -413,6 +413,16 @@ STDOUT_SHA256 = {
     "analyze-multi": (
         ("analyze", MULTI),
         "0224e19ae38b7785c9e0e7aaa7ccd907eb8e01f6409fd10285b566cae535338f"),
+    # sheared inputs, whose dilated polar polygons are swept in an edge
+    # normal's frame rather than the x frame
+    "analyze-2-17-sheared-json": (
+        ("analyze",
+         apply_map(UnimodularMap(1, 0, 9, 1), canonical_polygon(2, 17)),
+         "--json"),
+        "81605b9708349b1e4cbd8991dc07735c26ea7eca798e63e3f423552510a59cfe"),
+    "analyze-multi-sheared": (
+        ("analyze", apply_map(UnimodularMap(1, 0, 6, 1), MULTI)),
+        "110fde3a7520797e0abf94c4b55a3fb01cac568c355936b002418b107fda37e5"),
     "classify-mirror-json": (
         ("classify", mirror_quad(4), "--json"),
         "0869859cfde9c71cffed90f105d126af955f64ae545f030c3bbbe73f93fb11f8"),

@@ -5,6 +5,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,11 +14,12 @@ from hypothesis import strategies as st
 import helpers
 from helpers import contains_origin_interior
 from ldpsurf import (DomainError, LatticePolygon, ParseError, UnimodularMap,
-                     apply_map, count_lattice_points, cross, dilate,
-                     format_polygon_text, is_primitive, lattice_points,
-                     load_polygon, minkowski_double, parse_polygon_text,
-                     polygon_area2, polygon_from_array, polygon_to_array,
-                     read_polygon_file)
+                     apply_map, canonical_polygon, count_lattice_points,
+                     cross, dilate, format_polygon_text, is_primitive,
+                     lattice, lattice_points, ldp_analyze, load_polygon,
+                     minkowski_double, parse_polygon_text, polygon_area2,
+                     polygon_from_array, polygon_to_array, read_polygon_file)
+from ldpsurf.lattice import edge_lines
 
 TRIANGLE = LatticePolygon(((0, 0), (3, 0), (0, 3)))
 SQUARE = LatticePolygon(((1, 1), (-1, 1), (-1, -1), (1, -1)))
@@ -173,8 +175,16 @@ def polygons(draw):
     return LatticePolygon(tuple(hull))
 
 
+@st.composite
+def sheared_polygons(draw):
+    """`polygons()` under a product of four random shears, whose entries
+    reach about a hundred, so the narrowest frame is seldom the x-axis."""
+    m = helpers.random_unimodular(draw(st.randoms(use_true_random=False)))
+    return apply_map(m, draw(polygons()))
+
+
 @settings(max_examples=200, deadline=None)
-@given(polygons())
+@given(st.one_of(polygons(), sheared_polygons()))
 # thin slivers with a vertical edge and columns holding no point
 @example(LatticePolygon(((0, 0), (3, 1), (3, 2))))
 @example(LatticePolygon(((0, 1), (0, 2), (5, 0))))
@@ -185,11 +195,53 @@ def polygons(draw):
                          (4, 5), (1, 5), (0, 4))))
 @example(LatticePolygon(((0, 0), (2, -3), (5, -5), (9, -6), (14, -6),
                          (14, -5), (0, 1))))
+# the frame's completion: the right wall's normal (-1, 0) ties with the
+# x-axis, which is kept, so the chosen normal never has b = 0, a = -1
+@example(LatticePolygon(((0, 0), (2, 0), (2, 5), (0, 5))))
+# chosen normal (-3, 1), |b| = 1; (-1, 2), |b| > 1 with a < 0
+@example(LatticePolygon(((0, 0), (3, 9), (2, 7))))
+@example(LatticePolygon(((0, 0), (4, 2), (1, 1))))
+# the chosen edge and the edge parallel to it become wall columns of the
+# image, with a column between them that holds no boundary point
+@example(LatticePolygon(((0, 0), (4, 2), (4, 3), (0, 1))))
 def test_sweep_matches_brute_force(poly):
     boundary, interior = helpers.brute_force_points(poly.vertices)
     assert lattice_points(poly) == (boundary, interior)
     assert count_lattice_points(poly) == (len(boundary) + len(interior),
                                           len(boundary), len(interior))
+
+
+def swept_columns(fn, poly) -> int:
+    """Number of columns the library's column sweep yields while fn(poly)
+    runs."""
+    real, columns = lattice._columns, []
+
+    def counting(p):
+        for column in real(p):
+            columns.append(column)
+            yield column
+
+    with mock.patch.object(lattice, "_columns", counting):
+        fn(poly)
+    return len(columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(polygons(), sheared_polygons()))
+def test_sweep_visits_the_columns_of_the_narrowest_frame(poly):
+    verts = poly.vertices
+    widths = [max(x for x, _ in verts) - min(x for x, _ in verts)]
+    widths += [max(a * x + b * y for x, y in verts) - c
+               for a, b, c in edge_lines(poly)]
+    for fn in (lattice_points, count_lattice_points):
+        assert swept_columns(fn, poly) <= min(widths) + 1
+
+
+def test_sheared_polygon_costs_the_columns_of_its_unsheared_form():
+    dilated = ldp_analyze(canonical_polygon(1, 39)).dilated_polar
+    sheared = apply_map(UnimodularMap(1, 40, 0, 1), dilated)
+    for fn in (lattice_points, count_lattice_points):
+        assert swept_columns(fn, sheared) == swept_columns(fn, dilated) == 22
 
 
 def test_minkowski_double_is_ehrhart_value():
