@@ -52,12 +52,12 @@ def _analyze_payload(q: LatticePolygon) -> dict:
     emb = embedding_data(data)
     cls = _classification_or_none(data.analysis)
     singularities = []
+    fan = data.analysis.fan
     for i in data.analysis.singular_indices:
         cd = data.analysis.cone_data[i]
-        cone = data.analysis.fan.cone(i)
         singularities.append({
             "cone": i + 1,
-            "rays": [list(cone.n), list(cone.n2)],
+            "rays": [list(fan.rays[i]), list(fan.rays[(i + 1) % fan.nu])],
             "p": cd.p,
             "q": cd.q,
             "type": cd.singularity,

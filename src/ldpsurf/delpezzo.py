@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, DomainError, SingularityCountError
 from .fans import FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import canonical_key, graph_of
-from .lattice import (LatticePolygon, Point, UnimodularMap, _angular_before,
-                      edge_lines)
+from .lattice import (LatticePolygon, Point, UnimodularMap, _angular_half,
+                      cross, edge_lines)
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,7 +191,7 @@ def _primitive_box_points(bound: int) -> list[Point]:
         if (x, y) != (0, 0) and math.gcd(x, y) == 1
     ]
     pts.sort(key=functools.cmp_to_key(
-        lambda u, v: -1 if _angular_before(u, v) else 1))
+        lambda u, v: _angular_half(u) - _angular_half(v) or -cross(u, v)))
     return pts
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .cones import Cone2, ConeData, cone_invariants
 from .errors import ConsistencyError, DomainError
-from .lattice import LatticePolygon, Point, cross, is_primitive, _wraps_once
+from .lattice import LatticePolygon, Point, cross, is_primitive, _winding
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,16 +46,12 @@ class CompleteFan:
                 raise DomainError(
                     f"origin is not strictly inside: rays {u}, {v} do not "
                     "turn strictly anticlockwise")
-        if not _wraps_once(rays):
+        if _winding(rays) != 1:
             raise DomainError("rays wind around the origin more than once")
 
     @property
     def nu(self) -> int:
         return len(self.rays)
-
-    def cone(self, i: int) -> Cone2:
-        n = self.nu
-        return Cone2(self.rays[i % n], self.rays[(i + 1) % n])
 
 
 @dataclass(frozen=True, slots=True)

@@ -52,27 +52,13 @@ def _angular_half(v: Sequence[int]) -> int:
     return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
 
 
-def _angular_before(u: Sequence[int], v: Sequence[int]) -> bool:
-    hu, hv = _angular_half(u), _angular_half(v)
-    if hu != hv:
-        return hu < hv
-    return cross(u, v) > 0
-
-
-def _wraps_once(vectors: Sequence[Sequence[int]]) -> bool:
-    """True if a cyclic sequence of directions with positive consecutive
-    cross products sweeps the full circle exactly once.
-
-    The number of positions where the absolute angular order decreases equals
-    the winding number, so a convex cycle has exactly one such descent while a
-    star-shaped double cover has two.
-    """
-    n = len(vectors)
-    descents = sum(
-        0 if _angular_before(vectors[i], vectors[(i + 1) % n]) else 1
-        for i in range(n)
-    )
-    return descents == 1
+def _winding(vectors: Sequence[Sequence[int]]) -> int:
+    """Winding number of a cyclic list of directions whose steps all turn
+    strictly anticlockwise by under a half turn (cross > 0), counted as the
+    entries into the upper half plane: such a step can skip neither half,
+    so it enters the upper half exactly when it passes the positive x-axis."""
+    halves = [_angular_half(v) for v in vectors]
+    return sum(a > b for a, b in zip(halves, halves[1:] + halves[:1]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +105,8 @@ class LatticePolygon:
         vertices = []
         for v in self.vertices:
             x, y = v
-            if not isinstance(x, int) or not isinstance(y, int):
+            if not (isinstance(x, int) and isinstance(y, int)) \
+                    or bool in (type(x), type(y)):
                 raise DomainError(f"non-integer vertex {v!r}")
             vertices.append((x, y))
         n = len(vertices)
@@ -141,7 +128,7 @@ class LatticePolygon:
                     "vertices are not in strictly convex position "
                     "(collinear or reflex vertex)"
                 )
-        if not _wraps_once(edges):
+        if _winding(edges) != 1:
             raise DomainError("vertex cycle winds around more than once")
         start = min(range(n), key=lambda i: vertices[i])
         object.__setattr__(self, "vertices",

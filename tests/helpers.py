@@ -145,6 +145,51 @@ def convex_hull(points):
     return half(pts) + half(pts[::-1])
 
 
+def cyclic_equal(a, b) -> bool:
+    if len(a) != len(b):
+        return False
+    doubled = tuple(a) + tuple(a)
+    return any(doubled[i: i + len(b)] == tuple(b) for i in range(len(a)))
+
+
+def is_convex_vertex_cycle(vs) -> bool:
+    """Distinct integer points, all vertices of their convex hull, listed
+    once around in either direction: a test-only oracle for LatticePolygon."""
+    if len(vs) < 3 or len(set(vs)) != len(vs):
+        return False
+    if not all(isinstance(c, int) and not isinstance(c, bool)
+               for v in vs for c in v):
+        return False
+    hull = convex_hull(vs)
+    return len(hull) == len(vs) and (cyclic_equal(hull, vs)
+                                     or cyclic_equal(hull, vs[::-1]))
+
+
+PRIMITIVE = [(x, y) for x in range(-4, 5) for y in range(-4, 5)
+             if math.gcd(x, y) == 1]
+
+
+@st.composite
+def point_lists(draw):
+    """3 to 6 points of [-4, 4]^2, most drawn primitive, the origin
+    and repeats allowed; as drawn, in angular order or as their hull's
+    vertices, so that many wind once around the origin."""
+    coord = st.integers(-4, 4)
+    primitive = st.sampled_from(PRIMITIVE)
+    point = st.one_of(primitive, primitive, primitive, st.tuples(coord, coord))
+    points = draw(st.lists(point, min_size=3, max_size=6,
+                           unique=draw(st.booleans())))
+    order = draw(st.sampled_from(("drawn", "angular", "hull")))
+    if order == "angular":
+        points.sort(key=lambda v: math.atan2(v[1], v[0]))
+    elif order == "hull" and len(convex_hull(points)) >= 3:
+        points = convex_hull(points)
+    if draw(st.booleans()):
+        points.reverse()
+    shift = draw(st.integers(0, len(points) - 1))
+    return tuple(points[shift:] + points[:shift])
+
+
 def one_singularity_polygons(bound: int) -> list[tuple]:
     """Vertex cycles, sorted, of every polygon whose vertices are primitive
     points of [-bound, bound]^2 with the origin strictly inside and exactly

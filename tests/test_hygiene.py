@@ -8,8 +8,9 @@ module-level public function or class must be exported by the package or be
 so referenced, and every exported name must be so referenced or be listed,
 with its reason, among the exports kept without a consumer.  Likewise every
 public method, property and annotated field of a class must be loaded as an
-attribute somewhere in src/ outside its own definition, or be listed.  A
-frozen dataclass keeps no per-instance __dict__ unless a cached_property
+attribute somewhere in src/ outside its own definition, or be listed.  Each
+private name that one module imports from another is listed with its reason.
+A frozen dataclass keeps no per-instance __dict__ unless a cached_property
 needs one.
 """
 
@@ -94,6 +95,26 @@ def test_every_module_level_name_is_read():
                             == _references(node)[target.id]):
                         unread.append(f"{name}:{node.lineno} {target.id}")
     assert not unread, f"assigned, read nowhere else in src/: {unread}"
+
+
+# Private names one module imports from another, each for the reason given.
+PRIVATE_IMPORTS = {
+    "lattice._columns": "the x-frame point order of EmbeddingData.points",
+    "lattice._winding": "CompleteFan's one-winding check",
+    "lattice._angular_half": "the angular sort of the enumeration's box "
+                             "points",
+}
+
+
+def test_every_private_cross_module_import_is_listed():
+    imported = {
+        f"{node.module}.{alias.name}"
+        for tree in TREES.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names if alias.name.startswith("_")}
+    assert imported == set(PRIVATE_IMPORTS), (
+        f"unlisted: {sorted(imported - set(PRIVATE_IMPORTS))}, "
+        f"no longer imported: {sorted(set(PRIVATE_IMPORTS) - imported)}")
 
 
 # Exports with no consumer in src/, each kept for the reason given.

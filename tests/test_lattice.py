@@ -84,9 +84,27 @@ def test_polygon_rejects_bad_input():
         LatticePolygon(((0, 0), (4, 0), (1, 1), (0, 4)))  # reflex vertex
     with pytest.raises(DomainError):
         LatticePolygon(((0, 0), (1, 0), (0, 1.5)))
+    with pytest.raises(DomainError, match=r"non-integer vertex \(True, 1\)"):
+        LatticePolygon(((1, -1), (True, 1), (-1, 0)))
     # pentagram: strictly convex turns everywhere but winds around twice
     with pytest.raises(DomainError):
         LatticePolygon(((5, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(helpers.point_lists())
+@example(((5, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)))  # pentagram
+# winds twice; its edges (-6, 0) and (3, 0) run along both x directions
+@example(((2, 0), (-4, 0), (0, -2), (3, -2), (-2, 3), (0, -3)))
+@example(((1, -1), (True, 1), (-1, 0)))
+def test_polygon_accepts_exactly_convex_vertex_cycles(vs):
+    try:
+        q = LatticePolygon(vs)
+    except DomainError:
+        assert not helpers.is_convex_vertex_cycle(vs)
+    else:
+        assert helpers.is_convex_vertex_cycle(vs)
+        assert q.vertices == tuple(helpers.convex_hull(vs))
 
 
 def test_area_and_map_invariance():
