@@ -16,7 +16,7 @@ import stat
 import sys
 from fractions import Fraction
 
-from .delpezzo import (Classification, canonical_polygon,
+from .delpezzo import (MAX_BOUND, Classification, canonical_polygon,
                        classify_one_singularity, enumerate_one_singularity,
                        group_classes, ldp_analyze)
 from .embedding import (TableRow, embedding_data, enumerated_row,
@@ -258,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate",
                             help="exhaustive search in a coordinate box")
-    p_enum.add_argument("--bound", type=int, required=True)
+    p_enum.add_argument("--bound", type=int, required=True,
+                        help=f"box half-width, 1 to {MAX_BOUND} (exit 2 past)")
     p_enum.set_defaults(func=_cmd_enumerate)
 
     return parser

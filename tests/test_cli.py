@@ -6,6 +6,7 @@ import json
 import os
 import stat
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 
 import helpers
 import ldpsurf.cli as cli
+import ldpsurf.delpezzo as delpezzo
 from helpers import parse_ideal
 from ldpsurf import (EmbeddingData, LatticePolygon, TableRow, UnimodularMap,
                      apply_map, canonical_polygon, format_polygon_text,
@@ -484,6 +486,22 @@ def test_tables_mismatch_exits_4(capsys, monkeypatch):
     assert err == (f"internal error: {failed} of 18 checks failed\n"
                    "  check tables closed form == measured: "
                    f"expected 0, got {failed}\n")
+
+
+def test_oversized_enumerate_bound_exits_2_at_once(capsys, monkeypatch):
+    helpers.forbid_enumeration_box(monkeypatch)
+    limit = cli.MAX_BOUND
+    for bound in (limit + 1, 10**6):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", "--bound", str(bound))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: bound must be between 1 and {limit}\n"
+    # the limit itself is searched; a stand-in search keeps the test fast
+    monkeypatch.setattr(delpezzo, "_one_singularity_search", lambda bound: [])
+    code, out, err = run(capsys, "enumerate", "--bound", str(limit))
+    assert (code, out, err) == (
+        0, f"bound={limit}: 0 polygons in 0 isomorphism classes\n", "")
 
 
 def test_enumerate(capsys):

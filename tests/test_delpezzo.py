@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -256,6 +257,8 @@ def test_enumerate_output_is_pinned():
          "03554c412a4a6a526dcc072eea8387920666135fcb873168c0ea9b508382f890"),
         (8, 5488,
          "1630da03a402f9d35a44d745908136775a79cb0bb97cea450402ca3b63b22b9e"),
+        (12, 14000,
+         "8376f97fdb7c62a0928a27d8ab1afef0f55d82fe19dc82d817a2f9d6da7cf963"),
     ):
         rows = [(poly.vertices, cls.k, cls.p, cls.normal_form, cls.mu)
                 for poly, cls, _ in enumerate_one_singularity(bound)]
@@ -281,9 +284,34 @@ def test_enumerate_is_search_order_independent(monkeypatch):
             [poly for poly, _, _ in shifted]
 
 
-def test_enumerate_validation():
+def test_search_cost_follows_the_answer():
+    # each extend call scans one det = 1 line, and the walk from the
+    # singular cone makes 3.3 to 3.7 calls per polygon at these bounds
+    for bound in (7, 12):
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            code = frame.f_code
+            if (event == "call" and code.co_name == "extend"
+                    and code.co_filename.endswith("delpezzo.py")):
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            found = delpezzo._one_singularity_search(bound)
+        finally:
+            sys.setprofile(None)
+        assert calls <= 5 * len(found)
+
+
+def test_enumerate_validation(monkeypatch):
+    helpers.forbid_enumeration_box(monkeypatch)
     with pytest.raises(DomainError):
         enumerate_one_singularity(0)
+    for bound in (delpezzo.MAX_BOUND + 1, 10**6):
+        with pytest.raises(DomainError, match="between 1 and"):
+            enumerate_one_singularity(bound)
 
 
 def test_group_classes_rejects_mixed_class(monkeypatch):

@@ -61,14 +61,22 @@ def test_fan_validation():
     # strictly positive consecutive turns, but winding number two
     with pytest.raises(DomainError):
         CompleteFan(((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)))
+    # each ray must be two int coordinates, and bool is not an int here
+    for bad in ((1.5, 0), (1, 0, 5), (True, 0)):
+        with pytest.raises(DomainError, match="is not two integers"):
+            CompleteFan((bad, (0, 1), (-1, -1)))
 
 
 def is_once_winding_fan(rays) -> bool:
-    """At least three distinct primitive rays, each step strictly
-    anticlockwise and the steps' angles summing to one full turn: a
-    test-only oracle, by floating angles, for CompleteFan's checks."""
+    """At least three distinct primitive rays of two ints (not bool), each
+    step strictly anticlockwise and the steps' angles summing to one full
+    turn: a test-only oracle, by floating angles, for CompleteFan's checks."""
     n = len(rays)
     if n < 3 or len(set(rays)) != n:
+        return False
+    if not all(len(r) == 2 and all(isinstance(c, int)
+                                   and not isinstance(c, bool) for c in r)
+               for r in rays):
         return False
     if not all(math.gcd(*r) == 1 for r in rays):
         return False
@@ -99,6 +107,9 @@ def is_ldp_vertex_list(vs) -> bool:
 @example(((1, 0), (-1, 0), (0, -1)))  # a step of half a turn
 @example(((1, 0), (-1, 1), (0, -1), (1, 0), (-1, 1), (0, -1)))  # twice round
 @example(((-1, 0), (0, -1), (1, 0), (0, 1)))
+@example(((1.5, 0), (0, 1), (-1, -1)))
+@example(((1, 0, 5), (0, 1), (-1, -1)))
+@example(((True, 0), (0, 1), (-1, -1)))
 def test_complete_fan_accepts_exactly_once_winding_primitive_rays(rays):
     try:
         fan = CompleteFan(rays)
