@@ -7,13 +7,14 @@ non-basic, the surface is isomorphic to a member of three explicit families
 of polygons with 3, 4 and 5 vertices (plus a mirrored presentation of the
 4-vertex family); classify_one_singularity computes the family parameters
 and the unimodular map realizing the normal form from the fan analysis.
-Enumeration is a depth-first search in angular order from the vertex after
-each polygon's one non-basic cone: every step scans the last vertex's
-det = 1 line, built by arithmetic, and the walk closes on a cone of
-det > 1.  It analyses each polygon's fan once, which computes each distinct
-cone once, and returns (polygon, classification, key) triples, the key
-being the canonical graph key of that analysis, computed once per distinct
-graph; group_classes checks that each key equals its normal form's.
+Enumeration is a depth-first search from the vertex after each polygon's
+one non-basic cone: every step walks the last vertex's det = 1 line, built
+by arithmetic, over one range of its parameter t that the search's two
+convexity bounds solve for, and the walk closes on a cone of det > 1.  It
+analyses each polygon's fan once, which computes each distinct cone once,
+and returns (polygon, classification, key) triples, the key being the
+canonical graph key of that analysis, computed once per distinct graph;
+group_classes checks that each key equals its normal form's.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, DomainError, SingularityCountError
 from .fans import FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import canonical_key, graph_of
-from .lattice import (LatticePolygon, Point, UnimodularMap, _angular_half,
-                      bezout, cross, edge_lines)
+from .lattice import LatticePolygon, Point, UnimodularMap, bezout, edge_lines
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,11 +182,8 @@ def index_parity_check(index: int) -> set[tuple[int, int]]:
 
 
 def _primitive_box_points(bound: int) -> list[Point]:
-    pts = [(x, y) for x in range(-bound, bound + 1)
-           for y in range(-bound, bound + 1) if math.gcd(x, y) == 1]
-    pts.sort(key=functools.cmp_to_key(
-        lambda u, v: _angular_half(u) - _angular_half(v) or -cross(u, v)))
-    return pts
+    return [(x, y) for x in range(-bound, bound + 1)
+            for y in range(-bound, bound + 1) if math.gcd(x, y) == 1]
 
 
 Enumerated = tuple[LatticePolygon, Classification, tuple]
@@ -199,52 +196,41 @@ MAX_BOUND = 64
 def _one_singularity_search(bound: int) -> list[LatticePolygon]:
     """The polygons enumerate_one_singularity(bound) classifies, found in
     search order; its docstring gives the search."""
-    cands = _primitive_box_points(bound)
-    n = len(cands)
-    pos = {c: i for i, c in enumerate(cands)}
-    # line[l]: the box points c with det(l, c) = 1 in angular order from l,
-    # as (c, d) with d = (index in cands - index of l) mod n; they are
-    # c0 + t·l with c0 = (lam, kappa), by decreasing t, and |t| <= bound + 1
-    # on them, as |lam| <= |a| and |kappa| <= |b|
-    line: dict[Point, list[tuple[Point, int]]] = {}
-    for i, (a, b) in enumerate(cands):
+    # line[l] = (lam, kappa, lo, hi): the box points c with det(l, c) = 1
+    # are c0 + t·l for lo <= t <= hi, with c0 = (lam, kappa)
+    line: dict[Point, tuple[int, int, int, int]] = {}
+    for a, b in _primitive_box_points(bound):
         kappa, lam = bezout(a, b)
-        lo, hi = -bound - 1, bound + 1
+        lo, hi = -bound - 1, bound + 1  # |lam| <= |a| and |kappa| <= |b|
         for c, e in ((lam, a), (kappa, b)):
             if e:  # |c + t·e| <= bound
                 c, e = (c, e) if e > 0 else (-c, -e)
                 lo, hi = max(lo, -((bound + c) // e)), min(hi, (bound - c) // e)
-        line[a, b] = [((lam + t * a, kappa + t * b),
-                       (pos[lam + t * a, kappa + t * b] - i) % n)
-                      for t in range(hi, lo - 1, -1)]
+        line[a, b] = lam, kappa, lo, hi
     found: list[LatticePolygon] = []
 
-    def extend(chain: list[Point], wrap: int, px: int, py: int,
-               lx: int, ly: int) -> None:
-        # prev = (px, py), last = (lx, ly), and first is wrap steps after
-        # last in cands' angular order; the first-vertex prune gave the turn
-        # at last, so closing checks the cone's det and the turn at first
+    def extend(chain: list[Point], px: int, py: int, lx: int, ly: int) -> None:
+        # the t-range gave last's turn; closing checks det and first's turn
         (fx, fy), (sx, sy) = chain[0], chain[1]
-        if lx * fy - ly * fx > 1 and \
-                (fx - lx) * (sy - fy) - (fy - ly) * (sx - fx) > 0:
+        d = lx * fy - ly * fx
+        if d > 1 and (fx - lx) * (sy - fy) - (fy - ly) * (sx - fx) > 0:
             found.append(LatticePolygon(tuple(chain)))
-        for cand, d in line[lx, ly]:
-            if d >= wrap:
-                break  # this and every later point is at or past first
-            cx, cy = cand
-            ex, ey = cx - lx, cy - ly
-            if (lx - px) * ey - (ly - py) * ex <= 0:
-                continue  # no strict left turn at last
-            if ex * (fy - ly) - ey * (fx - lx) <= 0:
-                continue  # first not strictly left of last -> cand
-            chain.append(cand)
-            extend(chain, wrap - d, lx, ly, cx, cy)
+        lam, kappa, lo, hi = line[lx, ly]
+        turn = 1 - px * kappa + py * lam  # strict left turn at last
+        if d > 0:  # first strictly left of last -> cand
+            left = 1 - (lam * fy - kappa * fx) // d
+            lo = left if left > lo else lo  # no max(): this is the hot loop
+        for t in range(turn if turn < hi else hi, lo - 1, -1):
+            cx, cy = lam + t * lx, kappa + t * ly
+            chain.append((cx, cy))
+            extend(chain, lx, ly, cx, cy)
             chain.pop()
 
-    for first in cands:
-        for second, d in line[first]:
-            extend([first, second], n - d, *first, *second)
-    del extend  # a self-reference: without this the lists outlive the call
+    for (fx, fy), (lam, kappa, lo, hi) in line.items():
+        for t in range(hi, lo - 1, -1):
+            sx, sy = lam + t * fx, kappa + t * fy
+            extend([(fx, fy), (sx, sy)], fx, fy, sx, sy)
+    del extend  # a self-reference: without this the table outlives the call
     return found
 
 
@@ -253,19 +239,26 @@ def enumerate_one_singularity(bound: int) -> list[Enumerated]:
     vertex coordinates lie in [-bound, bound]^2, for 1 <= bound <= MAX_BOUND.
 
     Such a polygon has exactly one cone of det > 1.  A depth-first search
-    grows it from first, the vertex after that cone, through the box's
-    primitive points in angular order.  A step last -> cand takes cand on the
-    det = 1 line of last: the points c0 + t·last, with c0 from bezout, which
-    two floor divisions clip to the box and whose angular order from last is
-    decreasing t.  The step needs a strict left turn at last and first
-    strictly left of last -> cand, and the walk stops after one full turn.
-    It closes when det(last, first) > 1 and the turn at first is strict.  No
-    prune drops a polygon: every cone but the singular one is basic, so each
-    vertex after first is on the det = 1 line of the one before, and a
-    strictly convex polygon turns strictly left at every vertex and has first
-    strictly left of every edge not containing it.  Each polygon is found
-    once: its one singular cone fixes first, and first fixes the walk.  A
-    bound past MAX_BOUND raises DomainError before the box is built.
+    grows it from f = first, the vertex after that cone.  No prune drops a
+    polygon: every other cone is basic, so each vertex after first is on
+    the det = 1 line of the one before, and a strictly convex polygon turns
+    strictly left at every vertex and has first strictly left of every edge
+    not containing it.  So a step from l = last, after p with det(p, l) = 1,
+    takes cand = c0 + t·l, with c0 from bezout and det(l, c0) = 1, for t in
+    one range: the box clip, by two floor divisions, and two bounds.
+    - Strict left turn at l: t <= 1 - det(p, c0).
+    - f strictly left of l -> cand: det(c0, f) + 1 + (t - 1)·d > 0, with
+      d = det(l, f); for d > 0 it reads t >= 1 - floor(det(c0, f) / d).
+      For d = 0, f = -l and the left side is 2.  For d < 0 the turn bound
+      implies it: with a(v) = det(v, c0), the step onto l gave
+      a(f) < 1 + (1 - a(p))·d, so a(f) < 1 - a(p)·d <= 1 + (t - 1)·d.  At
+      the first step p = f, and the two tests are one.
+    No t in the range passes first: for d >= 1 the bound gives
+    det(f, cand) < 1 - d <= 0, and for d <= 0 first is at least a half
+    turn ahead of a step that turns by less than one.  The walk closes when
+    det(last, first) > 1 and the turn at first is strict.  Each polygon is
+    found once: its one singular cone fixes first, and first fixes the
+    walk.  A bound past MAX_BOUND raises DomainError before the box is built.
 
     Returns (polygon, classification, key) triples in vertex order, where
     classification and the canonical graph key come from one analysis of the

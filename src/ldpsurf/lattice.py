@@ -46,19 +46,13 @@ def _orientation_area2(vertices: Sequence[Sequence[int]]) -> int:
     return sum(cross(vertices[i], vertices[(i + 1) % n]) for i in range(n))
 
 
-def _angular_half(v: Sequence[int]) -> int:
-    # 0 on the half-open upper half plane (positive x-axis included),
-    # 1 on the lower one; gives a total angular order together with cross.
-    return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
-
-
 def _winding(vectors: Sequence[Sequence[int]]) -> int:
     """Winding number of a cyclic list of directions whose steps all turn
-    strictly anticlockwise by under a half turn (cross > 0), counted as the
-    entries into the upper half plane: such a step can skip neither half,
-    so it enters the upper half exactly when it passes the positive x-axis."""
-    halves = [_angular_half(v) for v in vectors]
-    return sum(a > b for a, b in zip(halves, halves[1:] + halves[:1]))
+    strictly anticlockwise by under a half turn, counted as the entries into
+    the half-open upper half plane: such a step can skip neither half, so it
+    enters the upper half exactly when it passes the positive x-axis."""
+    upper = [y > 0 or (y == 0 and x > 0) for x, y in vectors]
+    return sum(b > a for a, b in zip(upper, upper[1:] + upper[:1]))
 
 
 @dataclass(frozen=True, slots=True)

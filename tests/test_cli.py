@@ -488,6 +488,23 @@ def test_tables_mismatch_exits_4(capsys, monkeypatch):
                    f"expected 0, got {failed}\n")
 
 
+def test_oversized_tables_pmax_exits_2_before_any_row(capsys, monkeypatch):
+    def unbuilt(k, p):
+        raise AssertionError(f"row k={k} p={p} built")
+
+    monkeypatch.setattr(cli, "enumerated_row", unbuilt)
+    limit = cli.MAX_PMAX
+    for pmax in (limit + 1, 10**9):
+        code, out, err = run(capsys, "tables", "--pmax", str(pmax))
+        assert (code, out) == (2, "")
+        assert err == f"error: --pmax must be between 1 and {limit}\n"
+    # the limit itself is checked row by row; rows read off the closed
+    # forms keep the test fast
+    monkeypatch.setattr(cli, "enumerated_row", cli.table_formulas)
+    code, out, err = run(capsys, "tables", "--pmax", str(limit))
+    assert (code, out, err) == (0, f"{18 * limit} checks passed\n", "")
+
+
 def test_oversized_enumerate_bound_exits_2_at_once(capsys, monkeypatch):
     helpers.forbid_enumeration_box(monkeypatch)
     limit = cli.MAX_BOUND

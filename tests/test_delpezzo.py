@@ -268,25 +268,25 @@ def test_enumerate_output_is_pinned():
 
 def test_enumerate_is_search_order_independent(monkeypatch):
     forward = {b: enumerate_one_singularity(b) for b in (2, 4)}
-    # rotating the candidates keeps their cyclic angular order but starts the
-    # search, and every index the det = 1 walk compares, elsewhere
+    # the walk reads the box only through each point's det = 1 line, so the
+    # order the box lists its points in must not change what is found
     box_points = delpezzo._primitive_box_points
 
-    def rotated(bound):
+    def shuffled(bound):
         pts = box_points(bound)
-        half = len(pts) // 2
-        return pts[half:] + pts[:half]
+        random.Random(7).shuffle(pts)
+        return pts
 
-    monkeypatch.setattr(delpezzo, "_primitive_box_points", rotated)
+    monkeypatch.setattr(delpezzo, "_primitive_box_points", shuffled)
     for b, results in forward.items():
-        shifted = enumerate_one_singularity(b)
+        reordered = enumerate_one_singularity(b)
         assert [poly for poly, _, _ in results] == \
-            [poly for poly, _, _ in shifted]
+            [poly for poly, _, _ in reordered]
 
 
 def test_search_cost_follows_the_answer():
-    # each extend call scans one det = 1 line, and the walk from the
-    # singular cone makes 3.3 to 3.7 calls per polygon at these bounds
+    # each extend call walks one range of a det = 1 line, and the walk from
+    # the singular cone makes 3.3 to 3.7 calls per polygon at these bounds
     for bound in (7, 12):
         calls = 0
 

@@ -101,8 +101,6 @@ def test_every_module_level_name_is_read():
 PRIVATE_IMPORTS = {
     "lattice._columns": "the x-frame point order of EmbeddingData.points",
     "lattice._winding": "CompleteFan's one-winding check",
-    "lattice._angular_half": "the angular sort of the enumeration's box "
-                             "points",
 }
 
 
