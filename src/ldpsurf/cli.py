@@ -24,7 +24,7 @@ from .embedding import (TableRow, embedding_data, enumerated_row,
                         minimal_system, quadric_count_by_counting,
                         table_formulas, write_ideal)
 from .errors import ConsistencyError, DomainError, SingularityCountError
-from .fans import FanAnalysis, analyze_fan, fan_from_polygon
+from .fans import analyze_fan, fan_from_polygon
 from .graphs import graph_of, render_graph
 from .lattice import LatticePolygon, polygon_to_array, read_polygon_file
 
@@ -41,17 +41,13 @@ def _load_input(args) -> LatticePolygon:
     return read_polygon_file(args.polygon)
 
 
-def _classification_or_none(a: FanAnalysis) -> Classification | None:
-    try:
-        return classify_one_singularity(a)
-    except SingularityCountError:
-        return None
-
-
 def _analyze_payload(q: LatticePolygon) -> dict:
     data = ldp_analyze(q)
     emb = embedding_data(data)
-    cls = _classification_or_none(data.analysis)
+    try:
+        cls = classify_one_singularity(data.analysis)
+    except SingularityCountError:
+        cls = None
     singularities = []
     fan = data.analysis.fan
     for i in data.analysis.singular_indices:
@@ -110,9 +106,7 @@ def _print_analysis(payload: dict) -> None:
         print(f"  cone {s['cone']}: rays {rays}  type ({s['p']},{s['q']})  "
               f"singularity {s['type']}  local index {s['local_index']}")
     print("graph:", payload["graph"])
-    polar = " ".join(
-        "(" + ", ".join(c for c in v) + ")" for v in payload["polar_vertices"]
-    )
+    polar = " ".join(f"({', '.join(v)})" for v in payload["polar_vertices"])
     print("polar vertices:", polar)
     emb = payload["embedding"]
     print(f"embedding: ambient dimension {emb['ambient_dim']}, "
@@ -211,9 +205,9 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    results = enumerate_one_singularity(args.bound)
-    classes = group_classes(results)
-    print(f"bound={args.bound}: {len(results)} polygons in "
+    classes = group_classes(enumerate_one_singularity(args.bound))
+    total = sum(e["count"] for e in classes.values())
+    print(f"bound={args.bound}: {total} polygons in "
           f"{len(classes)} isomorphism classes")
     summary = collections.Counter((e["k"], e["p"]) for e in classes.values())
     for (k, p), count in sorted(summary.items()):

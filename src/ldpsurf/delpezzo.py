@@ -12,15 +12,16 @@ one non-basic cone: every step walks the last vertex's det = 1 line, built
 by arithmetic, over one range of its parameter t that the search's two
 convexity bounds solve for, and the walk closes on a cone of det > 1.  It
 analyses each polygon's fan once, which computes each distinct cone once,
-and returns (polygon, classification, key) triples, the key being the
-canonical graph key of that analysis, computed once per distinct graph;
-group_classes checks that each key equals its normal form's.
+and yields (polygon, classification, key) triples in search order, the key
+being the canonical graph key of that analysis, computed once per distinct
+graph; group_classes counts them, checking each key against its normal form's.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError, SingularityCountError
@@ -188,14 +189,14 @@ def _primitive_box_points(bound: int) -> list[Point]:
 
 Enumerated = tuple[LatticePolygon, Classification, tuple]
 
-# largest enumerate bound: bound 64 (656,560 polygons) takes about 40 s and
-# 435 MB on one Intel Xeon core under Python 3.11, and both grow with it
+# largest enumerate bound, set by time: bound 64 (656,560 polygons) takes
+# 30-40 s and 35 MB max RSS on one Intel Xeon core under Python 3.11
 MAX_BOUND = 64
 
 
-def _one_singularity_search(bound: int) -> list[LatticePolygon]:
-    """The polygons enumerate_one_singularity(bound) classifies, found in
-    search order; its docstring gives the search."""
+def _one_singularity_search(bound: int) -> Iterator[LatticePolygon]:
+    """The polygons enumerate_one_singularity(bound) classifies, each first
+    vertex's as soon as its walk is done; that docstring gives the search."""
     # line[l] = (lam, kappa, lo, hi): the box points c with det(l, c) = 1
     # are c0 + t·l for lo <= t <= hi, with c0 = (lam, kappa)
     line: dict[Point, tuple[int, int, int, int]] = {}
@@ -226,15 +227,18 @@ def _one_singularity_search(bound: int) -> list[LatticePolygon]:
             extend(chain, lx, ly, cx, cy)
             chain.pop()
 
-    for (fx, fy), (lam, kappa, lo, hi) in line.items():
-        for t in range(hi, lo - 1, -1):
-            sx, sy = lam + t * fx, kappa + t * fy
-            extend([(fx, fy), (sx, sy)], fx, fy, sx, sy)
-    del extend  # a self-reference: without this the table outlives the call
-    return found
+    try:
+        for (fx, fy), (lam, kappa, lo, hi) in line.items():
+            for t in range(hi, lo - 1, -1):
+                sx, sy = lam + t * fx, kappa + t * fy
+                extend([(fx, fy), (sx, sy)], fx, fy, sx, sy)
+            yield from found
+            found.clear()
+    finally:  # at the end, or when the consumer stops early
+        del extend  # a self-reference: it would keep the table alive
 
 
-def enumerate_one_singularity(bound: int) -> list[Enumerated]:
+def enumerate_one_singularity(bound: int) -> Iterator[Enumerated]:
     """Exhaustively enumerate one-singularity log del Pezzo polygons whose
     vertex coordinates lie in [-bound, bound]^2, for 1 <= bound <= MAX_BOUND.
 
@@ -258,24 +262,26 @@ def enumerate_one_singularity(bound: int) -> list[Enumerated]:
     turn ahead of a step that turns by less than one.  The walk closes when
     det(last, first) > 1 and the turn at first is strict.  Each polygon is
     found once: its one singular cone fixes first, and first fixes the
-    walk.  A bound past MAX_BOUND raises DomainError before the box is built.
+    walk.  A bound past MAX_BOUND raises DomainError at the call itself.
 
-    Returns (polygon, classification, key) triples in vertex order, where
-    classification and the canonical graph key come from one analysis of the
-    polygon's face fan.  The key is computed once per distinct graph node
+    Yields (polygon, classification, key) triples in search order, each first
+    vertex's polygons once its walk is done, so memory follows the box, not
+    the polygon count.  Classification and key come from one analysis of the
+    polygon's face fan; the key is computed once per distinct graph node
     sequence in the call, and equal keys are one shared tuple.  Every found
-    polygon is required to classify successfully; a violation raises
-    ConsistencyError.  That each gives a surface isomorphic to its normal
-    form's is checked by group_classes.
+    polygon must classify, or ConsistencyError is raised; group_classes
+    checks that each gives a surface isomorphic to its normal form's.
     """
     if not 1 <= bound <= MAX_BOUND:
         raise DomainError(f"bound must be between 1 and {MAX_BOUND}")
-    found = _one_singularity_search(bound)
+    return _classify_each(_one_singularity_search(bound))
+
+
+def _classify_each(polygons: Iterable[LatticePolygon]) -> Iterator[Enumerated]:
     # node sequence -> its canonical key; a key is a node sequence of its own
     # orbit, so it maps to itself, and setdefault shares equal keys
     keys: dict[tuple, tuple] = {}
-    results = []
-    for poly in sorted(found, key=lambda q: q.vertices):
+    for poly in polygons:
         a = analyze_fan(fan_from_polygon(poly))
         cls = classify_one_singularity(a)
         g = graph_of(a)
@@ -283,19 +289,18 @@ def enumerate_one_singularity(bound: int) -> list[Enumerated]:
         if key is None:
             key = canonical_key(g)
             key = keys[g.nodes] = keys.setdefault(key, key)
-        results.append((poly, cls, key))
-    return results
+        yield poly, cls, key
 
 
 def _graph_key(q: LatticePolygon) -> tuple:
     return canonical_key(graph_of(analyze_fan(fan_from_polygon(q))))
 
 
-def group_classes(results: list[Enumerated]) -> dict[tuple, dict]:
-    """Group enumeration triples into isomorphism classes by their canonical
-    graph key.  Each key must equal the key of the normal form
-    canonical_polygon(k, p), computed once per (k, p), and no class may hold
-    two (k, p); a violation raises ConsistencyError."""
+def group_classes(results: Iterable[Enumerated]) -> dict[tuple, dict]:
+    """Count enumeration triples, read in one pass from any iterable, into
+    isomorphism classes by canonical graph key.  Each key must equal that of
+    the normal form canonical_polygon(k, p), computed once per (k, p), and no
+    class may hold two (k, p); a violation raises ConsistencyError."""
     classes: dict[tuple, dict] = {}
     target_keys: dict[tuple[int, int], tuple] = {}
     for poly, cls, key in results:

@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .cones import Cone2, ConeData, cone_invariants
 from .errors import ConsistencyError, DomainError
-from .lattice import LatticePolygon, Point, cross, is_primitive, _winding
+from .lattice import (LatticePolygon, Point, cross, int_pair, is_primitive,
+                      _winding)
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,15 +36,15 @@ class CompleteFan:
     rays: tuple[Point, ...]
 
     def __post_init__(self):
-        rays = tuple(tuple(r) for r in self.rays)
+        given = tuple(self.rays)
+        rays = tuple(map(int_pair, given))
         object.__setattr__(self, "rays", rays)
         if len(rays) < 3:
             raise DomainError("a complete fan needs at least 3 rays")
+        if None in rays:
+            bad = given[rays.index(None)]
+            raise DomainError(f"ray {bad!r} is not two integers")
         for r in rays:
-            x, y = r if len(r) == 2 else (None, None)  # None is no int
-            if not (isinstance(x, int) and isinstance(y, int)) \
-                    or bool in (type(x), type(y)):
-                raise DomainError(f"ray {r!r} is not two integers")
             if not is_primitive(r):
                 raise DomainError(f"ray {r} is not primitive")
         for u, v in zip(rays, rays[1:] + rays[:1]):

@@ -55,6 +55,16 @@ def _winding(vectors: Sequence[Sequence[int]]) -> int:
     return sum(b > a for a, b in zip(upper, upper[1:] + upper[:1]))
 
 
+def int_pair(v) -> Point | None:
+    """v as (x, y) if it is a pair of ints, else None; bool is no int here."""
+    try:
+        x, y = v
+    except (TypeError, ValueError):  # not a pair
+        return None
+    ints = isinstance(x, int) and isinstance(y, int)
+    return (x, y) if ints and bool not in (type(x), type(y)) else None
+
+
 @dataclass(frozen=True, slots=True)
 class UnimodularMap:
     """Integer 2x2 matrix [[a, b], [c, d]] with determinant +1 or -1."""
@@ -98,11 +108,9 @@ class LatticePolygon:
     def __post_init__(self):
         vertices = []
         for v in self.vertices:
-            x, y = v
-            if not (isinstance(x, int) and isinstance(y, int)) \
-                    or bool in (type(x), type(y)):
+            if (pair := int_pair(v)) is None:
                 raise DomainError(f"non-integer vertex {v!r}")
-            vertices.append((x, y))
+            vertices.append(pair)
         n = len(vertices)
         if n < 3:
             raise DomainError("a polygon needs at least 3 vertices")
@@ -111,20 +119,17 @@ class LatticePolygon:
             raise DomainError("degenerate polygon (zero area)")
         if area2 < 0:
             vertices = vertices[::-1]
-        edges = [
-            (vertices[(i + 1) % n][0] - vertices[i][0],
-             vertices[(i + 1) % n][1] - vertices[i][1])
-            for i in range(n)
-        ]
-        for i in range(n):
-            if cross(edges[i], edges[(i + 1) % n]) <= 0:
+        edges = [(wx - vx, wy - vy) for (vx, vy), (wx, wy)
+                 in zip(vertices, vertices[1:] + vertices[:1])]
+        for (ex, ey), (fx, fy) in zip(edges, edges[1:] + edges[:1]):
+            if ex * fy - ey * fx <= 0:  # cross(e, f), inlined: a hot path
                 raise DomainError(
                     "vertices are not in strictly convex position "
                     "(collinear or reflex vertex)"
                 )
         if _winding(edges) != 1:
             raise DomainError("vertex cycle winds around more than once")
-        start = min(range(n), key=lambda i: vertices[i])
+        start = vertices.index(min(vertices))
         object.__setattr__(self, "vertices",
                            tuple(vertices[start:] + vertices[:start]))
 
@@ -153,10 +158,7 @@ def edge_lines(p: LatticePolygon) -> list[tuple[int, int, int]]:
     edge."""
     out = []
     verts = p.vertices
-    n = len(verts)
-    for i in range(n):
-        vx, vy = verts[i]
-        wx, wy = verts[(i + 1) % n]
+    for (vx, vy), (wx, wy) in zip(verts, verts[1:] + verts[:1]):
         # left (inner) normal of an anticlockwise edge
         a, b = vy - wy, wx - vx
         g = math.gcd(a, b)
@@ -300,7 +302,8 @@ def parse_polygon_text(text: str) -> LatticePolygon:
         if not line:
             continue
         tokens = line.split()
-        if len(tokens) != 2:
+        # int() alone would also read "1_0" as 10 and non-ASCII digits
+        if len(tokens) != 2 or "_" in line or not line.isascii():
             raise ParseError(f"line {lineno}: expected two integers, got {raw!r}")
         try:
             x, y = int(tokens[0]), int(tokens[1])
@@ -318,15 +321,11 @@ def polygon_from_array(arr) -> LatticePolygon:
     """Build a polygon from the machine form [[x, y], ...]."""
     verts: dict[Point, None] = {}  # a set in insertion order
     for entry in arr:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        if (pair := int_pair(entry)) is None:
             raise ParseError(f"bad vertex entry {entry!r}")
-        x, y = entry
-        if isinstance(x, bool) or isinstance(y, bool) or \
-                not isinstance(x, int) or not isinstance(y, int):
-            raise ParseError(f"bad vertex entry {entry!r}")
-        if (x, y) in verts:
-            raise ParseError(f"duplicate vertex ({x}, {y})")
-        verts[(x, y)] = None
+        if pair in verts:
+            raise ParseError(f"duplicate vertex {pair}")
+        verts[pair] = None
     if len(verts) < 3:
         raise ParseError("fewer than 3 vertices")
     return LatticePolygon(tuple(verts))

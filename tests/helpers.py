@@ -7,6 +7,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from ldpsurf import (EmbeddingData, FanAnalysis, LatticePolygon,
                      QuadricIdealReport, UnimodularMap, WeightedCircularGraph,
                      analyze_fan, apply_map, canonical_polygon, embedding_data,
-                     fan_from_polygon, is_primitive, ldp_analyze)
+                     enumerate_one_singularity, fan_from_polygon, is_primitive,
+                     ldp_analyze)
 from ldpsurf.lattice import edge_lines
 
 
@@ -26,6 +28,24 @@ def analysis_of(poly: LatticePolygon) -> FanAnalysis:
 def embedding_of(poly: LatticePolygon) -> EmbeddingData:
     """The embedding data of a log del Pezzo polygon."""
     return embedding_data(ldp_analyze(poly))
+
+
+def enumerated(bound: int) -> list:
+    """The (polygon, classification, key) triples of
+    enumerate_one_singularity(bound), which streams them in search order,
+    as a list in vertex order."""
+    return sorted(enumerate_one_singularity(bound),
+                  key=lambda triple: triple[0].vertices)
+
+
+def peak_traced_bytes(fn) -> int:
+    """The peak of the memory traced by tracemalloc during one call fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def count_derived_reads(monkeypatch) -> collections.Counter:

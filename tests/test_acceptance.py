@@ -16,11 +16,10 @@ import helpers
 from helpers import parse_ideal, relation_rank, span_membership
 from ldpsurf import (Cone2, apply_map, canonical_key, canonical_polygon,
                      classify_one_singularity, cone_invariants,
-                     count_lattice_points, cross, enumerate_one_singularity,
-                     enumerated_row, format_ideal, graph_of, group_classes,
-                     index_parity_check, ldp_analyze, minimal_system,
-                     minkowski_double, mirror_quad, polygon_area2,
-                     reverse_graph, socius, surfaces_isomorphic,
+                     count_lattice_points, cross, enumerated_row, format_ideal,
+                     graph_of, group_classes, index_parity_check, ldp_analyze,
+                     minimal_system, minkowski_double, mirror_quad,
+                     polygon_area2, reverse_graph, socius, surfaces_isomorphic,
                      table_formulas)
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -166,7 +165,7 @@ def test_criterion_6_classification_roundtrip():
 
 def test_criterion_7_enumeration():
     t0 = time.perf_counter()
-    results = enumerate_one_singularity(4)
+    results = helpers.enumerated(4)
     classes = group_classes(results)
     dt = time.perf_counter() - t0
     by_kp = sorted({(e["k"], e["p"]) for e in classes.values()})

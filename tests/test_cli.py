@@ -1,6 +1,7 @@
 """Command line interface, driven through main(argv)."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import stat
 import threading
 import time
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,14 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     for pmax in ("0", "-4"):
         code, out, err = run(capsys, "tables", "--pmax", pmax)
         assert code == 2 and out == "" and err.startswith("error:")
+    # int() alone reads "1_0" as 10 and the Arabic-Indic digit three as 3,
+    # which would make both files canonical_polygon(1, p); JSON takes neither
+    for vertex in ("1_0 1", "\u0663 1"):
+        loose = tmp_path / "loose.txt"
+        loose.write_text(f"1 -1\n{vertex}\n-1 0\n", encoding="utf-8")
+        code, out, err = run(capsys, "classify", str(loose))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 2: expected two integers, got {vertex!r}\n"
 
 
 @pytest.mark.parametrize("vertices, names_origin", [
@@ -234,6 +244,52 @@ def test_interrupt_exits_130(capsys, monkeypatch):
                  ("quadrics", "--canonical", "3", "15")):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (130, "", "error: interrupted\n")
+
+
+def _failing_on_polygon(monkeypatch, n, fail):
+    """Make enumeration's n-th classification call fail(real classification)
+    instead of returning it; return the running count of calls."""
+    real, calls = delpezzo.classify_one_singularity, [0]
+
+    def classify(a):
+        calls[0] += 1
+        cls = real(a)
+        return fail(cls) if calls[0] == n else cls
+
+    monkeypatch.setattr(delpezzo, "classify_one_singularity", classify)
+    return calls
+
+
+def test_interrupt_mid_stream_prints_no_table(capsys, monkeypatch):
+    def interrupt(cls):
+        raise KeyboardInterrupt
+
+    calls = _failing_on_polygon(monkeypatch, 100, interrupt)
+    gc.collect()
+    gc.disable()  # only the search's own finally may free its walk
+    try:
+        code, out, err = run(capsys, "enumerate", "--bound", "7")
+        walks = [f for f in gc.get_objects()
+                 if isinstance(f, types.FunctionType) and f.__qualname__
+                 == "_one_singularity_search.<locals>.extend"]
+    finally:
+        gc.enable()
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+    assert calls[0] == 100  # the search stopped where it was interrupted
+    assert walks == []
+
+
+def test_misclassified_polygon_mid_stream_exits_4(capsys, monkeypatch):
+    def forge(cls):
+        return dataclasses.replace(cls, k=cls.k % 3 + 1)
+
+    calls = _failing_on_polygon(monkeypatch, 100, forge)
+    code, out, err = run(capsys, "enumerate", "--bound", "7")
+    assert (code, out) == (4, "")
+    first, check = err.splitlines()
+    assert first.startswith("internal error: polygon ")
+    assert check.startswith("  check graph key == normal form's: expected ")
+    assert calls[0] == 100  # checked as it arrived, not after the search
 
 
 class _InterruptedFile:
@@ -393,6 +449,20 @@ def test_quadrics_out_memory_stays_small(capsys, tmp_path):
     # the index-form fibers and one fiber's text at a time, never the
     # whole text or a tuple per pair (about 41 MB when both were held)
     assert peak < 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_enumerate_memory_follows_the_box(capsys):
+    # the first run fills the bounded cone-data cache; the second then holds
+    # the box's det = 1 lines, one first vertex's polygons and the class
+    # table, not the 14,000 polygons, which as one list trace 7.8 MB
+    argv = ["enumerate", "--bound", "12"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    codes = []
+    peak = helpers.peak_traced_bytes(lambda: codes.append(cli.main(argv)))
+    assert codes == [0] and capsys.readouterr().out == expected
+    assert expected.startswith("bound=12: 14000 polygons in ")
+    assert peak < 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MB"
 
 
 # sha256 of stdout, by test id: `quadrics --canonical K P` at benchmark

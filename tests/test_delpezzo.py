@@ -174,7 +174,7 @@ def test_index_parity_check():
 
 
 def test_enumerate_bound_one():
-    results = enumerate_one_singularity(1)
+    results = helpers.enumerated(1)
     assert len(results) == 16
     classes = group_classes(results)
     assert len(classes) == 3
@@ -186,7 +186,7 @@ def test_enumerate_bound_one():
 
 
 def test_enumerate_bound_two():
-    results = enumerate_one_singularity(2)
+    results = helpers.enumerated(2)
     assert len(results) == 144
     classes = group_classes(results)
     assert len(classes) == 9
@@ -200,7 +200,7 @@ def test_enumerate_bound_two():
 
 def test_enumerate_matches_subset_oracle():
     # every subset of the 16 primitive points of [-2, 2]^2, no search order
-    found = [poly.vertices for poly, _, _ in enumerate_one_singularity(2)]
+    found = [poly.vertices for poly, _, _ in helpers.enumerated(2)]
     assert found == helpers.one_singularity_polygons(2)
 
 
@@ -240,7 +240,7 @@ def test_enumerate_finds_exactly_the_one_singularity_polygons(poly):
 
 
 def test_enumerate_bound_seven():
-    results = enumerate_one_singularity(7)
+    results = helpers.enumerated(7)
     assert len({poly.vertices for poly, _, _ in results}) == len(results) \
         == 4144
     classes = group_classes(results)
@@ -250,7 +250,7 @@ def test_enumerate_bound_seven():
 
 
 def test_enumerate_output_is_pinned():
-    # (vertices, k, p, normal_form, mu) in the order returned, at bounds past
+    # (vertices, k, p, normal_form, mu) in vertex order, at bounds past
     # the subset oracle's 2 and the property test's 4
     for bound, count, digest in (
         (5, 1872,
@@ -261,13 +261,13 @@ def test_enumerate_output_is_pinned():
          "8376f97fdb7c62a0928a27d8ab1afef0f55d82fe19dc82d817a2f9d6da7cf963"),
     ):
         rows = [(poly.vertices, cls.k, cls.p, cls.normal_form, cls.mu)
-                for poly, cls, _ in enumerate_one_singularity(bound)]
+                for poly, cls, _ in helpers.enumerated(bound)]
         assert len(rows) == count
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_enumerate_is_search_order_independent(monkeypatch):
-    forward = {b: enumerate_one_singularity(b) for b in (2, 4)}
+    forward = {b: helpers.enumerated(b) for b in (2, 4)}
     # the walk reads the box only through each point's det = 1 line, so the
     # order the box lists its points in must not change what is found
     box_points = delpezzo._primitive_box_points
@@ -279,7 +279,7 @@ def test_enumerate_is_search_order_independent(monkeypatch):
 
     monkeypatch.setattr(delpezzo, "_primitive_box_points", shuffled)
     for b, results in forward.items():
-        reordered = enumerate_one_singularity(b)
+        reordered = helpers.enumerated(b)
         assert [poly for poly, _, _ in results] == \
             [poly for poly, _, _ in reordered]
 
@@ -299,7 +299,7 @@ def test_search_cost_follows_the_answer():
 
         sys.setprofile(count)
         try:
-            found = delpezzo._one_singularity_search(bound)
+            found = list(delpezzo._one_singularity_search(bound))
         finally:
             sys.setprofile(None)
         assert calls <= 5 * len(found)
@@ -315,7 +315,7 @@ def test_enumerate_validation(monkeypatch):
 
 
 def test_group_classes_rejects_mixed_class(monkeypatch):
-    results = enumerate_one_singularity(1)
+    results = helpers.enumerated(1)
     poly, cls, key = results[0]
     forged = cls.__class__(k=cls.k % 3 + 1, p=cls.p, transform=cls.transform,
                            normal_form=cls.normal_form, mu=cls.mu)
@@ -333,7 +333,7 @@ def test_group_classes_rejects_mixed_class(monkeypatch):
 def test_group_classes_rejects_misclassified_entry():
     # a single entry: no second polygon to disagree with, so only the check
     # against the normal form's graph key can catch it
-    poly, cls, key = enumerate_one_singularity(1)[0]
+    poly, cls, key = helpers.enumerated(1)[0]
     forged = cls.__class__(k=cls.k % 3 + 1, p=cls.p, transform=cls.transform,
                            normal_form=cls.normal_form, mu=cls.mu)
     with pytest.raises(ConsistencyError) as exc:
@@ -363,13 +363,13 @@ def test_classify_mismatch_names_check_and_values(monkeypatch):
 
 def test_enumeration_repeats_within_a_process():
     # the second call reads every cone from the cache the first one filled
-    assert enumerate_one_singularity(4) == enumerate_one_singularity(4)
+    assert helpers.enumerated(4) == helpers.enumerated(4)
 
 
 def test_enumeration_analyses_each_polygon_once(monkeypatch):
     calls = helpers.count_cone_computations(monkeypatch)
     reads = helpers.count_derived_reads(monkeypatch)
-    results = enumerate_one_singularity(2)
+    results = helpers.enumerated(2)
     group_classes(results)
     # one computation per distinct cone of the found polygons and of the
     # normal forms, which serves classification and graph key alike

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from unittest import mock
@@ -86,6 +87,10 @@ def test_polygon_rejects_bad_input():
         LatticePolygon(((0, 0), (1, 0), (0, 1.5)))
     with pytest.raises(DomainError, match=r"non-integer vertex \(True, 1\)"):
         LatticePolygon(((1, -1), (True, 1), (-1, 0)))
+    # a vertex that is not a pair at all
+    for bad in ((1, 2, 3), 1, None):
+        with pytest.raises(DomainError, match=re.escape(f"non-integer vertex {bad!r}")):
+            LatticePolygon((bad, (0, 1), (-1, -1)))
     # pentagram: strictly convex turns everywhere but winds around twice
     with pytest.raises(DomainError):
         LatticePolygon(((5, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)))
