@@ -12,9 +12,10 @@ one non-basic cone: every step walks the last vertex's det = 1 line, built
 by arithmetic, over one range of its parameter t that the search's two
 convexity bounds solve for, and the walk closes on a cone of det > 1.  It
 analyses each polygon's fan once, which computes each distinct cone once,
-and yields (polygon, classification, key) triples in search order, the key
-being the canonical graph key of that analysis, computed once per distinct
-graph; group_classes counts them, checking each key against its normal form's.
+and yields (polygon, classification, key) triples, each polygon as it is
+found, the key being its analysis's canonical graph key, computed once per
+distinct graph; group_classes counts them, checking each key against its
+normal form's.
 """
 
 from __future__ import annotations
@@ -190,13 +191,13 @@ def _primitive_box_points(bound: int) -> list[Point]:
 Enumerated = tuple[LatticePolygon, Classification, tuple]
 
 # largest enumerate bound, set by time: bound 64 (656,560 polygons) takes
-# 30-40 s and 35 MB max RSS on one Intel Xeon core under Python 3.11
+# 35-39 s and 34 MB max RSS on one Intel Xeon core under Python 3.11
 MAX_BOUND = 64
 
 
 def _one_singularity_search(bound: int) -> Iterator[LatticePolygon]:
-    """The polygons enumerate_one_singularity(bound) classifies, each first
-    vertex's as soon as its walk is done; that docstring gives the search."""
+    """The polygons enumerate_one_singularity(bound) classifies, each polygon
+    as it is found; that docstring gives the search."""
     # line[l] = (lam, kappa, lo, hi): the box points c with det(l, c) = 1
     # are c0 + t·l for lo <= t <= hi, with c0 = (lam, kappa)
     line: dict[Point, tuple[int, int, int, int]] = {}
@@ -208,34 +209,25 @@ def _one_singularity_search(bound: int) -> Iterator[LatticePolygon]:
                 c, e = (c, e) if e > 0 else (-c, -e)
                 lo, hi = max(lo, -((bound + c) // e)), min(hi, (bound - c) // e)
         line[a, b] = lam, kappa, lo, hi
-    found: list[LatticePolygon] = []
-
-    def extend(chain: list[Point], px: int, py: int, lx: int, ly: int) -> None:
-        # the t-range gave last's turn; closing checks det and first's turn
-        (fx, fy), (sx, sy) = chain[0], chain[1]
-        d = lx * fy - ly * fx
-        if d > 1 and (fx - lx) * (sy - fy) - (fy - ly) * (sx - fx) > 0:
-            found.append(LatticePolygon(tuple(chain)))
-        lam, kappa, lo, hi = line[lx, ly]
-        turn = 1 - px * kappa + py * lam  # strict left turn at last
-        if d > 0:  # first strictly left of last -> cand
-            left = 1 - (lam * fy - kappa * fx) // d
-            lo = left if left > lo else lo  # no max(): this is the hot loop
-        for t in range(turn if turn < hi else hi, lo - 1, -1):
-            cx, cy = lam + t * lx, kappa + t * ly
-            chain.append((cx, cy))
-            extend(chain, lx, ly, cx, cy)
-            chain.pop()
-
-    try:
-        for (fx, fy), (lam, kappa, lo, hi) in line.items():
-            for t in range(hi, lo - 1, -1):
-                sx, sy = lam + t * fx, kappa + t * fy
-                extend([(fx, fy), (sx, sy)], fx, fy, sx, sy)
-            yield from found
-            found.clear()
-    finally:  # at the end, or when the consumer stops early
-        del extend  # a self-reference: it would keep the table alive
+    for (fx, fy), (lam, kappa, lo, hi) in line.items():
+        # vertex chains from first; a step's candidates go on in increasing
+        # t, so the walk takes them in decreasing t
+        stack = [((fx, fy), (lam + t * fx, kappa + t * fy))
+                 for t in range(lo, hi + 1)]
+        while stack:
+            chain = stack.pop()
+            # the t-range gave last's turn; closing checks det and first's turn
+            (sx, sy), (px, py), (lx, ly) = chain[1], chain[-2], chain[-1]
+            d = lx * fy - ly * fx
+            if d > 1 and (fx - lx) * (sy - fy) - (fy - ly) * (sx - fx) > 0:
+                yield LatticePolygon(chain)
+            lam, kappa, lo, hi = line[lx, ly]
+            turn = 1 - px * kappa + py * lam  # strict left turn at last
+            if d > 0:  # first strictly left of last -> cand
+                left = 1 - (lam * fy - kappa * fx) // d
+                lo = left if left > lo else lo  # no max(): this is the hot loop
+            for t in range(lo, (turn if turn < hi else hi) + 1):
+                stack.append(chain + ((lam + t * lx, kappa + t * ly),))
 
 
 def enumerate_one_singularity(bound: int) -> Iterator[Enumerated]:
@@ -264,9 +256,9 @@ def enumerate_one_singularity(bound: int) -> Iterator[Enumerated]:
     found once: its one singular cone fixes first, and first fixes the
     walk.  A bound past MAX_BOUND raises DomainError at the call itself.
 
-    Yields (polygon, classification, key) triples in search order, each first
-    vertex's polygons once its walk is done, so memory follows the box, not
-    the polygon count.  Classification and key come from one analysis of the
+    Yields (polygon, classification, key) triples in search order, each
+    polygon as it is found, so memory follows the box, not the polygon
+    count.  Classification and key come from one analysis of the
     polygon's face fan; the key is computed once per distinct graph node
     sequence in the call, and equal keys are one shared tuple.  Every found
     polygon must classify, or ConsistencyError is raised; group_classes
@@ -292,10 +284,6 @@ def _classify_each(polygons: Iterable[LatticePolygon]) -> Iterator[Enumerated]:
         yield poly, cls, key
 
 
-def _graph_key(q: LatticePolygon) -> tuple:
-    return canonical_key(graph_of(analyze_fan(fan_from_polygon(q))))
-
-
 def group_classes(results: Iterable[Enumerated]) -> dict[tuple, dict]:
     """Count enumeration triples, read in one pass from any iterable, into
     isomorphism classes by canonical graph key.  Each key must equal that of
@@ -306,7 +294,8 @@ def group_classes(results: Iterable[Enumerated]) -> dict[tuple, dict]:
     for poly, cls, key in results:
         kp = (cls.k, cls.p)
         if kp not in target_keys:
-            target_keys[kp] = _graph_key(canonical_polygon(*kp))
+            target_keys[kp] = canonical_key(graph_of(analyze_fan(
+                fan_from_polygon(canonical_polygon(*kp)))))
         if key != target_keys[kp]:
             raise ConsistencyError(
                 f"polygon {poly.vertices} is not isomorphic to its normal "

@@ -347,7 +347,7 @@ def load_polygon(text: str) -> LatticePolygon:
 
 def read_polygon_file(path) -> LatticePolygon:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return load_polygon(fh.read())
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc

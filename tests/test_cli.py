@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import inspect
 import json
 import os
 import stat
@@ -20,7 +21,7 @@ import ldpsurf.delpezzo as delpezzo
 from helpers import parse_ideal
 from ldpsurf import (EmbeddingData, LatticePolygon, TableRow, UnimodularMap,
                      apply_map, canonical_polygon, format_polygon_text,
-                     mirror_quad)
+                     mirror_quad, table_formulas)
 
 SQUARE = LatticePolygon(((1, 1), (-1, 1), (-1, -1), (1, -1)))
 
@@ -120,6 +121,20 @@ def test_classify_json(capsys, tmp_path):
     assert payload["k"] == 2 and payload["p"] == 5
     assert payload["normal_form"] == "standard"
     assert isinstance(payload["transform"], list)
+
+
+@pytest.mark.parametrize("text", ["1 -1\n3 1\n-1 0\n",
+                                  "[[1,-1],[3,1],[-1,0]]"],
+                         ids=["vertex-lines", "json-array"])
+def test_classify_ignores_byte_order_mark(capsys, tmp_path, text):
+    # some editors save UTF-8 text with a leading byte-order mark
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    expected = run(capsys, "classify", str(plain))
+    assert expected[0] == 0 and expected[1].startswith("k=1 p=3 ")
+    assert run(capsys, "classify", str(marked)) == expected
 
 
 def test_classify_wrong_count_exits_3(capsys, tmp_path):
@@ -260,23 +275,32 @@ def _failing_on_polygon(monkeypatch, n, fail):
     return calls
 
 
+def _search_states():
+    """The states of the enumerate search generators alive in the process."""
+    return [inspect.getgeneratorstate(g) for g in gc.get_objects()
+            if isinstance(g, types.GeneratorType)
+            and g.gi_code is delpezzo._one_singularity_search.__code__]
+
+
 def test_interrupt_mid_stream_prints_no_table(capsys, monkeypatch):
+    live = []
+
     def interrupt(cls):
+        live.extend(_search_states())
         raise KeyboardInterrupt
 
     calls = _failing_on_polygon(monkeypatch, 100, interrupt)
     gc.collect()
-    gc.disable()  # only the search's own finally may free its walk
+    gc.disable()  # only reference counting may free the search's walk
     try:
         code, out, err = run(capsys, "enumerate", "--bound", "7")
-        walks = [f for f in gc.get_objects()
-                 if isinstance(f, types.FunctionType) and f.__qualname__
-                 == "_one_singularity_search.<locals>.extend"]
+        left = _search_states()
     finally:
         gc.enable()
     assert (code, out, err) == (130, "", "error: interrupted\n")
     assert calls[0] == 100  # the search stopped where it was interrupted
-    assert walks == []
+    assert live == [inspect.GEN_SUSPENDED]
+    assert left == []
 
 
 def test_misclassified_polygon_mid_stream_exits_4(capsys, monkeypatch):
@@ -589,6 +613,30 @@ def test_oversized_enumerate_bound_exits_2_at_once(capsys, monkeypatch):
     code, out, err = run(capsys, "enumerate", "--bound", str(limit))
     assert (code, out, err) == (
         0, f"bound={limit}: 0 polygons in 0 isomorphism classes\n", "")
+
+
+def test_oversized_quadrics_exits_2_before_the_pair_walk(capsys, monkeypatch,
+                                                         tmp_path):
+    def pair_walk(e):
+        raise AssertionError("minimal_system ran")
+
+    walk = cli.minimal_system
+    monkeypatch.setattr(cli, "minimal_system", pair_walk)
+    dest = tmp_path / "ideal.txt"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "quadrics", "--canonical", "3", "63",
+                         "--out", str(dest))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: 608256992 generators, more than "
+                   f"{cli.MAX_GENERATORS}\n")
+    assert list(tmp_path.iterdir()) == []  # nothing written, not even a temp
+    # a system of exactly the limit is written; one past it is refused
+    monkeypatch.setattr(cli, "minimal_system", walk)
+    count = table_formulas(3, 3).quadric_count
+    for limit, expected in ((count, 0), (count - 1, 2)):
+        monkeypatch.setattr(cli, "MAX_GENERATORS", limit)
+        assert run(capsys, "quadrics", "--canonical", "3", "3")[0] == expected
 
 
 def test_enumerate(capsys):

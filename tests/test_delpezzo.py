@@ -285,16 +285,20 @@ def test_enumerate_is_search_order_independent(monkeypatch):
 
 
 def test_search_cost_follows_the_answer():
-    # each extend call walks one range of a det = 1 line, and the walk from
-    # the singular cone makes 3.3 to 3.7 calls per polygon at these bounds
-    for bound in (7, 12):
+    # each chain popped off the walk's stack walks one range of a det = 1
+    # line, and the walk from the singular cone pops 3.3 to 3.7 chains per
+    # polygon at these bounds
+    pops = {7: 15_440, 12: 46_576}
+    for bound in pops:
         calls = 0
 
         def count(frame, event, arg):
             nonlocal calls
             code = frame.f_code
-            if (event == "call" and code.co_name == "extend"
-                    and code.co_filename.endswith("delpezzo.py")):
+            if (event == "c_call" and code.co_name == "_one_singularity_search"
+                    and code.co_filename.endswith("delpezzo.py")
+                    and arg.__name__ == "pop"
+                    and isinstance(arg.__self__, list)):
                 calls += 1
 
         sys.setprofile(count)
@@ -302,6 +306,7 @@ def test_search_cost_follows_the_answer():
             found = list(delpezzo._one_singularity_search(bound))
         finally:
             sys.setprofile(None)
+        assert calls == pops[bound]
         assert calls <= 5 * len(found)
 
 
@@ -322,7 +327,7 @@ def test_group_classes_rejects_mixed_class(monkeypatch):
     # distinct normal forms have distinct keys, so the forged entry would
     # fail the normal-form check first; give every normal form this key to
     # reach the check that one class holds one (k, p)
-    monkeypatch.setattr(delpezzo, "_graph_key", lambda q: key)
+    monkeypatch.setattr(delpezzo, "canonical_key", lambda g: key)
     with pytest.raises(ConsistencyError) as exc:
         group_classes([(poly, cls, key), (poly, forged, key)])
     err = exc.value

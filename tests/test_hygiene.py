@@ -10,8 +10,8 @@ with its reason, among the exports kept without a consumer.  Likewise every
 public method, property and annotated field of a class must be loaded as an
 attribute somewhere in src/ outside its own definition, or be listed.  Each
 private name that one module imports from another is listed with its reason.
-A frozen dataclass keeps no per-instance __dict__ unless a cached_property
-needs one.
+No function nested in another reads its own name.  A frozen dataclass
+keeps no per-instance __dict__ unless a cached_property needs one.
 """
 
 import ast
@@ -192,6 +192,26 @@ def test_every_public_member_is_read():
                         and qualified not in MEMBERS_WITHOUT_READER):
                     unread.append(f"{name}:{node.lineno} {qualified}")
     assert not unread, f"public members read nowhere in src/: {unread}"
+
+
+def test_no_nested_function_reads_its_own_name():
+    # a def nested in a function that reads its own name, to recurse, sits
+    # in a reference cycle through its closure cell: it and everything it
+    # closes over stay alive until the cyclic collector runs
+    cyclic = set()
+    for name, tree in TREES.items():
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if (inner is not outer and isinstance(
+                        inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and any(isinstance(sub, ast.Name)
+                                and isinstance(sub.ctx, ast.Load)
+                                and sub.id == inner.name
+                                for sub in ast.walk(inner))):
+                    cyclic.add(f"{name}:{inner.lineno} {inner.name}")
+    assert not cyclic, f"nested functions reading their own name: {cyclic}"
 
 
 def test_frozen_dataclasses_have_slots():
