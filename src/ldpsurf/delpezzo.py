@@ -10,12 +10,12 @@ and the unimodular map realizing the normal form from the fan analysis.
 Enumeration is a depth-first search from the vertex after each polygon's
 one non-basic cone: every step walks the last vertex's det = 1 line, built
 by arithmetic, over one range of its parameter t that the search's two
-convexity bounds solve for, and the walk closes on a cone of det > 1.  It
-analyses each polygon's fan once, which computes each distinct cone once,
-and yields (polygon, classification, key) triples, each polygon as it is
-found, the key being its analysis's canonical graph key, computed once per
-distinct graph; group_classes counts them, checking each key against its
-normal form's.
+convexity bounds solve for, and the walk closes on a cone of det > 1; a
+chain too long to be convex raises ConsistencyError.  Each polygon's fan
+is analysed once, and the search yields (polygon, classification, key)
+triples, one first vertex's polygons at a time, the key being the
+analysis's canonical graph key, computed once per distinct graph;
+group_classes counts them, checking each key against its normal form's.
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ def classify_one_singularity(a: FanAnalysis) -> Classification:
     k = nu - 2
     rotated = fan.rays[j:] + fan.rays[:j]
     upsilon = _TILT.compose(cd.normalizer)
-    image_verts = [upsilon.apply(v) for v in rotated]
+    ua, ub, uc, ud = upsilon.a, upsilon.b, upsilon.c, upsilon.d
+    image_verts = [(ua * x + ub * y, uc * x + ud * y) for x, y in rotated]
     # upsilon has det +1, so the image is anticlockwise like the fan: started
     # at its smallest vertex it is in canonical order, and a match with the
     # target puts exactly one vertex at (-1, 0)
@@ -191,13 +192,13 @@ def _primitive_box_points(bound: int) -> list[Point]:
 Enumerated = tuple[LatticePolygon, Classification, tuple]
 
 # largest enumerate bound, set by time: bound 64 (656,560 polygons) takes
-# 35-39 s and 34 MB max RSS on one Intel Xeon core under Python 3.11
+# 32-35 s and 33 MB max RSS on one Intel Xeon core under Python 3.11
 MAX_BOUND = 64
 
 
 def _one_singularity_search(bound: int) -> Iterator[LatticePolygon]:
-    """The polygons enumerate_one_singularity(bound) classifies, each polygon
-    as it is found; that docstring gives the search."""
+    """The polygons enumerate_one_singularity(bound) classifies, one first
+    vertex's polygons at a time; that docstring gives the search."""
     # line[l] = (lam, kappa, lo, hi): the box points c with det(l, c) = 1
     # are c0 + t·l for lo <= t <= hi, with c0 = (lam, kappa)
     line: dict[Point, tuple[int, int, int, int]] = {}
@@ -209,18 +210,24 @@ def _one_singularity_search(bound: int) -> Iterator[LatticePolygon]:
                 c, e = (c, e) if e > 0 else (-c, -e)
                 lo, hi = max(lo, -((bound + c) // e)), min(hi, (bound - c) // e)
         line[a, b] = lam, kappa, lo, hi
+    longest = 4 * bound + 2  # vertices of a strictly convex chain in the box
     for (fx, fy), (lam, kappa, lo, hi) in line.items():
         # vertex chains from first; a step's candidates go on in increasing
         # t, so the walk takes them in decreasing t
         stack = [((fx, fy), (lam + t * fx, kappa + t * fy))
                  for t in range(lo, hi + 1)]
+        found = []  # handed on once first's walk is done: one switch for all
         while stack:
             chain = stack.pop()
+            if len(chain) > longest:
+                raise ConsistencyError(f"search chain {chain} is not convex",
+                                       check="chain length <= 4 * bound + 2",
+                                       expected=longest, got=len(chain))
             # the t-range gave last's turn; closing checks det and first's turn
             (sx, sy), (px, py), (lx, ly) = chain[1], chain[-2], chain[-1]
             d = lx * fy - ly * fx
             if d > 1 and (fx - lx) * (sy - fy) - (fy - ly) * (sx - fx) > 0:
-                yield LatticePolygon(chain)
+                found.append(LatticePolygon(chain))
             lam, kappa, lo, hi = line[lx, ly]
             turn = 1 - px * kappa + py * lam  # strict left turn at last
             if d > 0:  # first strictly left of last -> cand
@@ -228,6 +235,7 @@ def _one_singularity_search(bound: int) -> Iterator[LatticePolygon]:
                 lo = left if left > lo else lo  # no max(): this is the hot loop
             for t in range(lo, (turn if turn < hi else hi) + 1):
                 stack.append(chain + ((lam + t * lx, kappa + t * ly),))
+        yield from found
 
 
 def enumerate_one_singularity(bound: int) -> Iterator[Enumerated]:
@@ -255,12 +263,16 @@ def enumerate_one_singularity(bound: int) -> Iterator[Enumerated]:
     det(last, first) > 1 and the turn at first is strict.  Each polygon is
     found once: its one singular cone fixes first, and first fixes the
     walk.  A bound past MAX_BOUND raises DomainError at the call itself.
+    A vertical line meets at most two vertices of a strictly convex arc, so
+    a chain has at most 4·bound + 2, two per column (6 at bounds 1-12); a
+    longer one means a broken t-bound and raises ConsistencyError at once.
 
-    Yields (polygon, classification, key) triples in search order, each
-    polygon as it is found, so memory follows the box, not the polygon
-    count.  Classification and key come from one analysis of the
-    polygon's face fan; the key is computed once per distinct graph node
-    sequence in the call, and equal keys are one shared tuple.  Every found
+    Yields (polygon, classification, key) triples in search order, one
+    first vertex's polygons at a time (at most 548 at bound 24), so memory
+    follows the box, not the polygon count.  Classification and key come
+    from one analysis of the polygon's face fan; the key is computed once
+    per distinct graph node sequence in the call, and equal keys are one
+    shared tuple.  Every found
     polygon must classify, or ConsistencyError is raised; group_classes
     checks that each gives a surface isomorphic to its normal form's.
     """

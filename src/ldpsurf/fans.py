@@ -18,13 +18,13 @@ rather than recompute it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import Cone2, ConeData, cone_invariants
 from .errors import ConsistencyError, DomainError
-from .lattice import (LatticePolygon, Point, cross, int_pair, is_primitive,
-                      _winding)
+from .lattice import LatticePolygon, Point, int_pair, _winding
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,14 +44,14 @@ class CompleteFan:
         if None in rays:
             bad = given[rays.index(None)]
             raise DomainError(f"ray {bad!r} is not two integers")
-        for r in rays:
-            if not is_primitive(r):
-                raise DomainError(f"ray {r} is not primitive")
-        for u, v in zip(rays, rays[1:] + rays[:1]):
-            if cross(u, v) <= 0:
+        for x, y in rays:  # gcd and cross, inlined: a hot path
+            if math.gcd(x, y) != 1:
+                raise DomainError(f"ray {(x, y)} is not primitive")
+        for (ux, uy), (vx, vy) in zip(rays, rays[1:] + rays[:1]):
+            if ux * vy - uy * vx <= 0:
                 raise DomainError(
-                    f"origin is not strictly inside: rays {u}, {v} do not "
-                    "turn strictly anticlockwise")
+                    f"origin is not strictly inside: rays {(ux, uy)}, "
+                    f"{(vx, vy)} do not turn strictly anticlockwise")
         if _winding(rays) != 1:
             raise DomainError("rays wind around the origin more than once")
 
@@ -99,13 +99,10 @@ def _ray_weights(f: CompleteFan, data: tuple[ConeData, ...]) -> tuple[int, ...]:
     -r is the self-intersection number of the invariant curve attached to the
     ray on the desingularized surface.
     """
-    n = f.nu
     weights = []
-    for i in range(n):
-        ray = f.rays[i]
-        left = data[(i - 1) % n].chain[-2]
-        right = data[i].chain[1]
-        s = (left[0] + right[0], left[1] + right[1])
+    for ray, before, after in zip(f.rays, data[-1:] + data[:-1], data):
+        (lx, ly), (rx, ry) = before.chain[-2], after.chain[1]
+        s = (lx + rx, ly + ry)
         r = s[0] // ray[0] if ray[0] != 0 else s[1] // ray[1]
         multiple = (r * ray[0], r * ray[1])
         if multiple != s:

@@ -46,13 +46,10 @@ def graph_of(a: FanAnalysis) -> WeightedCircularGraph:
 
 def reverse_graph(g: WeightedCircularGraph) -> WeightedCircularGraph:
     """Traverse the cycle backwards; edge parameters p become their socius."""
-    n = len(g.nodes)
-    nodes = []
-    for j in range(n):
-        w = g.nodes[(n - 1 - j) % n][0]
-        _, p, q = g.nodes[(n - 2 - j) % n]
-        nodes.append((w, socius(p, q), q))
-    return WeightedCircularGraph(tuple(nodes))
+    back = g.nodes[::-1]  # back[j] -> back[j + 1] is back[j + 1]'s edge
+    return WeightedCircularGraph(tuple(
+        (w, socius(p, q), q)
+        for (w, _, _), (_, p, q) in zip(back, back[1:] + back[:1])))
 
 
 def canonical_key(g: WeightedCircularGraph) -> tuple[Token, ...]:

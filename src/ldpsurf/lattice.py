@@ -42,8 +42,8 @@ def bezout(a: int, b: int) -> tuple[int, int]:
 
 
 def _orientation_area2(vertices: Sequence[Sequence[int]]) -> int:
-    n = len(vertices)
-    return sum(cross(vertices[i], vertices[(i + 1) % n]) for i in range(n))
+    return sum(x * v - y * u for (x, y), (u, v)
+               in zip(vertices, vertices[1:] + vertices[:1]))
 
 
 def _winding(vectors: Sequence[Sequence[int]]) -> int:
@@ -57,6 +57,8 @@ def _winding(vectors: Sequence[Sequence[int]]) -> int:
 
 def int_pair(v) -> Point | None:
     """v as (x, y) if it is a pair of ints, else None; bool is no int here."""
+    if type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is int:
+        return v  # the common case, taken without unpacking
     try:
         x, y = v
     except (TypeError, ValueError):  # not a pair

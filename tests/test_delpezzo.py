@@ -3,7 +3,11 @@
 import functools
 import hashlib
 import math
+import os
+import pathlib
 import random
+import shutil
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -308,6 +312,60 @@ def test_search_cost_follows_the_answer():
             sys.setprofile(None)
         assert calls == pops[bound]
         assert calls <= 5 * len(found)
+
+
+def test_search_order_is_pinned():
+    # the order the walk yields polygons in, before any sorting: handing
+    # them on one first vertex at a time must not change it
+    for bound, count, digest in (
+        (7, 4144,
+         "8c304cbdbe45a4867a2f20baddfd6c802aef29038477f1f61612b99e227969fb"),
+        (12, 14000,
+         "50970b6ffb1ff57e2f659880255ad47d54c45f6d66fc893827c5ef1a2169721d"),
+    ):
+        rows = [poly.vertices
+                for poly in delpezzo._one_singularity_search(bound)]
+        assert len(rows) == count
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+# runs `ldpsurf enumerate` under a 1 GB address-space cap, so a search that
+# grows its stack without end dies of MemoryError (exit 2) instead of
+# taking the machine's memory
+_CAPPED_ENUMERATE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from ldpsurf.cli import main
+sys.exit(main(["enumerate", "--bound", sys.argv[1]]))
+"""
+
+
+def _capped_enumerate(root, bound):
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED_ENUMERATE, str(bound)], cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root)}, capture_output=True,
+        text=True, timeout=60)
+
+
+def test_broken_t_bound_fails_fast(tmp_path):
+    # a non-strict first-left bound lets the walk wind round first for
+    # ever; the chain length check must stop it on its first long chain
+    shutil.copytree(pathlib.Path(delpezzo.__file__).parent,
+                    tmp_path / "ldpsurf",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert _capped_enumerate(tmp_path, 1).returncode == 0  # the copy works
+    path = tmp_path / "ldpsurf" / "delpezzo.py"
+    text = path.read_text(encoding="utf-8")
+    strict = "left = 1 - (lam * fy - kappa * fx) // d"
+    weak = "left = 1 - (lam * fy - kappa * fx + 1) // d"
+    assert text.count(strict) == 1
+    path.write_text(text.replace(strict, weak), encoding="utf-8")
+    for bound, got in ((1, 7), (2, 11), (3, 15)):
+        run = _capped_enumerate(tmp_path, bound)
+        assert (run.returncode, run.stdout) == (4, "")
+        assert run.stderr.splitlines()[1] == (
+            f"  check chain length <= 4 * bound + 2: expected "
+            f"{4 * bound + 2}, got {got}")
 
 
 def test_enumerate_validation(monkeypatch):

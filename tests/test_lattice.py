@@ -1,5 +1,6 @@
 """Plane lattice primitives: exact arithmetic, canonical polygons, counting."""
 
+import enum
 import json
 import math
 import random
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import contains_origin_interior
-from ldpsurf import (DomainError, LatticePolygon, ParseError, UnimodularMap,
-                     apply_map, canonical_polygon, count_lattice_points,
-                     cross, dilate, format_polygon_text, is_primitive,
-                     lattice, lattice_points, ldp_analyze, load_polygon,
-                     minkowski_double, parse_polygon_text, polygon_area2,
-                     polygon_from_array, polygon_to_array, read_polygon_file)
+from ldpsurf import (CompleteFan, DomainError, LatticePolygon, ParseError,
+                     UnimodularMap, apply_map, canonical_polygon,
+                     count_lattice_points, cross, dilate, format_polygon_text,
+                     is_primitive, lattice, lattice_points, ldp_analyze,
+                     load_polygon, minkowski_double, parse_polygon_text,
+                     polygon_area2, polygon_from_array, polygon_to_array,
+                     read_polygon_file)
 from ldpsurf.lattice import edge_lines
 
 TRIANGLE = LatticePolygon(((0, 0), (3, 0), (0, 3)))
@@ -94,6 +96,63 @@ def test_polygon_rejects_bad_input():
     # pentagram: strictly convex turns everywhere but winds around twice
     with pytest.raises(DomainError):
         LatticePolygon(((5, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)))
+
+
+def reference_int_pair(v):
+    """A tuple of v's two items if v iterates over exactly two ints, else
+    None; bool counts as no int: a test-only oracle for lattice.int_pair."""
+    try:
+        items = tuple(v)
+    except TypeError:  # not iterable
+        return None
+    if len(items) == 2 and all(isinstance(c, int) and type(c) is not bool
+                               for c in items):
+        return items
+    return None
+
+
+class Sign(enum.IntEnum):
+    MINUS = -1
+    PLUS = 1
+
+
+_COORDINATES = st.one_of(st.integers(), st.booleans(), st.sampled_from(Sign),
+                         st.floats(), st.text(max_size=2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(), st.integers()),
+    st.lists(st.integers(), min_size=2, max_size=2),
+    st.tuples(_COORDINATES, _COORDINATES),
+    st.lists(_COORDINATES, min_size=2, max_size=2),
+    st.tuples(_COORDINATES),
+    st.tuples(_COORDINATES, _COORDINATES, _COORDINATES),
+    _COORDINATES))
+@example((3, -4))
+@example([3, -4])
+@example((True, 1))
+@example((1, False))
+@example((Sign.PLUS, 1))
+@example((1, Sign.MINUS))
+@example((1.0, 2))
+@example(("1", 2))
+@example("12")
+@example((1,))
+@example((1, 2, 3))
+@example(True)
+@example(Sign.PLUS)
+def test_int_pair_matches_reference(v):
+    got = lattice.int_pair(v)
+    assert got == reference_int_pair(v)
+    assert got is None or type(got) is tuple
+    if got is None:  # both constructors name the bad entry as given
+        with pytest.raises(DomainError) as exc:
+            LatticePolygon((v, (0, 1), (-1, -1)))
+        assert str(exc.value) == f"non-integer vertex {v!r}"
+        with pytest.raises(DomainError) as exc:
+            CompleteFan((v, (0, 1), (-1, -1)))
+        assert str(exc.value) == f"ray {v!r} is not two integers"
 
 
 @settings(max_examples=500, deadline=None)
