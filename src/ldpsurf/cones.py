@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
-from .lattice import Point, UnimodularMap, bezout, cross, is_primitive
+from .lattice import Point, cone_normalizer, cross, is_primitive
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,18 +40,17 @@ class Cone2:
 class ConeData:
     """Normal form and singularity invariants of a cone.
 
-    normalizer is the determinant +1 map sending the generators to (1, 0) and
-    (p, q).  For a basic cone (q = 1) the parameter p is 0, hj and the
-    singularity descriptor are empty, and the chain is just the generator
-    pair.  Otherwise chain = (n, u_1, ..., u_s, n2) lists the lattice points
-    of the bounded part of the refinement, with hj the self-intersection
-    digits b_j >= 2 attached to the interior points.
+    The determinant +1 map of lattice.cone_normalizer sends the generators
+    to (1, 0) and (p, q).  For a basic cone (q = 1) the parameter p is 0, hj
+    and the singularity descriptor are empty, and the chain is just the
+    generator pair.  Otherwise chain = (n, u_1, ..., u_s, n2) lists the
+    lattice points of the bounded part of the refinement, with hj the
+    self-intersection digits b_j >= 2 attached to the interior points.
     """
 
     p: int
     q: int
     socius: int
-    normalizer: UnimodularMap
     local_index: int
     hj: tuple[int, ...]
     chain: tuple[Point, ...]
@@ -84,26 +83,16 @@ def hj_expansion(p: int, q: int) -> list[int]:
 
 
 def cone_invariants(c: Cone2) -> ConeData:
-    a, b = c.n
-    cc, dd = c.n2
-    q = cross(c.n, c.n2)
-    kappa, lam = bezout(a, b)  # kappa*a - lam*b = 1, since n is primitive
-    # the base change (kappa, -lam; -b, a) sends n to (1, 0) and n2 to
-    # (t, q); the shear (1, s; 0, 1) after it keeps (1, 0) and moves t to p
-    t = kappa * cc - lam * dd
-    p = t % q
-    s = (p - t) // q
-    psi = UnimodularMap(kappa - s * b, s * a - lam, -b, a)
+    p, q, _ = cone_normalizer(c.n, c.n2)
     local_index = q // math.gcd(q, p - 1)
     if q == 1:
-        return ConeData(p=0, q=1, socius=0, normalizer=psi, local_index=1,
-                        hj=(), chain=(c.n, c.n2), singularity="")
+        return ConeData(p=0, q=1, socius=0, local_index=1, hj=(),
+                        chain=(c.n, c.n2), singularity="")
     hj = tuple(hj_expansion(p, q))
     chain = tuple(_refinement_chain(c, p, q, hj))
     descriptor = f"1/{q}({q - p},1)"
-    return ConeData(p=p, q=q, socius=socius(p, q), normalizer=psi,
-                    local_index=local_index, hj=hj, chain=chain,
-                    singularity=descriptor)
+    return ConeData(p=p, q=q, socius=socius(p, q), local_index=local_index,
+                    hj=hj, chain=chain, singularity=descriptor)
 
 
 def _refinement_chain(c: Cone2, p: int, q: int, hj: tuple[int, ...]) -> list[Point]:

@@ -5,21 +5,24 @@ A polygon with primitive vertices and the origin strictly inside encodes a
 toric log del Pezzo surface.  When exactly one cone over a facet is
 non-basic, the surface is isomorphic to a member of three explicit families
 of polygons with 3, 4 and 5 vertices (plus a mirrored presentation of the
-4-vertex family); classify_one_singularity computes the family parameters
-and the unimodular map realizing the normal form from the fan analysis.
+4-vertex family).  The normalizer of the singular cone, composed with one
+fixed shear, maps the polygon onto its family member; classify_one_singularity
+reads the cone from a fan analysis, and the enumeration search from the walk
+that found the polygon, and both check the image against the normal form.
 Enumeration is a depth-first search from the vertex after each polygon's
 one non-basic cone: every step walks the last vertex's det = 1 line, built
 by arithmetic, over one range of its parameter t that the search's two
 convexity bounds solve for, and the walk closes on a cone of det > 1; a
-chain too long to be convex raises ConsistencyError.  Each polygon's fan
-is analysed once, and the search yields (polygon, classification, key)
-triples, one first vertex's polygons at a time, the key being the
-analysis's canonical graph key, computed once per distinct graph;
-group_classes counts them, checking each key against its normal form's.
+chain too long to be convex raises ConsistencyError.  The search yields
+(vertices, classification) pairs, one first vertex's polygons at a time,
+and builds no polygon, fan or graph for them; group_classes counts them
+per (k, p) and checks that the normal forms present have distinct graph
+keys.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from collections.abc import Iterable, Iterator
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, DomainError, SingularityCountError
 from .fans import FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import canonical_key, graph_of
-from .lattice import LatticePolygon, Point, UnimodularMap, bezout, edge_lines
+from .lattice import (LatticePolygon, Point, UnimodularMap, bezout,
+                      cone_normalizer, edge_lines)
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,25 +140,29 @@ def classify_one_singularity(a: FanAnalysis) -> Classification:
             f"polygon has {len(singular)} singular cones, need exactly 1"
         )
     j = singular[0]
-    cd = a.cone_data[j]
-    p = cd.p
-    if cd.q != p + 1:
+    return _normal_form(a.fan.rays[j:] + a.fan.rays[:j])
+
+
+def _normal_form(verts: tuple[Point, ...]) -> Classification:
+    """Classify the polygon with these anticlockwise vertices, its singular
+    cone (verts[0], verts[1]) of det q > 1 and every other cone basic, by
+    one det +1 map onto its normal form; a map onto the normal form proves
+    the polygon convex, log del Pezzo and isomorphic to it."""
+    p, q, entries = cone_normalizer(verts[0], verts[1])
+    if q != p + 1:
         raise ConsistencyError(
-            f"one-singularity polygon with cone type ({cd.p}, {cd.q}); "
+            f"one-singularity polygon with cone type ({p}, {q}); "
             "the non-adjacent parameter pair should be impossible",
-            check="cone type q == p + 1", expected=p + 1, got=cd.q)
-    fan = a.fan
-    nu = fan.nu
-    if nu - 2 not in (1, 2, 3):
-        raise ConsistencyError(f"one-singularity polygon with {nu} vertices",
-                               check="vertex count", expected="3, 4 or 5",
-                               got=nu)
-    k = nu - 2
-    rotated = fan.rays[j:] + fan.rays[:j]
-    upsilon = _TILT.compose(cd.normalizer)
+            check="cone type q == p + 1", expected=p + 1, got=q)
+    k = len(verts) - 2
+    if k not in (1, 2, 3):
+        raise ConsistencyError(f"one-singularity polygon with {k + 2} "
+                               "vertices", check="vertex count",
+                               expected="3, 4 or 5", got=k + 2)
+    upsilon = _TILT.compose(UnimodularMap(*entries))
     ua, ub, uc, ud = upsilon.a, upsilon.b, upsilon.c, upsilon.d
-    image_verts = [(ua * x + ub * y, uc * x + ud * y) for x, y in rotated]
-    # upsilon has det +1, so the image is anticlockwise like the fan: started
+    image_verts = [(ua * x + ub * y, uc * x + ud * y) for x, y in verts]
+    # upsilon has det +1, so the image is anticlockwise like verts: started
     # at its smallest vertex it is in canonical order, and a match with the
     # target puts exactly one vertex at (-1, 0)
     start = image_verts.index(min(image_verts))
@@ -189,16 +197,16 @@ def _primitive_box_points(bound: int) -> list[Point]:
             for y in range(-bound, bound + 1) if math.gcd(x, y) == 1]
 
 
-Enumerated = tuple[LatticePolygon, Classification, tuple]
+Enumerated = tuple[tuple[Point, ...], Classification]
 
 # largest enumerate bound, set by time: bound 64 (656,560 polygons) takes
-# 32-35 s and 33 MB max RSS on one Intel Xeon core under Python 3.11
+# 13 s and 19.5 MB max RSS on one Intel Xeon core under Python 3.11
 MAX_BOUND = 64
 
 
-def _one_singularity_search(bound: int) -> Iterator[LatticePolygon]:
-    """The polygons enumerate_one_singularity(bound) classifies, one first
-    vertex's polygons at a time; that docstring gives the search."""
+def _one_singularity_search(bound: int) -> Iterator[Enumerated]:
+    """What enumerate_one_singularity(bound) yields, one first vertex's
+    polygons at a time; that docstring gives the search."""
     # line[l] = (lam, kappa, lo, hi): the box points c with det(l, c) = 1
     # are c0 + t·l for lo <= t <= hi, with c0 = (lam, kappa)
     line: dict[Point, tuple[int, int, int, int]] = {}
@@ -227,7 +235,9 @@ def _one_singularity_search(bound: int) -> Iterator[LatticePolygon]:
             (sx, sy), (px, py), (lx, ly) = chain[1], chain[-2], chain[-1]
             d = lx * fy - ly * fx
             if d > 1 and (fx - lx) * (sy - fy) - (fy - ly) * (sx - fx) > 0:
-                found.append(LatticePolygon(chain))
+                start = chain.index(min(chain))
+                found.append((chain[start:] + chain[:start],
+                              _normal_form(chain[-1:] + chain[:-1])))
             lam, kappa, lo, hi = line[lx, ly]
             turn = 1 - px * kappa + py * lam  # strict left turn at last
             if d > 0:  # first strictly left of last -> cand
@@ -267,57 +277,37 @@ def enumerate_one_singularity(bound: int) -> Iterator[Enumerated]:
     a chain has at most 4·bound + 2, two per column (6 at bounds 1-12); a
     longer one means a broken t-bound and raises ConsistencyError at once.
 
-    Yields (polygon, classification, key) triples in search order, one
-    first vertex's polygons at a time (at most 548 at bound 24), so memory
-    follows the box, not the polygon count.  Classification and key come
-    from one analysis of the polygon's face fan; the key is computed once
-    per distinct graph node sequence in the call, and equal keys are one
-    shared tuple.  Every found
-    polygon must classify, or ConsistencyError is raised; group_classes
-    checks that each gives a surface isomorphic to its normal form's.
+    When a walk closes, the singular cone (last, first) certifies the
+    polygon: its normalizer, composed with the family shear, must map the
+    chain, started at last, onto canonical_polygon(k, p) or, for k = 2,
+    onto mirror_quad(p), with k = ν - 2 and q = p + 1, or ConsistencyError
+    is raised.  A det 1 map onto a normal form proves the polygon convex,
+    log del Pezzo and isomorphic to (k, p), so no polygon, fan or graph is
+    built for it.  Yields (vertices, classification) pairs in search order,
+    the vertices anticlockwise from the smallest, as LatticePolygon stores
+    them, one first vertex's polygons at a time (at most 548 at bound 24),
+    so memory follows the box, not the polygon count.
     """
     if not 1 <= bound <= MAX_BOUND:
         raise DomainError(f"bound must be between 1 and {MAX_BOUND}")
-    return _classify_each(_one_singularity_search(bound))
-
-
-def _classify_each(polygons: Iterable[LatticePolygon]) -> Iterator[Enumerated]:
-    # node sequence -> its canonical key; a key is a node sequence of its own
-    # orbit, so it maps to itself, and setdefault shares equal keys
-    keys: dict[tuple, tuple] = {}
-    for poly in polygons:
-        a = analyze_fan(fan_from_polygon(poly))
-        cls = classify_one_singularity(a)
-        g = graph_of(a)
-        key = keys.get(g.nodes)
-        if key is None:
-            key = canonical_key(g)
-            key = keys[g.nodes] = keys.setdefault(key, key)
-        yield poly, cls, key
+    return _one_singularity_search(bound)
 
 
 def group_classes(results: Iterable[Enumerated]) -> dict[tuple, dict]:
-    """Count enumeration triples, read in one pass from any iterable, into
-    isomorphism classes by canonical graph key.  Each key must equal that of
-    the normal form canonical_polygon(k, p), computed once per (k, p), and no
-    class may hold two (k, p); a violation raises ConsistencyError."""
+    """Count enumerated pairs, read in one pass from any iterable, per
+    (k, p), keyed by the canonical graph key of canonical_polygon(k, p),
+    computed once per (k, p) present.  Each pair's classification is
+    already certified; two (k, p) sharing a key raise ConsistencyError."""
+    counts = collections.Counter((cls.k, cls.p) for _, cls in results)
     classes: dict[tuple, dict] = {}
-    target_keys: dict[tuple[int, int], tuple] = {}
-    for poly, cls, key in results:
-        kp = (cls.k, cls.p)
-        if kp not in target_keys:
-            target_keys[kp] = canonical_key(graph_of(analyze_fan(
-                fan_from_polygon(canonical_polygon(*kp)))))
-        if key != target_keys[kp]:
+    for (k, p), count in counts.items():
+        key = canonical_key(graph_of(analyze_fan(fan_from_polygon(
+            canonical_polygon(k, p)))))
+        entry = classes.setdefault(key, {"k": k, "p": p, "count": 0})
+        if (entry["k"], entry["p"]) != (k, p):
             raise ConsistencyError(
-                f"polygon {poly.vertices} is not isomorphic to its normal "
-                f"form ({cls.k}, {cls.p})", check="graph key == normal form's",
-                expected=target_keys[kp], got=key)
-        entry = classes.setdefault(key, {"k": cls.k, "p": cls.p, "count": 0})
-        if (entry["k"], entry["p"]) != kp:
-            raise ConsistencyError(
-                "polygons in one graph class classified differently",
+                "two normal forms have one graph class",
                 check="one (k, p) per graph class",
-                expected=(entry["k"], entry["p"]), got=kp)
-        entry["count"] += 1
+                expected=(entry["k"], entry["p"]), got=(k, p))
+        entry["count"] += count
     return classes

@@ -6,18 +6,16 @@ convexity, orientation and one winding; CompleteFan checks primitive
 integer rays and steps with cross(v_i, v_i+1) > 0, which for a convex
 polygon's vertices say the origin is strictly inside, so fan_from_polygon
 checks nothing.
-analyze_fan reads the per-cone data from a cache of at most 2**14 ray
-pairs, so a cone shared by many fans is analysed once, and derives from it
-the integer weight attached to each ray.  The self-intersection of the
-canonical divisor is derived from the same data on read, since enumeration
-does not read it.  The refinement chains of the cone data are the minimal
-desingularization.  Graphs and the classification read this FanAnalysis
-rather than recompute it.
+analyze_fan computes the data of each of the fan's cones once and derives
+from it the integer weight attached to each ray.  The self-intersection of
+the canonical divisor is derived from the same data on read.  The
+refinement chains of the cone data are the minimal desingularization.
+Graphs and the classification read this FanAnalysis rather than recompute
+it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,19 +111,12 @@ def _ray_weights(f: CompleteFan, data: tuple[ConeData, ...]) -> tuple[int, ...]:
     return tuple(weights)
 
 
-@functools.lru_cache(maxsize=2**14)
-def _cone_data(n: Point, n2: Point) -> ConeData:
-    # an invalid pair raises, and a raise is not cached: it raises again
-    return cone_invariants(Cone2(n, n2))
-
-
 def analyze_fan(f: CompleteFan) -> FanAnalysis:
     """Cone invariants of every cone of f, and the weights, Picard rank and
-    singular cones derived from them.  The invariants of a ray pair are
-    computed on first use and then read from a least-recently-used cache of
-    at most 2**14 pairs; ConeData is immutable, so fans share it."""
+    singular cones derived from them."""
     rays = f.rays
-    data = tuple(_cone_data(n, n2) for n, n2 in zip(rays, rays[1:] + rays[:1]))
+    data = tuple(cone_invariants(Cone2(n, n2))
+                 for n, n2 in zip(rays, rays[1:] + rays[:1]))
     return FanAnalysis(
         fan=f,
         cone_data=data,

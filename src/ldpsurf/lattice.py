@@ -41,6 +41,19 @@ def bezout(a: int, b: int) -> tuple[int, int]:
     return kappa, (kappa * a - 1) // b if b else 0
 
 
+def cone_normalizer(n: Point, n2: Point) -> tuple[int, int, tuple[int, ...]]:
+    """(p, q, (a, b, c, d)) for primitive n, n2 with q = det(n, n2) > 0: the
+    determinant 1 matrix [[a, b], [c, d]] sends n to (1, 0) and n2 to
+    (p, q), with 0 <= p < q."""
+    (x, y), (u, v) = n, n2
+    kappa, lam = bezout(x, y)
+    # the base change (kappa, -lam; -y, x) sends n to (1, 0) and n2 to
+    # (t, q); the shear (1, s; 0, 1) after it keeps (1, 0) and moves t to p
+    t, q = kappa * u - lam * v, x * v - y * u
+    s = -(t // q)
+    return t + s * q, q, (kappa - s * y, s * x - lam, -y, x)
+
+
 def _orientation_area2(vertices: Sequence[Sequence[int]]) -> int:
     return sum(x * v - y * u for (x, y), (u, v)
                in zip(vertices, vertices[1:] + vertices[:1]))

@@ -31,11 +31,10 @@ def embedding_of(poly: LatticePolygon) -> EmbeddingData:
 
 
 def enumerated(bound: int) -> list:
-    """The (polygon, classification, key) triples of
+    """The (vertices, classification) pairs of
     enumerate_one_singularity(bound), which streams them in search order,
     as a list in vertex order."""
-    return sorted(enumerate_one_singularity(bound),
-                  key=lambda triple: triple[0].vertices)
+    return sorted(enumerate_one_singularity(bound), key=lambda pair: pair[0])
 
 
 def peak_traced_bytes(fn) -> int:
@@ -88,10 +87,9 @@ def forbid_enumeration_box(monkeypatch) -> None:
 
 
 def count_cone_computations(monkeypatch) -> list:
-    """Empty the cache of cone data that analyze_fan reads, then record, for
-    the rest of the test, each cone whose invariants it computes."""
+    """Record, for the rest of the test, each cone whose invariants
+    analyze_fan computes."""
     fans = sys.modules["ldpsurf.fans"]
-    fans._cone_data.cache_clear()
     calls = []
     real = fans.cone_invariants
 

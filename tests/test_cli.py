@@ -214,7 +214,7 @@ def test_analyze_computes_each_cone_once(capsys, monkeypatch):
     assert len(calls) == len(helpers.ray_pairs([canonical_polygon(3, 9)])) == 5
     assert reads == {"k2": 1}  # K^2 is printed, and computed once
     code, _, _ = run(capsys, "analyze", "--canonical", "3", "9", "--json")
-    assert code == 0 and len(calls) == 5  # a second run reads the cache
+    assert code == 0 and len(calls) == 10  # no cache: a second run, 5 more
 
 
 def test_analyze_sweeps_once_and_tables_sweeps_2p(capsys, monkeypatch):
@@ -261,20 +261,6 @@ def test_interrupt_exits_130(capsys, monkeypatch):
         assert (code, out, err) == (130, "", "error: interrupted\n")
 
 
-def _failing_on_polygon(monkeypatch, n, fail):
-    """Make enumeration's n-th classification call fail(real classification)
-    instead of returning it; return the running count of calls."""
-    real, calls = delpezzo.classify_one_singularity, [0]
-
-    def classify(a):
-        calls[0] += 1
-        cls = real(a)
-        return fail(cls) if calls[0] == n else cls
-
-    monkeypatch.setattr(delpezzo, "classify_one_singularity", classify)
-    return calls
-
-
 def _search_states():
     """The states of the enumerate search generators alive in the process."""
     return [inspect.getgeneratorstate(g) for g in gc.get_objects()
@@ -283,13 +269,18 @@ def _search_states():
 
 
 def test_interrupt_mid_stream_prints_no_table(capsys, monkeypatch):
-    live = []
+    # the interrupt arrives while the table counts the 100th polygon
+    live, calls, real = [], [0], cli.enumerate_one_singularity
 
-    def interrupt(cls):
-        live.extend(_search_states())
-        raise KeyboardInterrupt
+    def interrupted(bound):
+        for pair in real(bound):
+            calls[0] += 1
+            if calls[0] == 100:
+                live.extend(_search_states())
+                raise KeyboardInterrupt
+            yield pair
 
-    calls = _failing_on_polygon(monkeypatch, 100, interrupt)
+    monkeypatch.setattr(cli, "enumerate_one_singularity", interrupted)
     gc.collect()
     gc.disable()  # only reference counting may free the search's walk
     try:
@@ -304,16 +295,23 @@ def test_interrupt_mid_stream_prints_no_table(capsys, monkeypatch):
 
 
 def test_misclassified_polygon_mid_stream_exits_4(capsys, monkeypatch):
-    def forge(cls):
-        return dataclasses.replace(cls, k=cls.k % 3 + 1)
+    real, calls = delpezzo._normal_form, [0]
 
-    calls = _failing_on_polygon(monkeypatch, 100, forge)
+    def certify(verts):  # the 100th polygon with its third vertex moved
+        calls[0] += 1
+        if calls[0] == 100:
+            (ax, ay), (bx, by) = verts[1], verts[2]
+            verts = verts[:2] + ((ax + bx, ay + by),) + verts[3:]
+        return real(verts)
+
+    monkeypatch.setattr(delpezzo, "_normal_form", certify)
     code, out, err = run(capsys, "enumerate", "--bound", "7")
     assert (code, out) == (4, "")
     first, check = err.splitlines()
-    assert first.startswith("internal error: polygon ")
-    assert check.startswith("  check graph key == normal form's: expected ")
-    assert calls[0] == 100  # checked as it arrived, not after the search
+    assert first.startswith("internal error: normalized polygon ")
+    assert check.startswith("  check normalized vertices == "
+                            "canonical_polygon(k, p): expected ")
+    assert calls[0] == 100  # checked as it was found, not after the search
 
 
 class _InterruptedFile:
@@ -476,9 +474,10 @@ def test_quadrics_out_memory_stays_small(capsys, tmp_path):
 
 
 def test_enumerate_memory_follows_the_box(capsys):
-    # the first run fills the bounded cone-data cache; the second then holds
-    # the box's det = 1 lines, one first vertex's polygons and the class
-    # table, not the 14,000 polygons, which as one list trace 7.8 MB
+    # the first run builds the normal forms, which are memoized; the second
+    # then holds the box's det = 1 lines, one first vertex's polygons and
+    # the class counts, not the 14,000 polygons, which as one list trace
+    # 7.8 MB
     argv = ["enumerate", "--bound", "12"]
     assert cli.main(argv) == 0
     expected = capsys.readouterr().out

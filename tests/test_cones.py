@@ -9,8 +9,9 @@ import pytest
 import helpers
 import ldpsurf.cones as cones
 from ldpsurf import (Cone2, ConsistencyError, DomainError, LatticePolygon,
-                     cone_invariants, count_lattice_points, cross,
-                     hj_expansion, socius)
+                     UnimodularMap, cone_invariants, count_lattice_points,
+                     cross, hj_expansion, socius)
+from ldpsurf.lattice import cone_normalizer
 
 
 def random_cone(rng: random.Random, bound: int = 6) -> Cone2:
@@ -102,8 +103,7 @@ def test_cone_invariants_normal_form():
     data = cone_invariants(Cone2((1, 0), (3, 7)))
     assert (data.p, data.q) == (3, 7)
     assert data.socius == 5
-    assert data.normalizer.apply((1, 0)) == (1, 0)
-    assert data.normalizer.apply((3, 7)) == (3, 7)
+    assert cone_normalizer((1, 0), (3, 7)) == (3, 7, (1, 0, 0, 1))
 
     data = cone_invariants(Cone2((1, -1), (1, 1)))
     assert (data.p, data.q) == (1, 2)
@@ -141,7 +141,9 @@ def test_normalizer_contract():
         ((2, -5), (1, 0)), ((5, 1), (0, 1)), ((4, -1), (1, 0)))]
     for cone in axis + [random_cone(rng) for _ in range(300)]:
         data = cone_invariants(cone)
-        psi = data.normalizer
+        p, q, entries = cone_normalizer(cone.n, cone.n2)
+        psi = UnimodularMap(*entries)
+        assert (p, q) == (data.p, data.q)
         assert psi.det == 1
         assert psi.apply(cone.n) == (1, 0)
         assert psi.apply(cone.n2) == (data.p, data.q)

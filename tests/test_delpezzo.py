@@ -1,5 +1,6 @@
 """Log del Pezzo analysis and the one-singularity classification."""
 
+import collections
 import functools
 import hashlib
 import math
@@ -184,8 +185,8 @@ def test_enumerate_bound_one():
     assert len(classes) == 3
     summary = {(e["k"], e["p"]): e["count"] for e in classes.values()}
     assert summary == {(1, 1): 4, (2, 1): 8, (3, 1): 4}
-    for poly, cls, _ in results:
-        assert max(abs(c) for v in poly.vertices for c in v) <= 1
+    for verts, cls in results:
+        assert max(abs(c) for v in verts for c in v) <= 1
         assert cls.p == 1
 
 
@@ -204,13 +205,13 @@ def test_enumerate_bound_two():
 
 def test_enumerate_matches_subset_oracle():
     # every subset of the 16 primitive points of [-2, 2]^2, no search order
-    found = [poly.vertices for poly, _, _ in helpers.enumerated(2)]
+    found = [verts for verts, _ in helpers.enumerated(2)]
     assert found == helpers.one_singularity_polygons(2)
 
 
 @functools.cache
 def _enumerated(bound):
-    return {poly.vertices for poly, _, _ in enumerate_one_singularity(bound)}
+    return {verts for verts, _ in enumerate_one_singularity(bound)}
 
 
 _PRIMITIVE = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
@@ -245,7 +246,7 @@ def test_enumerate_finds_exactly_the_one_singularity_polygons(poly):
 
 def test_enumerate_bound_seven():
     results = helpers.enumerated(7)
-    assert len({poly.vertices for poly, _, _ in results}) == len(results) \
+    assert len({verts for verts, _ in results}) == len(results) \
         == 4144
     classes = group_classes(results)
     assert len(classes) == 39
@@ -264,8 +265,8 @@ def test_enumerate_output_is_pinned():
         (12, 14000,
          "8376f97fdb7c62a0928a27d8ab1afef0f55d82fe19dc82d817a2f9d6da7cf963"),
     ):
-        rows = [(poly.vertices, cls.k, cls.p, cls.normal_form, cls.mu)
-                for poly, cls, _ in helpers.enumerated(bound)]
+        rows = [(verts, cls.k, cls.p, cls.normal_form, cls.mu)
+                for verts, cls in helpers.enumerated(bound)]
         assert len(rows) == count
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
@@ -284,8 +285,8 @@ def test_enumerate_is_search_order_independent(monkeypatch):
     monkeypatch.setattr(delpezzo, "_primitive_box_points", shuffled)
     for b, results in forward.items():
         reordered = helpers.enumerated(b)
-        assert [poly for poly, _, _ in results] == \
-            [poly for poly, _, _ in reordered]
+        assert [verts for verts, _ in results] == \
+            [verts for verts, _ in reordered]
 
 
 def test_search_cost_follows_the_answer():
@@ -323,8 +324,7 @@ def test_search_order_is_pinned():
         (12, 14000,
          "50970b6ffb1ff57e2f659880255ad47d54c45f6d66fc893827c5ef1a2169721d"),
     ):
-        rows = [poly.vertices
-                for poly in delpezzo._one_singularity_search(bound)]
+        rows = [verts for verts, _ in delpezzo._one_singularity_search(bound)]
         assert len(rows) == count
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
@@ -347,25 +347,49 @@ def _capped_enumerate(root, bound):
         text=True, timeout=60)
 
 
+def _mutant_package(root, original, replacement):
+    """Copy the package under root, check that the copy enumerates, then
+    replace the one occurrence of original in its delpezzo.py."""
+    shutil.copytree(pathlib.Path(delpezzo.__file__).parent, root / "ldpsurf",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert _capped_enumerate(root, 1).returncode == 0  # the copy works
+    path = root / "ldpsurf" / "delpezzo.py"
+    text = path.read_text(encoding="utf-8")
+    assert text.count(original) == 1
+    path.write_text(text.replace(original, replacement), encoding="utf-8")
+
+
 def test_broken_t_bound_fails_fast(tmp_path):
     # a non-strict first-left bound lets the walk wind round first for
     # ever; the chain length check must stop it on its first long chain
-    shutil.copytree(pathlib.Path(delpezzo.__file__).parent,
-                    tmp_path / "ldpsurf",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    assert _capped_enumerate(tmp_path, 1).returncode == 0  # the copy works
-    path = tmp_path / "ldpsurf" / "delpezzo.py"
-    text = path.read_text(encoding="utf-8")
-    strict = "left = 1 - (lam * fy - kappa * fx) // d"
-    weak = "left = 1 - (lam * fy - kappa * fx + 1) // d"
-    assert text.count(strict) == 1
-    path.write_text(text.replace(strict, weak), encoding="utf-8")
+    _mutant_package(tmp_path, "left = 1 - (lam * fy - kappa * fx) // d",
+                    "left = 1 - (lam * fy - kappa * fx + 1) // d")
     for bound, got in ((1, 7), (2, 11), (3, 15)):
         run = _capped_enumerate(tmp_path, bound)
         assert (run.returncode, run.stdout) == (4, "")
         assert run.stderr.splitlines()[1] == (
             f"  check chain length <= 4 * bound + 2: expected "
             f"{4 * bound + 2}, got {got}")
+
+
+@pytest.mark.parametrize("original, replacement", [
+    # a det 1 shear other than the family's: no image is a normal form
+    ("_TILT = UnimodularMap(1, 0, -1, 1)",
+     "_TILT = UnimodularMap(1, 0, -2, 1)"),
+    # the normal form of the wrong family member
+    ("target = canonical_polygon(k, p).vertices",
+     "target = canonical_polygon(k, p + 1).vertices"),
+], ids=["tilt", "target"])
+def test_broken_certificate_fails_fast(tmp_path, original, replacement):
+    # the first polygon of the first walk fails its certificate, before
+    # any class is counted
+    _mutant_package(tmp_path, original, replacement)
+    run = _capped_enumerate(tmp_path, 1)
+    assert (run.returncode, run.stdout) == (4, "")
+    first, check = run.stderr.splitlines()
+    assert first.startswith("internal error: normalized polygon ")
+    assert check.startswith("  check normalized vertices == "
+                            "canonical_polygon(k, p): expected ")
 
 
 def test_enumerate_validation(monkeypatch):
@@ -378,34 +402,16 @@ def test_enumerate_validation(monkeypatch):
 
 
 def test_group_classes_rejects_mixed_class(monkeypatch):
+    # distinct normal forms have distinct keys; give every normal form one
+    # key to reach the check that one class holds one (k, p)
     results = helpers.enumerated(1)
-    poly, cls, key = results[0]
-    forged = cls.__class__(k=cls.k % 3 + 1, p=cls.p, transform=cls.transform,
-                           normal_form=cls.normal_form, mu=cls.mu)
-    # distinct normal forms have distinct keys, so the forged entry would
-    # fail the normal-form check first; give every normal form this key to
-    # reach the check that one class holds one (k, p)
-    monkeypatch.setattr(delpezzo, "canonical_key", lambda g: key)
+    monkeypatch.setattr(delpezzo, "canonical_key", lambda g: ())
     with pytest.raises(ConsistencyError) as exc:
-        group_classes([(poly, cls, key), (poly, forged, key)])
+        group_classes(results)
     err = exc.value
+    kps = list(dict.fromkeys((cls.k, cls.p) for _, cls in results))
     assert (err.check, err.expected, err.got) == (
-        "one (k, p) per graph class", (cls.k, cls.p), (forged.k, forged.p))
-
-
-def test_group_classes_rejects_misclassified_entry():
-    # a single entry: no second polygon to disagree with, so only the check
-    # against the normal form's graph key can catch it
-    poly, cls, key = helpers.enumerated(1)[0]
-    forged = cls.__class__(k=cls.k % 3 + 1, p=cls.p, transform=cls.transform,
-                           normal_form=cls.normal_form, mu=cls.mu)
-    with pytest.raises(ConsistencyError) as exc:
-        group_classes([(poly, forged, key)])
-    err = exc.value
-    assert (err.check, err.expected, err.got) == (
-        "graph key == normal form's",
-        canonical_key(graph_of(helpers.analysis_of(
-            canonical_polygon(forged.k, forged.p)))), key)
+        "one (k, p) per graph class", kps[0], kps[1])
 
 
 def test_classify_mismatch_names_check_and_values(monkeypatch):
@@ -425,22 +431,65 @@ def test_classify_mismatch_names_check_and_values(monkeypatch):
 
 
 def test_enumeration_repeats_within_a_process():
-    # the second call reads every cone from the cache the first one filled
+    # the search keeps no state between calls
     assert helpers.enumerated(4) == helpers.enumerated(4)
 
 
-def test_enumeration_analyses_each_polygon_once(monkeypatch):
-    calls = helpers.count_cone_computations(monkeypatch)
+def test_enumerate_analyses_each_normal_form_once(monkeypatch):
+    # the certificate classifies each found polygon; only group_classes
+    # analyses a fan, one per normal form present
+    for cached in (delpezzo.canonical_polygon, delpezzo.mirror_quad):
+        cached.cache_clear()
+    calls = helpers.count_calls(monkeypatch, "fan_from_polygon",
+                                "analyze_fan", "classify_one_singularity")
+    built = collections.Counter()
+    post_init = LatticePolygon.__post_init__
+
+    def counting(self):
+        built[len(self.vertices)] += 1
+        post_init(self)
+
+    monkeypatch.setattr(LatticePolygon, "__post_init__", counting)
     reads = helpers.count_derived_reads(monkeypatch)
-    results = helpers.enumerated(2)
-    group_classes(results)
-    # one computation per distinct cone of the found polygons and of the
-    # normal forms, which serves classification and graph key alike
-    kps = {(cls.k, cls.p) for _, cls, _ in results}
-    pairs = helpers.ray_pairs([poly for poly, _, _ in results]
-                              + [canonical_polygon(*kp) for kp in kps])
-    assert sorted((c.n, c.n2) for c in calls) == sorted(pairs)
-    assert len(calls) == 91  # 612 cones counted with repeats
+    classes = group_classes(enumerate_one_singularity(7))
+    assert sum(e["count"] for e in classes.values()) == 4144
+    assert len(classes) == 39
+    assert calls == {"fan_from_polygon": 39, "analyze_fan": 39}
+    # the 39 normal forms and the 13 mirror presentations, nothing per
+    # polygon
+    assert built == {3: 13, 4: 26, 5: 13}
     assert not reads  # K^2 is not computed
-    # equal keys are one shared object
-    assert len({id(key) for _, _, key in results}) == 9
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+def test_certificate_matches_the_fan_analysis(bound):
+    # the per-polygon route the certificate replaced: a full analysis of
+    # each polygon's face fan gives the same classification, transform
+    # included, and the graph key of its normal form
+    keys = {}
+    for verts, cls in enumerate_one_singularity(bound):
+        analysis = helpers.analysis_of(LatticePolygon(verts))
+        assert LatticePolygon(verts).vertices == verts
+        assert classify_one_singularity(analysis) == cls
+        kp = (cls.k, cls.p)
+        if kp not in keys:
+            keys[kp] = canonical_key(graph_of(helpers.analysis_of(
+                canonical_polygon(*kp))))
+        assert canonical_key(graph_of(analysis)) == keys[kp]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 30), st.booleans(),
+       st.randoms(use_true_random=False), st.integers(0, 3))
+def test_normal_form_helper_matches_classification(k, p, mirror, rng, shears):
+    # a family member (or the mirror presentation) under a unimodular map,
+    # read from its singular cone, classifies the same both ways
+    base = mirror_quad(p) if k == 2 and mirror else canonical_polygon(k, p)
+    poly = apply_map(helpers.random_unimodular(rng, shears=shears), base)
+    analysis = helpers.analysis_of(poly)
+    (j,) = analysis.singular_indices
+    verts = poly.vertices[j:] + poly.vertices[:j]
+    cls = delpezzo._normal_form(verts)
+    assert cls == classify_one_singularity(analysis)
+    assert (cls.k, cls.p) == (k, p)
+    assert apply_map(cls.transform, poly) == canonical_polygon(k, p)

@@ -1,4 +1,4 @@
-"""Complete fans, the cone data cache, ray weights, canonical
+"""Complete fans, their cone data, ray weights, canonical
 self-intersection, resolutions."""
 
 import math
@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-import ldpsurf.fans as fans
 from ldpsurf import (Cone2, CompleteFan, DomainError, FanAnalysis,
                      LatticePolygon, analyze_fan, apply_map, canonical_polygon,
                      cone_invariants, cross, fan_from_polygon,
@@ -289,16 +288,13 @@ def anticlockwise_pairs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(anticlockwise_pairs())
-def test_cached_cone_data_equals_fresh_invariants(pair):
-    cached = fans._cone_data(*pair)
-    assert cached == cone_invariants(Cone2(*pair))
-    assert fans._cone_data(*pair) is cached
-
-
-def test_cone_data_cache_raises_on_every_invalid_call():
-    fans._cone_data.cache_clear()
-    for n, n2 in (((2, 0), (0, 1)), ((0, 1), (1, 0))):  # non-primitive, clockwise
-        for _ in range(2):
-            with pytest.raises(DomainError):
-                fans._cone_data(n, n2)
-    assert fans._cone_data.cache_info().currsize == 0
+def test_analysis_cone_data_equals_fresh_invariants(pair):
+    # the fan (n, n2, m), with m the primitive ray along -(n + n2), has the
+    # cone (n, n2)
+    n, n2 = pair
+    x, y = -n[0] - n2[0], -n[1] - n2[1]
+    g = math.gcd(x, y)
+    fan = CompleteFan((n, n2, (x // g, y // g)))
+    first, second = analyze_fan(fan), analyze_fan(fan)
+    assert first.cone_data[0] == cone_invariants(Cone2(n, n2))
+    assert first == second
