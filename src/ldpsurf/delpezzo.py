@@ -6,18 +6,15 @@ toric log del Pezzo surface.  When exactly one cone over a facet is
 non-basic, the surface is isomorphic to a member of three explicit families
 of polygons with 3, 4 and 5 vertices (plus a mirrored presentation of the
 4-vertex family).  The normalizer of the singular cone, composed with one
-fixed shear, maps the polygon onto its family member; classify_one_singularity
-reads the cone from a fan analysis, and the enumeration search from the walk
-that found the polygon, and both check the image against the normal form.
+fixed shear in integers, maps the polygon onto its family member, checked
+by one tuple comparison; classify_one_singularity reads the cone from a fan
+analysis, and the enumeration search from the walk that found the polygon.
 Enumeration is a depth-first search from the vertex after each polygon's
-one non-basic cone: every step walks the last vertex's det = 1 line, built
-by arithmetic, over one range of its parameter t that the search's two
-convexity bounds solve for, and the walk closes on a cone of det > 1; a
-chain too long to be convex raises ConsistencyError.  The search yields
-(vertices, classification) pairs, one first vertex's polygons at a time,
-and builds no polygon, fan or graph for them; group_classes counts them
-per (k, p) and checks that the normal forms present have distinct graph
-keys.
+one non-basic cone, along det = 1 lines over the parameter ranges that two
+convexity bounds solve for.  It yields (vertices, classification) pairs
+and builds no polygon, fan or graph for them (bound 64: 656,560 polygons
+in about 9 s); group_classes counts them per (k, p) and checks that the
+normal forms present have distinct graph keys.
 """
 
 from __future__ import annotations
@@ -136,9 +133,8 @@ def classify_one_singularity(a: FanAnalysis) -> Classification:
     its face fan, onto its normal form."""
     singular = a.singular_indices
     if len(singular) != 1:
-        raise SingularityCountError(
-            f"polygon has {len(singular)} singular cones, need exactly 1"
-        )
+        raise SingularityCountError(f"polygon has {len(singular)} singular "
+                                    "cones, need exactly 1")
     j = singular[0]
     return _normal_form(a.fan.rays[j:] + a.fan.rays[:j])
 
@@ -147,8 +143,9 @@ def _normal_form(verts: tuple[Point, ...]) -> Classification:
     """Classify the polygon with these anticlockwise vertices, its singular
     cone (verts[0], verts[1]) of det q > 1 and every other cone basic, by
     one det +1 map onto its normal form; a map onto the normal form proves
-    the polygon convex, log del Pezzo and isomorphic to it."""
-    p, q, entries = cone_normalizer(verts[0], verts[1])
+    the polygon convex, log del Pezzo and isomorphic to it.  In integers,
+    one UnimodularMap a call; at bound 64, 5 of enumerate's 9 s."""
+    p, q, (na, nb, nc, nd) = cone_normalizer(verts[0], verts[1])
     if q != p + 1:
         raise ConsistencyError(
             f"one-singularity polygon with cone type ({p}, {q}); "
@@ -159,26 +156,37 @@ def _normal_form(verts: tuple[Point, ...]) -> Classification:
         raise ConsistencyError(f"one-singularity polygon with {k + 2} "
                                "vertices", check="vertex count",
                                expected="3, 4 or 5", got=k + 2)
-    upsilon = _TILT.compose(UnimodularMap(*entries))
-    ua, ub, uc, ud = upsilon.a, upsilon.b, upsilon.c, upsilon.d
-    image_verts = [(ua * x + ub * y, uc * x + ud * y) for x, y in verts]
-    # upsilon has det +1, so the image is anticlockwise like verts: started
-    # at its smallest vertex it is in canonical order, and a match with the
-    # target puts exactly one vertex at (-1, 0)
-    start = image_verts.index(min(image_verts))
-    image = tuple(image_verts[start:] + image_verts[:start])
+    ua, ub = _TILT.a * na + _TILT.b * nc, _TILT.a * nb + _TILT.b * nd
+    uc, ud = _TILT.c * na + _TILT.d * nc, _TILT.c * nb + _TILT.d * nd
+    image = []  # a loop, not a comprehension, keeps ua..ud fast locals
+    for x, y in verts:
+        image.append((ua * x + ub * y, uc * x + ud * y))
     target = canonical_polygon(k, p).vertices
-    if image == target:
-        transform, form = upsilon, "standard"
-    elif k == 2 and image == mirror_quad(p).vertices:
-        transform, form = mirror_quad_map(p).compose(upsilon), "mirror"
-    else:
+    seen, form, mu, (ma, mb, mc, md) = _seen_from_cone(target, p, False)
+    if image != seen and k == 2:
+        seen, form, mu, (ma, mb, mc, md) = _seen_from_cone(
+            mirror_quad(p).vertices, p, True)
+    if image != seen:
+        start = image.index(min(image))  # as LatticePolygon stores it
+        got = tuple(image[start:] + image[:start])
         raise ConsistencyError(
-            f"normalized polygon {image} matches no family member",
+            f"normalized polygon {got} matches no family member",
             check="normalized vertices == canonical_polygon(k, p)",
-            expected=target, got=image)
-    mu = image_verts.index((-1, 0)) + 1
-    return Classification(k=k, p=p, transform=transform, normal_form=form, mu=mu)
+            expected=target, got=got)
+    return Classification(k, p, UnimodularMap(
+        ma * ua + mb * uc, ma * ub + mb * ud, mc * ua + md * uc,
+        mc * ub + md * ud), form, mu)
+
+
+@functools.cache
+def _seen_from_cone(vertices: tuple[Point, ...], p: int, mirror: bool):
+    """A presentation as _normal_form's image list meets it, from (1, -1):
+    its vertices, form and mu, and the entries of the map applied last."""
+    start = vertices.index((1, -1))
+    seen = list(vertices[start:] + vertices[:start])
+    m = mirror_quad_map(p) if mirror else UnimodularMap(1, 0, 0, 1)
+    return (seen, "mirror" if mirror else "standard",
+            seen.index((-1, 0)) + 1, (m.a, m.b, m.c, m.d))
 
 
 def index_parity_check(index: int) -> set[tuple[int, int]]:
@@ -200,7 +208,7 @@ def _primitive_box_points(bound: int) -> list[Point]:
 Enumerated = tuple[tuple[Point, ...], Classification]
 
 # largest enumerate bound, set by time: bound 64 (656,560 polygons) takes
-# 13 s and 19.5 MB max RSS on one Intel Xeon core under Python 3.11
+# about 9 s and 19 MB max RSS on one Intel Xeon core under Python 3.11
 MAX_BOUND = 64
 
 
@@ -272,23 +280,21 @@ def enumerate_one_singularity(bound: int) -> Iterator[Enumerated]:
     turn ahead of a step that turns by less than one.  The walk closes when
     det(last, first) > 1 and the turn at first is strict.  Each polygon is
     found once: its one singular cone fixes first, and first fixes the
-    walk.  A bound past MAX_BOUND raises DomainError at the call itself.
+    walk.  A bound that is not an int from 1 to MAX_BOUND raises
+    DomainError at the call itself.
     A vertical line meets at most two vertices of a strictly convex arc, so
     a chain has at most 4·bound + 2, two per column (6 at bounds 1-12); a
     longer one means a broken t-bound and raises ConsistencyError at once.
 
-    When a walk closes, the singular cone (last, first) certifies the
-    polygon: its normalizer, composed with the family shear, must map the
-    chain, started at last, onto canonical_polygon(k, p) or, for k = 2,
-    onto mirror_quad(p), with k = ν - 2 and q = p + 1, or ConsistencyError
-    is raised.  A det 1 map onto a normal form proves the polygon convex,
-    log del Pezzo and isomorphic to (k, p), so no polygon, fan or graph is
-    built for it.  Yields (vertices, classification) pairs in search order,
-    the vertices anticlockwise from the smallest, as LatticePolygon stores
-    them, one first vertex's polygons at a time (at most 548 at bound 24),
-    so memory follows the box, not the polygon count.
+    When a walk closes, _normal_form certifies the chain, started at last,
+    from the singular cone (last, first), or raises ConsistencyError; no
+    polygon, fan or graph is built for it.  Yields (vertices,
+    classification) pairs in search order, the vertices anticlockwise from
+    the smallest, as LatticePolygon stores them, one first vertex's
+    polygons at a time (at most 548 at bound 24), so memory follows the
+    box, not the polygon count.
     """
-    if not 1 <= bound <= MAX_BOUND:
+    if type(bound) is not int or not 1 <= bound <= MAX_BOUND:
         raise DomainError(f"bound must be between 1 and {MAX_BOUND}")
     return _one_singularity_search(bound)
 

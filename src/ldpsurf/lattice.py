@@ -89,7 +89,10 @@ class UnimodularMap:
     c: int
     d: int
 
-    def __post_init__(self):
+    def __post_init__(self):  # exact ints only: bool is no int here
+        if not (type(self.a) is int and type(self.b) is int
+                and type(self.c) is int and type(self.d) is int):
+            raise DomainError(f"non-integer entry in {self.matrix()}")
         if self.det not in (1, -1):
             raise DomainError(f"determinant {self.det} is not +-1")
 
@@ -99,15 +102,6 @@ class UnimodularMap:
 
     def apply(self, p: Point) -> Point:
         return (self.a * p[0] + self.b * p[1], self.c * p[0] + self.d * p[1])
-
-    def compose(self, other: "UnimodularMap") -> "UnimodularMap":
-        """Matrix product self * other (other acts first)."""
-        return UnimodularMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def matrix(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]

@@ -137,6 +137,12 @@ def random_primitive(rng: random.Random, bound: int) -> tuple[int, int]:
             return (x, y)
 
 
+def compose(m: UnimodularMap, n: UnimodularMap) -> UnimodularMap:
+    """The matrix product m · n: n acts first."""
+    return UnimodularMap(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+                         m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
+
+
 def random_unimodular(rng: random.Random, shears: int = 4,
                       det: int | None = None) -> UnimodularMap:
     """Random product of elementary shears, optionally reflected to det -1."""
@@ -147,10 +153,10 @@ def random_unimodular(rng: random.Random, shears: int = 4,
             step = UnimodularMap(1, s, 0, 1)
         else:
             step = UnimodularMap(1, 0, s, 1)
-        m = step.compose(m)
+        m = compose(step, m)
     want = det if det is not None else rng.choice((1, -1))
     if m.det != want:
-        m = UnimodularMap(0, 1, 1, 0).compose(m)
+        m = compose(UnimodularMap(0, 1, 1, 0), m)
     return m
 
 

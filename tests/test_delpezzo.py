@@ -20,7 +20,7 @@ import helpers
 import ldpsurf.delpezzo as delpezzo
 from ldpsurf import (ConsistencyError, DomainError, LatticePolygon,
                      SingularityCountError, UnimodularMap, apply_map,
-                     canonical_key, canonical_polygon,
+                     canonical_key, canonical_polygon, cross,
                      classify_one_singularity, enumerate_one_singularity,
                      graph_of, group_classes, index_parity_check,
                      ldp_analyze, mirror_quad, mirror_quad_map,
@@ -47,7 +47,7 @@ def test_mirror_quad_relation():
     for p in range(1, 10):
         m = mirror_quad_map(p)
         assert m.det == -1
-        assert m.compose(m) == UnimodularMap(1, 0, 0, 1)
+        assert helpers.compose(m, m) == UnimodularMap(1, 0, 0, 1)
         assert apply_map(m, canonical_polygon(2, p)) == mirror_quad(p)
         assert apply_map(m, mirror_quad(p)) == canonical_polygon(2, p)
     with pytest.raises(DomainError):
@@ -399,6 +399,11 @@ def test_enumerate_validation(monkeypatch):
     for bound in (delpezzo.MAX_BOUND + 1, 10**6):
         with pytest.raises(DomainError, match="between 1 and"):
             enumerate_one_singularity(bound)
+    # refused at the call, before the search could start: a float passed
+    # the range test, True is 1, and '3' did not compare
+    for bound in (7.0, True, "3", None, Fraction(3), 2**0.5):
+        with pytest.raises(DomainError, match="between 1 and"):
+            enumerate_one_singularity(bound)
 
 
 def test_group_classes_rejects_mixed_class(monkeypatch):
@@ -476,6 +481,42 @@ def test_certificate_matches_the_fan_analysis(bound):
             keys[kp] = canonical_key(graph_of(helpers.analysis_of(
                 canonical_polygon(*kp))))
         assert canonical_key(graph_of(analysis)) == keys[kp]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_classification_read_back_from_the_polygon(bound):
+    # each field checked here, not through _normal_form or its table: the
+    # transform maps the polygon onto the normal form, the mirror form is
+    # exactly the det -1 transform, and mu is the position, counted from
+    # the singular cone, of the vertex the transform sends to (-1, 0)
+    for verts, cls in enumerate_one_singularity(bound):
+        m = cls.transform
+        assert apply_map(m, LatticePolygon(verts)) == \
+            canonical_polygon(cls.k, cls.p)
+        assert cls.normal_form in ("standard", "mirror")
+        assert (cls.normal_form == "mirror") == (m.det == -1)
+        cones = zip(verts, verts[1:] + verts[:1])
+        (j,) = [i for i, (u, v) in enumerate(cones) if cross(u, v) > 1]
+        from_cone = verts[j:] + verts[:j]
+        assert [m.apply(v) for v in from_cone].index((-1, 0)) + 1 == cls.mu
+
+
+def test_enumerate_builds_one_map_per_polygon(monkeypatch):
+    # the certificate composes its maps in integers: the transform it
+    # returns is the one UnimodularMap a polygon costs
+    # a first run fills the certificate's table of presentations
+    assert sum(1 for _ in enumerate_one_singularity(7)) == 4144
+    built = 0
+    post_init = UnimodularMap.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(UnimodularMap, "__post_init__", counting)
+    assert sum(1 for _ in enumerate_one_singularity(7)) == 4144
+    assert built == 4144
 
 
 @settings(max_examples=300, deadline=None)

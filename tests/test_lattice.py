@@ -51,6 +51,9 @@ def test_unimodular_map_validation():
         UnimodularMap(1, 1, 1, 1)
     assert UnimodularMap(0, 1, 1, 0).det == -1
     assert UnimodularMap(1, 0, 0, 1).matrix() == [[1, 0], [0, 1]]
+    for entries in ((1.5, 0, 0, 1 / 1.5), (True, 0, 0, True)):
+        with pytest.raises(DomainError, match="non-integer entry"):
+            UnimodularMap(*entries)  # det 1.0 and True pass the det test
 
 
 def test_unimodular_map_algebra():
@@ -60,10 +63,10 @@ def test_unimodular_map_algebra():
         m = helpers.random_unimodular(rng)
         n = helpers.random_unimodular(rng)
         v = (rng.randint(-9, 9), rng.randint(-9, 9))
-        assert m.compose(adjugate(m)) == ident
-        assert adjugate(m).compose(m) == ident
-        assert m.compose(n).apply(v) == m.apply(n.apply(v))
-        assert m.compose(n).det == m.det * n.det
+        assert helpers.compose(m, adjugate(m)) == ident
+        assert helpers.compose(adjugate(m), m) == ident
+        assert helpers.compose(m, n).apply(v) == m.apply(n.apply(v))
+        assert helpers.compose(m, n).det == m.det * n.det
 
 
 def test_polygon_canonical_storage():
@@ -153,6 +156,23 @@ def test_int_pair_matches_reference(v):
         with pytest.raises(DomainError) as exc:
             CompleteFan((v, (0, 1), (-1, -1)))
         assert str(exc.value) == f"ray {v!r} is not two integers"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 3),
+       st.one_of(st.sampled_from([float, Fraction, bool, str]),
+                 st.floats(), st.fractions(), st.booleans(),
+                 st.sampled_from(Sign), st.none()))
+def test_unimodular_map_takes_exact_ints_only(rng, slot, bad):
+    # one entry of a valid map made inexact: the same value as a float, a
+    # Fraction or a bool keeps det = +-1, so only the type test stands
+    # between it and the map
+    m = helpers.random_unimodular(rng)
+    entries = [m.a, m.b, m.c, m.d]
+    assert UnimodularMap(*entries) == m
+    entries[slot] = bad(entries[slot]) if isinstance(bad, type) else bad
+    with pytest.raises(DomainError, match="non-integer entry"):
+        UnimodularMap(*entries)
 
 
 @settings(max_examples=500, deadline=None)
