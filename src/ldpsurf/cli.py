@@ -22,6 +22,7 @@ from .delpezzo import (MAX_BOUND, Classification, canonical_polygon,
                        group_classes, ldp_analyze)
 from .embedding import (TableRow, embedding_data, enumerated_row,
                         minimal_system, quadric_count_by_counting,
+                        quadric_count_from_vertices,
                         table_formulas, write_ideal)
 from .errors import ConsistencyError, DomainError, SingularityCountError
 from .fans import analyze_fan, fan_from_polygon
@@ -84,15 +85,9 @@ def _analyze_payload(q: LatticePolygon) -> dict:
 
 
 def _classification_payload(cls: Classification | None) -> dict | None:
-    if cls is None:
-        return None
-    return {
-        "k": cls.k,
-        "p": cls.p,
-        "normal_form": cls.normal_form,
-        "mu": cls.mu,
-        "transform": cls.transform.matrix(),
-    }
+    return None if cls is None else {
+        "k": cls.k, "p": cls.p, "normal_form": cls.normal_form, "mu": cls.mu,
+        "transform": cls.transform.matrix()}
 
 
 def _print_analysis(payload: dict) -> None:
@@ -149,10 +144,15 @@ MAX_GENERATORS = 70_000_000
 
 
 def _cmd_quadrics(args) -> int:
-    emb = embedding_data(ldp_analyze(_load_input(args)))
-    count = quadric_count_by_counting(emb)
+    data = ldp_analyze(_load_input(args))
+    count = quadric_count_from_vertices(data.dilated_polar)
     if count > MAX_GENERATORS:
         raise DomainError(f"{count} generators, more than {MAX_GENERATORS}")
+    emb = embedding_data(data)
+    if (swept := quadric_count_by_counting(emb)) != count:
+        raise ConsistencyError(f"{swept} generators by the sweep, {count} "
+                               "by the vertices", check="swept == Pick count",
+                               expected=count, got=swept)
     report = minimal_system(emb)
     if args.out is None:
         write_ideal(report, sys.stdout)

@@ -8,13 +8,15 @@ of polygons with 3, 4 and 5 vertices (plus a mirrored presentation of the
 4-vertex family).  The normalizer of the singular cone, composed with one
 fixed shear in integers, maps the polygon onto its family member, checked
 by one tuple comparison; classify_one_singularity reads the cone from a fan
-analysis, and the enumeration search from the walk that found the polygon.
-Enumeration is a depth-first search from the vertex after each polygon's
-one non-basic cone, along det = 1 lines over the parameter ranges that two
-convexity bounds solve for.  It yields (vertices, classification) pairs
-and builds no polygon, fan or graph for them (bound 64: 656,560 polygons
-in about 9 s); group_classes counts them per (k, p) and checks that the
-normal forms present have distinct graph keys.
+analysis, and the enumeration search from the walk that found the polygon,
+which also hands on the Bezout pair of the cone's first ray.  Enumeration
+is a depth-first search from the vertex after each polygon's one non-basic
+cone, along det = 1 lines over the parameter ranges that two convexity
+bounds solve for.  It yields (vertices, classification) pairs, each
+classification one tuple, and builds no polygon, fan, map or graph for
+them (bound 64: 656,560 polygons in about 5 s); group_classes counts them
+per (k, p) and checks that the normal forms present have distinct graph
+keys.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, SingularityCountError
 from .fans import FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import canonical_key, graph_of
 from .lattice import (LatticePolygon, Point, UnimodularMap, bezout,
-                      cone_normalizer, edge_lines)
+                      edge_lines, pair_normalizer)
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,21 +44,25 @@ class LdpData:
     dilated_polar: LatticePolygon  # index · polar, in integers
 
 
-@dataclass(frozen=True, slots=True)
-class Classification:
+class Classification(NamedTuple):
     """Result of the one-singularity normal form computation.
 
-    transform maps the input polygon onto canonical_polygon(k, p) exactly.
-    normal_form records which 4-gon presentation appeared before the final
-    mirror step ("standard" or "mirror"), and mu is the 1-based position of
-    the vertex sent to (-1, 0), counted from the singular cone.
-    """
+    transform, the map [[a, b], [c, d]] of entries (a, b, c, d), maps the
+    input polygon onto canonical_polygon(k, p) exactly; each read builds it
+    as a checked UnimodularMap.  normal_form records which 4-gon
+    presentation appeared before the final mirror step ("standard" or
+    "mirror"), and mu is the 1-based position of the vertex sent to (-1, 0),
+    counted from the singular cone."""
 
     k: int
     p: int
-    transform: UnimodularMap
+    entries: tuple[int, int, int, int]
     normal_form: str
     mu: int
+
+    @property
+    def transform(self) -> UnimodularMap:
+        return UnimodularMap(*self.entries)
 
 
 @functools.cache
@@ -136,16 +143,20 @@ def classify_one_singularity(a: FanAnalysis) -> Classification:
         raise SingularityCountError(f"polygon has {len(singular)} singular "
                                     "cones, need exactly 1")
     j = singular[0]
-    return _normal_form(a.fan.rays[j:] + a.fan.rays[:j])
+    verts = a.fan.rays[j:] + a.fan.rays[:j]
+    return _normal_form(verts, *bezout(*verts[0]), a.cone_data[j].q)
 
 
-def _normal_form(verts: tuple[Point, ...]) -> Classification:
+def _normal_form(verts: tuple[Point, ...], kappa: int, lam: int,
+                 q: int) -> Classification:
     """Classify the polygon with these anticlockwise vertices, its singular
-    cone (verts[0], verts[1]) of det q > 1 and every other cone basic, by
-    one det +1 map onto its normal form; a map onto the normal form proves
-    the polygon convex, log del Pezzo and isomorphic to it.  In integers,
-    one UnimodularMap a call; at bound 64, 5 of enumerate's 9 s."""
-    p, q, (na, nb, nc, nd) = cone_normalizer(verts[0], verts[1])
+    cone (verts[0], verts[1]) of det q > 1, (kappa, lam) = bezout(*verts[0])
+    and every other cone basic, by one det +1 map onto its normal form; a
+    map onto the normal form proves the polygon convex, log del Pezzo and
+    isomorphic to it.  In integers, with no object but the returned tuple;
+    at bound 64, about 2 of enumerate's 5 s."""
+    p, q, (na, nb, nc, nd) = pair_normalizer(verts[0], verts[1], kappa,
+                                             lam, q)
     if q != p + 1:
         raise ConsistencyError(
             f"one-singularity polygon with cone type ({p}, {q}); "
@@ -173,7 +184,7 @@ def _normal_form(verts: tuple[Point, ...]) -> Classification:
             f"normalized polygon {got} matches no family member",
             check="normalized vertices == canonical_polygon(k, p)",
             expected=target, got=got)
-    return Classification(k, p, UnimodularMap(
+    return Classification(k, p, (
         ma * ua + mb * uc, ma * ub + mb * ud, mc * ua + md * uc,
         mc * ub + md * ud), form, mu)
 
@@ -208,7 +219,7 @@ def _primitive_box_points(bound: int) -> list[Point]:
 Enumerated = tuple[tuple[Point, ...], Classification]
 
 # largest enumerate bound, set by time: bound 64 (656,560 polygons) takes
-# about 9 s and 19 MB max RSS on one Intel Xeon core under Python 3.11
+# about 5 s and 19 MB max RSS on one Intel Xeon core under Python 3.11
 MAX_BOUND = 64
 
 
@@ -242,11 +253,11 @@ def _one_singularity_search(bound: int) -> Iterator[Enumerated]:
             # the t-range gave last's turn; closing checks det and first's turn
             (sx, sy), (px, py), (lx, ly) = chain[1], chain[-2], chain[-1]
             d = lx * fy - ly * fx
+            lam, kappa, lo, hi = line[lx, ly]
             if d > 1 and (fx - lx) * (sy - fy) - (fy - ly) * (sx - fx) > 0:
                 start = chain.index(min(chain))
-                found.append((chain[start:] + chain[:start],
-                              _normal_form(chain[-1:] + chain[:-1])))
-            lam, kappa, lo, hi = line[lx, ly]
+                found.append((chain[start:] + chain[:start], _normal_form(
+                    chain[-1:] + chain[:-1], kappa, lam, d)))
             turn = 1 - px * kappa + py * lam  # strict left turn at last
             if d > 0:  # first strictly left of last -> cand
                 left = 1 - (lam * fy - kappa * fx) // d
@@ -287,12 +298,12 @@ def enumerate_one_singularity(bound: int) -> Iterator[Enumerated]:
     longer one means a broken t-bound and raises ConsistencyError at once.
 
     When a walk closes, _normal_form certifies the chain, started at last,
-    from the singular cone (last, first), or raises ConsistencyError; no
-    polygon, fan or graph is built for it.  Yields (vertices,
-    classification) pairs in search order, the vertices anticlockwise from
-    the smallest, as LatticePolygon stores them, one first vertex's
-    polygons at a time (at most 548 at bound 24), so memory follows the
-    box, not the polygon count.
+    from the singular cone (last, first), with last's Bezout pair from its
+    line and q = d, or raises ConsistencyError; no polygon, fan, map or
+    graph is built for it.  Yields (vertices, classification) pairs in
+    search order, the vertices anticlockwise from the smallest, as
+    LatticePolygon stores them, one first vertex's polygons at a time (at
+    most 548 at bound 24), so memory follows the box, not the polygon count.
     """
     if type(bound) is not int or not 1 <= bound <= MAX_BOUND:
         raise DomainError(f"bound must be between 1 and {MAX_BOUND}")

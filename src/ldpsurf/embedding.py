@@ -18,6 +18,7 @@ import collections
 import dataclasses
 import functools
 import io
+import math
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -129,6 +130,16 @@ def quadric_count_by_counting(e: EmbeddingData) -> int:
     and the boundary count."""
     delta, doubled = e.ambient_dim, 2 * e.degree + e.boundary_count + 1
     return (delta + 1) * (delta + 2) // 2 - doubled
+
+
+def quadric_count_from_vertices(polygon: LatticePolygon) -> int:
+    """quadric_count_by_counting before any sweep: B by edge gcds, 2A by
+    shoelace, n = (2A + B)/2 + 1 points by Pick, L_P(2) = 2·2A + B + 1."""
+    verts, area2 = polygon.vertices, polygon_area2(polygon)
+    b = sum(math.gcd(wx - vx, wy - vy)
+            for (vx, vy), (wx, wy) in zip(verts, verts[1:] + verts[:1]))
+    n = (area2 + b) // 2 + 1
+    return n * (n + 1) // 2 - (2 * area2 + b + 1)
 
 
 def minimal_system(e: EmbeddingData) -> QuadricIdealReport:

@@ -54,16 +54,9 @@ def reverse_graph(g: WeightedCircularGraph) -> WeightedCircularGraph:
 
 def canonical_key(g: WeightedCircularGraph) -> tuple[Token, ...]:
     """Rotation- and reversal-invariant key; equal keys mean isomorphic
-    surfaces."""
-    best = None
-    for seq in (g.nodes, reverse_graph(g).nodes):
-        n = len(seq)
-        doubled = seq + seq
-        for i in range(n):
-            cand = doubled[i: i + n]
-            if best is None or cand < best:
-                best = cand
-    return best
+    surfaces: the least rotation of the nodes or of their reverse."""
+    return min(seq[i:] + seq[:i] for seq in (g.nodes, reverse_graph(g).nodes)
+               for i in range(len(seq)))
 
 
 def surfaces_isomorphic(a1: FanAnalysis, a2: FanAnalysis) -> bool:
@@ -74,8 +67,5 @@ def surfaces_isomorphic(a1: FanAnalysis, a2: FanAnalysis) -> bool:
 def render_graph(g: WeightedCircularGraph) -> str:
     """One-line cyclic rendering; the trailing edge closes back on the first
     node.  Basic edges are drawn bare, singular ones carry their (p, q)."""
-    parts = []
-    for w, p, q in g.nodes:
-        parts.append(f"[{w}]")
-        parts.append(f" -({p},{q})- " if q > 1 else " - ")
-    return "".join(parts).rstrip()
+    return "".join(f"[{w}]" + (f" -({p},{q})- " if q > 1 else " - ")
+                   for w, p, q in g.nodes).rstrip()

@@ -45,11 +45,16 @@ def cone_normalizer(n: Point, n2: Point) -> tuple[int, int, tuple[int, ...]]:
     """(p, q, (a, b, c, d)) for primitive n, n2 with q = det(n, n2) > 0: the
     determinant 1 matrix [[a, b], [c, d]] sends n to (1, 0) and n2 to
     (p, q), with 0 <= p < q."""
+    return pair_normalizer(n, n2, *bezout(*n), cross(n, n2))
+
+
+def pair_normalizer(n: Point, n2: Point, kappa: int, lam: int,
+                    q: int) -> tuple[int, int, tuple[int, ...]]:
+    """cone_normalizer(n, n2) from (kappa, lam) = bezout(*n) and q."""
     (x, y), (u, v) = n, n2
-    kappa, lam = bezout(x, y)
     # the base change (kappa, -lam; -y, x) sends n to (1, 0) and n2 to
     # (t, q); the shear (1, s; 0, 1) after it keeps (1, 0) and moves t to p
-    t, q = kappa * u - lam * v, x * v - y * u
+    t = kappa * u - lam * v
     s = -(t // q)
     return t + s * q, q, (kappa - s * y, s * x - lam, -y, x)
 

@@ -7,6 +7,8 @@ import inspect
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -297,12 +299,12 @@ def test_interrupt_mid_stream_prints_no_table(capsys, monkeypatch):
 def test_misclassified_polygon_mid_stream_exits_4(capsys, monkeypatch):
     real, calls = delpezzo._normal_form, [0]
 
-    def certify(verts):  # the 100th polygon with its third vertex moved
-        calls[0] += 1
+    def certify(verts, kappa, lam, q):
+        calls[0] += 1  # the 100th polygon gets its third vertex moved
         if calls[0] == 100:
             (ax, ay), (bx, by) = verts[1], verts[2]
             verts = verts[:2] + ((ax + bx, ay + by),) + verts[3:]
-        return real(verts)
+        return real(verts, kappa, lam, q)
 
     monkeypatch.setattr(delpezzo, "_normal_form", certify)
     code, out, err = run(capsys, "enumerate", "--bound", "7")
@@ -541,6 +543,22 @@ def test_quadrics_output_is_byte_stable(capsys, tmp_path, case):
 
 
 def test_fiber_count_failure_exits_4(capsys, monkeypatch):
+    # the degree is skewed where the pair walk reads it: skewed in
+    # embedding_data's result, the count check before the walk stops it
+    real = cli.minimal_system
+
+    def skewed(e):  # no valid input reaches the check through the CLI
+        return real(dataclasses.replace(e, degree=e.degree + 1))
+
+    monkeypatch.setattr(cli, "minimal_system", skewed)
+    code, out, err = run(capsys, "quadrics", "--canonical", "3", "3")
+    assert (code, out) == (4, "")
+    assert err == ("internal error: 71 sum fibers but 73 lattice points in "
+                   "the doubled polygon\n"
+                   "  check sum fibers == L_P(2): expected 73, got 71\n")
+
+
+def test_swept_count_differs_from_vertex_count_exits_4(capsys, monkeypatch):
     real = cli.embedding_data
 
     def skewed(data):  # no valid input reaches the check through the CLI
@@ -548,11 +566,13 @@ def test_fiber_count_failure_exits_4(capsys, monkeypatch):
         return dataclasses.replace(e, degree=e.degree + 1)
 
     monkeypatch.setattr(cli, "embedding_data", skewed)
+    monkeypatch.setattr(cli, "minimal_system", None)  # not reached
+    count = table_formulas(3, 3).quadric_count
     code, out, err = run(capsys, "quadrics", "--canonical", "3", "3")
     assert (code, out) == (4, "")
-    assert err == ("internal error: 71 sum fibers but 73 lattice points in "
-                   "the doubled polygon\n"
-                   "  check sum fibers == L_P(2): expected 73, got 71\n")
+    assert err == (f"internal error: {count - 2} generators by the sweep, "
+                   f"{count} by the vertices\n  check swept == Pick count: "
+                   f"expected {count}, got {count - 2}\n")
 
 
 def test_pick_failure_exits_4_with_both_values(capsys, monkeypatch):
@@ -614,6 +634,23 @@ def test_oversized_enumerate_bound_exits_2_at_once(capsys, monkeypatch):
         0, f"bound={limit}: 0 polygons in 0 isomorphism classes\n", "")
 
 
+# runs `ldpsurf quadrics --canonical 3 P --out F` under a 2 GB address-space
+# cap, with the lattice point sweep replaced by one that fails the run
+_CAPPED_QUADRICS = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import ldpsurf.embedding
+from ldpsurf.cli import main
+
+def unswept(polygon):
+    raise AssertionError("lattice_points ran")
+
+ldpsurf.embedding.lattice_points = unswept
+sys.exit(main(["quadrics", "--canonical", "3", sys.argv[1], "--out",
+               sys.argv[2]]))
+"""
+
+
 def test_oversized_quadrics_exits_2_before_the_pair_walk(capsys, monkeypatch,
                                                          tmp_path):
     def pair_walk(e):
@@ -630,6 +667,20 @@ def test_oversized_quadrics_exits_2_before_the_pair_walk(capsys, monkeypatch,
     assert err == ("error: 608256992 generators, more than "
                    f"{cli.MAX_GENERATORS}\n")
     assert list(tmp_path.iterdir()) == []  # nothing written, not even a temp
+    # refused from P's vertices, before its lattice points are swept
+    root = os.path.dirname(os.path.dirname(cli.__file__))
+    for p in (1001, 10**6):
+        start = time.perf_counter()
+        capped = subprocess.run(
+            [sys.executable, "-c", _CAPPED_QUADRICS, str(p), str(dest)],
+            env={**os.environ, "PYTHONPATH": root}, capture_output=True,
+            text=True, timeout=60)
+        assert time.perf_counter() - start < 1
+        assert (capped.returncode, capped.stdout) == (2, "")
+        assert capped.stderr == (
+            f"error: {table_formulas(3, p).quadric_count} generators, more "
+            f"than {cli.MAX_GENERATORS}\n")
+    assert list(tmp_path.iterdir()) == []
     # a system of exactly the limit is written; one past it is refused
     monkeypatch.setattr(cli, "minimal_system", walk)
     count = table_formulas(3, 3).quadric_count

@@ -25,6 +25,7 @@ from ldpsurf import (ConsistencyError, DomainError, LatticePolygon,
                      graph_of, group_classes, index_parity_check,
                      ldp_analyze, mirror_quad, mirror_quad_map,
                      surfaces_isomorphic)
+from ldpsurf.lattice import bezout
 
 
 def test_canonical_polygon_shapes():
@@ -379,7 +380,10 @@ def test_broken_t_bound_fails_fast(tmp_path):
     # the normal form of the wrong family member
     ("target = canonical_polygon(k, p).vertices",
      "target = canonical_polygon(k, p + 1).vertices"),
-], ids=["tilt", "target"])
+    # the search hands on last's Bezout pair in the wrong order
+    ("chain[-1:] + chain[:-1], kappa, lam, d)",
+     "chain[-1:] + chain[:-1], lam, kappa, d)"),
+], ids=["tilt", "target", "hand-off"])
 def test_broken_certificate_fails_fast(tmp_path, original, replacement):
     # the first polygon of the first walk fails its certificate, before
     # any class is counted
@@ -501,9 +505,9 @@ def test_classification_read_back_from_the_polygon(bound):
         assert [m.apply(v) for v in from_cone].index((-1, 0)) + 1 == cls.mu
 
 
-def test_enumerate_builds_one_map_per_polygon(monkeypatch):
-    # the certificate composes its maps in integers: the transform it
-    # returns is the one UnimodularMap a polygon costs
+def test_enumerate_builds_a_map_only_on_read(monkeypatch):
+    # the certificate keeps its transform as four entries: a walk builds no
+    # UnimodularMap, and each read of .transform builds one
     # a first run fills the certificate's table of presentations
     assert sum(1 for _ in enumerate_one_singularity(7)) == 4144
     built = 0
@@ -515,8 +519,20 @@ def test_enumerate_builds_one_map_per_polygon(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(UnimodularMap, "__post_init__", counting)
+    found = list(enumerate_one_singularity(7))
+    assert (len(found), built) == (4144, 0)
+    for reads in (1, 2):
+        assert all(cls.transform.det in (1, -1) for _, cls in found)
+        assert built == reads * 4144
+
+
+def test_enumerate_runs_bezout_once_per_box_point(monkeypatch):
+    # the certificate takes last's Bezout pair from the search's line
+    # table, so bezout runs once per primitive box point, never per polygon
+    calls = helpers.count_calls(monkeypatch, "bezout")
     assert sum(1 for _ in enumerate_one_singularity(7)) == 4144
-    assert built == 4144
+    assert calls == {"bezout": len(delpezzo._primitive_box_points(7))}
+    assert calls["bezout"] == 144
 
 
 @settings(max_examples=300, deadline=None)
@@ -530,7 +546,8 @@ def test_normal_form_helper_matches_classification(k, p, mirror, rng, shears):
     analysis = helpers.analysis_of(poly)
     (j,) = analysis.singular_indices
     verts = poly.vertices[j:] + poly.vertices[:j]
-    cls = delpezzo._normal_form(verts)
+    cls = delpezzo._normal_form(verts, *bezout(*verts[0]),
+                                cross(verts[0], verts[1]))
     assert cls == classify_one_singularity(analysis)
     assert (cls.k, cls.p) == (k, p)
     assert apply_map(cls.transform, poly) == canonical_polygon(k, p)
