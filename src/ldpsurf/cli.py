@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import dataclasses
 import functools
 import json
 import os
@@ -199,7 +198,7 @@ def _cmd_tables(args) -> int:
         for k in (1, 2, 3):
             expect = table_formulas(k, p)
             got = enumerated_row(k, p)
-            for name in (f.name for f in dataclasses.fields(TableRow)):
+            for name in TableRow._fields:
                 checks += 1
                 a, b = getattr(expect, name), getattr(got, name)
                 if a != b:

@@ -12,32 +12,33 @@ cyclic quotient singularity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
-from .lattice import Point, cone_normalizer, cross, is_primitive
+from .lattice import Point, _Frozen, cone_normalizer, cross, is_primitive
 
 
-@dataclass(frozen=True, slots=True)
-class Cone2:
+class Cone2(_Frozen):
     """Cone spanned by two primitive generators in anticlockwise order."""
 
+    __slots__ = ("n", "n2")
     n: Point
     n2: Point
 
-    def __post_init__(self):
-        for v in (self.n, self.n2):
+    def __init__(self, n: Point, n2: Point):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n2", n2)
+        for v in (n, n2):
             if not is_primitive(v):
                 raise DomainError(f"generator {v} is not primitive")
-        if cross(self.n, self.n2) <= 0:
+        if cross(n, n2) <= 0:
             raise DomainError(
-                f"generators {self.n}, {self.n2} are not in anticlockwise "
+                f"generators {n}, {n2} are not in anticlockwise "
                 "order spanning a strongly convex cone"
             )
 
 
-@dataclass(frozen=True, slots=True)
-class ConeData:
+class ConeData(NamedTuple):
     """Normal form and singularity invariants of a cone.
 
     The determinant +1 map of lattice.cone_normalizer sends the generators

@@ -25,7 +25,6 @@ import collections
 import functools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, SingularityCountError
@@ -35,8 +34,7 @@ from .lattice import (LatticePolygon, Point, UnimodularMap, bezout,
                       edge_lines, pair_normalizer)
 
 
-@dataclass(frozen=True, slots=True)
-class LdpData:
+class LdpData(NamedTuple):
     """Invariants attached to a log del Pezzo polygon."""
 
     analysis: FanAnalysis
@@ -172,11 +170,9 @@ def _normal_form(verts: tuple[Point, ...], kappa: int, lam: int,
     image = []  # a loop, not a comprehension, keeps ua..ud fast locals
     for x, y in verts:
         image.append((ua * x + ub * y, uc * x + ud * y))
-    target = canonical_polygon(k, p).vertices
-    seen, form, mu, (ma, mb, mc, md) = _seen_from_cone(target, p, False)
+    seen, form, mu, (ma, mb, mc, md), target = _seen_from_cone(k, p, False)
     if image != seen and k == 2:
-        seen, form, mu, (ma, mb, mc, md) = _seen_from_cone(
-            mirror_quad(p).vertices, p, True)
+        seen, form, mu, (ma, mb, mc, md), _ = _seen_from_cone(2, p, True)
     if image != seen:
         start = image.index(min(image))  # as LatticePolygon stores it
         got = tuple(image[start:] + image[:start])
@@ -190,14 +186,17 @@ def _normal_form(verts: tuple[Point, ...], kappa: int, lam: int,
 
 
 @functools.cache
-def _seen_from_cone(vertices: tuple[Point, ...], p: int, mirror: bool):
-    """A presentation as _normal_form's image list meets it, from (1, -1):
-    its vertices, form and mu, and the entries of the map applied last."""
+def _seen_from_cone(k: int, p: int, mirror: bool):
+    """canonical_polygon(k, p), or mirror_quad(p), as _normal_form's image
+    meets it, from (1, -1): its vertices, form and mu, the entries of the
+    map applied last, and the target vertices; a lookup hashes no point."""
+    target = canonical_polygon(k, p).vertices
+    vertices = mirror_quad(p).vertices if mirror else target
     start = vertices.index((1, -1))
     seen = list(vertices[start:] + vertices[:start])
     m = mirror_quad_map(p) if mirror else UnimodularMap(1, 0, 0, 1)
     return (seen, "mirror" if mirror else "standard",
-            seen.index((-1, 0)) + 1, (m.a, m.b, m.c, m.d))
+            seen.index((-1, 0)) + 1, (m.a, m.b, m.c, m.d), target)
 
 
 def index_parity_check(index: int) -> set[tuple[int, int]]:

@@ -15,12 +15,9 @@ once; the number of fibers is checked against |2P ∩ Z²| = 2·(2A) + B + 1
 from __future__ import annotations
 
 import collections
-import dataclasses
-import functools
 import io
 import math
-from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from .delpezzo import LdpData, canonical_polygon, ldp_analyze
 from .errors import ConsistencyError, DomainError
@@ -28,8 +25,7 @@ from .lattice import (LatticePolygon, Point, _columns, lattice_points,
                       minkowski_double, polygon_area2)
 
 
-@dataclass(frozen=True)
-class EmbeddingData:
+class EmbeddingData(NamedTuple):
     """The dilated polar polygon and its embedding numerology."""
 
     polygon: LatticePolygon          # LdpData.dilated_polar, index · polar
@@ -38,41 +34,33 @@ class EmbeddingData:
     boundary_count: int
     interior_count: int
 
-    @functools.cached_property
+    @property
     def points(self) -> tuple[Point, ...]:
-        """Lattice points, lexicographic: the sweep keeps the x frame rather
-        than the narrowest one and runs x up, columns lo to hi."""
+        """Lattice points, lexicographic, swept on each read: the sweep keeps
+        the x frame rather than the narrowest one and runs x up, lo to hi."""
         return tuple((x, y) for x, lo, hi, _ in _columns(self.polygon)
                      for y in range(lo, hi + 1))
 
-    @functools.cached_property
-    def keys(self) -> list[int]:
-        """Integer point keys x·w + y, in point order.  w exceeds the spread
-        of y_a + y_b, so a pair's key sum determines its sum point, and the
-        partner of point c in a pair with key sum s is the point keyed
-        s − keys[c]."""
-        w = 4 * max(abs(y) for _, y in self.points) + 1
-        return [x * w + y for x, y in self.points]
 
-
-@dataclass(frozen=True, slots=True)
-class QuadricIdealReport:
-    """A minimal generating system as sum fibers in index form.  A fiber is
-    (s, firsts): its key sum s and the indices into `embedding.points` of
-    the first points of its pairs, root first; the pair of index c is
-    (points[c], the point keyed s − keys[c]).  Each non-root pair gives one
-    generator (root, other)."""
+class QuadricIdealReport(NamedTuple):
+    """A minimal generating system as sum fibers in index form over the
+    embedding's points and their keys x·w + y, w > the spread of y_a + y_b,
+    so a key sum fixes a sum point.  A fiber is (s, firsts): its key sum s
+    and the indices into `points` of the first points of its pairs, root
+    first; the pair of index c is (points[c], the point keyed s − keys[c]).
+    Each non-root pair gives one generator (root, other)."""
 
     embedding: EmbeddingData
     fibers: tuple[tuple[int, Sequence[int]], ...]
+    points: tuple[Point, ...]
+    keys: list[int]
 
     @property
     def count(self) -> int:
         return sum(len(firsts) for _, firsts in self.fibers) - len(self.fibers)
 
 
-@dataclass(frozen=True, slots=True)
-class TableRow:
+class TableRow(NamedTuple):
     """Closed-form row of embedding numerology for a family member."""
 
     ambient_dim: int
@@ -83,7 +71,7 @@ class TableRow:
     index: int
 
     def astuple(self) -> tuple[int, ...]:
-        return dataclasses.astuple(self)
+        return tuple(self)
 
 
 def embedding_data(data: LdpData) -> EmbeddingData:
@@ -114,10 +102,10 @@ def embedding_data(data: LdpData) -> EmbeddingData:
 def sum_fibers(e: EmbeddingData) -> dict[Point, list[tuple[Point, Point]]]:
     """Unordered point pairs fibers by their coordinate sum, fibers and
     pairs sorted: the fibers of `minimal_system` read as point pairs."""
-    pts, keys = e.points, e.keys
+    _, index_fibers, pts, keys = minimal_system(e)
     at = dict(zip(keys, pts))
     fibers = {}
-    for s, firsts in minimal_system(e).fibers:
+    for s, firsts in index_fibers:
         pairs = [(pts[c], at[s - keys[c]]) for c in firsts]
         (ax, ay), (bx, by) = pairs[0]
         fibers[(ax + bx, ay + by)] = pairs
@@ -151,10 +139,12 @@ def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
     later pair, and the generators come out sorted.  A pair costs one key
     addition and one list slot; no pair tuple is built.  The number of
     fibers must equal |2P ∩ Z²|, which Ehrhart gives from the degree and
-    boundary count.
+    boundary count.  The report hands on the points and keys built here.
     """
+    points = e.points
+    w = 4 * max(abs(y) for _, y in points) + 1
+    keys = [x * w + y for x, y in points]
     fibers: dict[int, list[int]] = collections.defaultdict(list)
-    keys = e.keys
     for i, ka in enumerate(keys):
         for kb in keys[i:]:
             fibers[ka + kb].append(i)
@@ -164,7 +154,7 @@ def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
             f"{len(fibers)} sum fibers but {doubled} lattice points in the "
             "doubled polygon", check="sum fibers == L_P(2)",
             expected=doubled, got=len(fibers))
-    return QuadricIdealReport(e, tuple(fibers.items()))
+    return QuadricIdealReport(e, tuple(fibers.items()), points, keys)
 
 
 def _exact_div(n: int, d: int) -> int:
@@ -246,8 +236,8 @@ def write_ideal(report: QuadricIdealReport, fh: TextIO) -> None:
     fh.write("# minimal quadric generating system\n"
              f"# ambient_dim={e.ambient_dim} degree={e.degree} "
              f"generators={report.count} sectional_genus={e.interior_count}\n")
-    keys = e.keys
-    z = [f"z({x},{y})" for x, y in e.points]
+    keys = report.keys
+    z = [f"z({x},{y})" for x, y in report.points]
     at = dict(zip(keys, z))
     for s, (r, *rest) in report.fibers:
         if rest:

@@ -17,24 +17,24 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cones import Cone2, ConeData, cone_invariants
 from .errors import ConsistencyError, DomainError
-from .lattice import LatticePolygon, Point, int_pair, _winding
+from .lattice import LatticePolygon, Point, _Frozen, _winding, int_pair
 
 
-@dataclass(frozen=True, slots=True)
-class CompleteFan:
+class CompleteFan(_Frozen):
     """Anticlockwise cyclic ray list covering the plane exactly once: it
     checks primitive rays of two ints (not bool), steps with cross > 0 and
     one winding, which make the angles strictly increase, so no ray repeats."""
 
+    __slots__ = ("rays",)
     rays: tuple[Point, ...]
 
-    def __post_init__(self):
-        given = tuple(self.rays)
+    def __init__(self, rays: tuple[Point, ...]):
+        given = tuple(rays)
         rays = tuple(map(int_pair, given))
         object.__setattr__(self, "rays", rays)
         if len(rays) < 3:
@@ -58,8 +58,7 @@ class CompleteFan:
         return len(self.rays)
 
 
-@dataclass(frozen=True, slots=True)
-class FanAnalysis:
+class FanAnalysis(NamedTuple):
     """Per-cone invariants plus the derived surface data of a complete fan.
 
     k2 is not stored: each read derives it from fan and cone_data.

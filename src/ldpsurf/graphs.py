@@ -15,25 +15,26 @@ orbit: two surfaces are isomorphic exactly when their keys are equal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .cones import socius
 from .errors import DomainError
 from .fans import FanAnalysis
+from .lattice import _Frozen
 
 Token = tuple[int, int, int]  # (node weight, edge p, edge q)
 
 
-@dataclass(frozen=True, slots=True)
-class WeightedCircularGraph:
+class WeightedCircularGraph(_Frozen):
     """Cycle of weighted nodes; the edge stored with node i leads to node i+1."""
 
+    __slots__ = ("nodes",)
     nodes: tuple[Token, ...]
 
-    def __post_init__(self):
-        if len(self.nodes) < 3:
+    def __init__(self, nodes: tuple[Token, ...]):
+        object.__setattr__(self, "nodes", nodes)
+        if len(nodes) < 3:
             raise DomainError("a circular graph needs at least 3 nodes")
-        for w, p, q in self.nodes:
+        for w, p, q in nodes:
             if q < 1 or not 0 <= p < q or math.gcd(p, q) != 1:
                 raise DomainError(f"({p}, {q}) is not a normalized edge weight")
 

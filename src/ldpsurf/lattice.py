@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -85,18 +84,50 @@ def int_pair(v) -> Point | None:
     return (x, y) if ints and bool not in (type(x), type(y)) else None
 
 
-@dataclass(frozen=True, slots=True)
-class UnimodularMap:
+class _Frozen:
+    """Base of the validating value types: the fields are a subclass's
+    __slots__, checked and set by its __init__; instances are immutable,
+    equal and hashed by __reduce__, which copy and pickle rebuild from."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return (self.__reduce__() == other.__reduce__()
+                if type(other) is type(self) else NotImplemented)
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self.__reduce__()[1])
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class UnimodularMap(_Frozen):
     """Integer 2x2 matrix [[a, b], [c, d]] with determinant +1 or -1."""
 
+    __slots__ = ("a", "b", "c", "d")
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):  # exact ints only: bool is no int here
-        if not (type(self.a) is int and type(self.b) is int
-                and type(self.c) is int and type(self.d) is int):
+    def __init__(self, a: int, b: int, c: int, d: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        # exact ints only: bool is no int here
+        if not (type(a) is int and type(b) is int
+                and type(c) is int and type(d) is int):
             raise DomainError(f"non-integer entry in {self.matrix()}")
         if self.det not in (1, -1):
             raise DomainError(f"determinant {self.det} is not +-1")
@@ -112,16 +143,16 @@ class UnimodularMap:
         return [[self.a, self.b], [self.c, self.d]]
 
 
-@dataclass(frozen=True, slots=True)
-class LatticePolygon:
+class LatticePolygon(_Frozen):
     """Convex polygon with integer vertices, canonically stored; strictly
     convex turns that wind once make its vertices distinct."""
 
+    __slots__ = ("vertices",)
     vertices: tuple[Point, ...]
 
-    def __post_init__(self):
-        vertices = []
-        for v in self.vertices:
+    def __init__(self, vertices: tuple[Point, ...]):
+        given, vertices = vertices, []
+        for v in given:
             if (pair := int_pair(v)) is None:
                 raise DomainError(f"non-integer vertex {v!r}")
             vertices.append(pair)

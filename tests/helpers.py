@@ -16,7 +16,7 @@ from ldpsurf import (EmbeddingData, FanAnalysis, LatticePolygon,
                      QuadricIdealReport, UnimodularMap, WeightedCircularGraph,
                      analyze_fan, apply_map, canonical_polygon, embedding_data,
                      enumerate_one_singularity, fan_from_polygon, is_primitive,
-                     ldp_analyze)
+                     ldp_analyze, minimal_system)
 from ldpsurf.lattice import edge_lines
 
 
@@ -400,10 +400,11 @@ def span_membership(generators, binomials) -> bool:
 def report_of(e: EmbeddingData, generators) -> QuadricIdealReport:
     """A report holding the given ((a, b), (c, d)) generators, each as its
     own index-form fiber of two pairs: key sum of (a, b), then the indices
-    of a and c."""
-    index = {pt: i for i, pt in enumerate(e.points)}
-    return QuadricIdealReport(e, tuple(
-        (e.keys[index[a]] + e.keys[index[b]], (index[a], index[c]))
+    of a and c, over the points and keys of e's minimal system."""
+    base = minimal_system(e)
+    index = {pt: i for i, pt in enumerate(base.points)}
+    return base._replace(fibers=tuple(
+        (base.keys[index[a]] + base.keys[index[b]], (index[a], index[c]))
         for (a, b), (c, _) in generators))
 
 

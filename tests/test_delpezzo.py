@@ -428,7 +428,9 @@ def test_classify_mismatch_names_check_and_values(monkeypatch):
     # normalization bug
     poly = canonical_polygon(3, 2)
     wrong = canonical_polygon(3, 3)
-    monkeypatch.setattr(delpezzo, "canonical_polygon", lambda k, p: wrong)
+    table = delpezzo._seen_from_cone
+    monkeypatch.setattr(delpezzo, "_seen_from_cone",
+                        lambda k, p, mirror: table(k, p + 1, mirror))
     with pytest.raises(ConsistencyError) as exc:
         classify_one_singularity(helpers.analysis_of(poly))
     err = exc.value
@@ -447,18 +449,19 @@ def test_enumeration_repeats_within_a_process():
 def test_enumerate_analyses_each_normal_form_once(monkeypatch):
     # the certificate classifies each found polygon; only group_classes
     # analyses a fan, one per normal form present
-    for cached in (delpezzo.canonical_polygon, delpezzo.mirror_quad):
+    for cached in (delpezzo.canonical_polygon, delpezzo.mirror_quad,
+                   delpezzo._seen_from_cone):
         cached.cache_clear()
     calls = helpers.count_calls(monkeypatch, "fan_from_polygon",
                                 "analyze_fan", "classify_one_singularity")
     built = collections.Counter()
-    post_init = LatticePolygon.__post_init__
+    init = LatticePolygon.__init__
 
-    def counting(self):
-        built[len(self.vertices)] += 1
-        post_init(self)
+    def counting(self, vertices):
+        built[len(vertices)] += 1
+        init(self, vertices)
 
-    monkeypatch.setattr(LatticePolygon, "__post_init__", counting)
+    monkeypatch.setattr(LatticePolygon, "__init__", counting)
     reads = helpers.count_derived_reads(monkeypatch)
     classes = group_classes(enumerate_one_singularity(7))
     assert sum(e["count"] for e in classes.values()) == 4144
@@ -511,14 +514,14 @@ def test_enumerate_builds_a_map_only_on_read(monkeypatch):
     # a first run fills the certificate's table of presentations
     assert sum(1 for _ in enumerate_one_singularity(7)) == 4144
     built = 0
-    post_init = UnimodularMap.__post_init__
+    init = UnimodularMap.__init__
 
-    def counting(self):
+    def counting(self, *entries):
         nonlocal built
         built += 1
-        post_init(self)
+        init(self, *entries)
 
-    monkeypatch.setattr(UnimodularMap, "__post_init__", counting)
+    monkeypatch.setattr(UnimodularMap, "__init__", counting)
     found = list(enumerate_one_singularity(7))
     assert (len(found), built) == (4144, 0)
     for reads in (1, 2):

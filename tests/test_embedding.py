@@ -1,7 +1,6 @@
 """Anticanonical embeddings and their quadric generating systems."""
 
 import collections
-import dataclasses
 import functools
 import io
 import itertools
@@ -173,7 +172,7 @@ def test_span_membership_of_every_relation_in_one_pass():
 
 def test_fiber_count_failure_names_check_and_values():
     e = helpers.embedding_of(canonical_polygon(3, 3))
-    skewed = dataclasses.replace(e, degree=e.degree + 1)
+    skewed = e._replace(degree=e.degree + 1)
     doubled = 2 * skewed.degree + skewed.boundary_count + 1  # Ehrhart L_P(2)
     fibers = len(sum_fibers(e))
     assert fibers == doubled - 2

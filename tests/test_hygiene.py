@@ -10,17 +10,18 @@ with its reason, among the exports kept without a consumer.  Likewise every
 public method, property and annotated field of a class must be loaded as an
 attribute somewhere in src/ outside its own definition, or be listed.  Each
 private name that one module imports from another is listed with its reason.
-No function nested in another reads its own name.  A frozen dataclass
-keeps no per-instance __dict__ unless a cached_property needs one.
+No function nested in another reads its own name.  Every class but the
+exceptions has __slots__ of its own, so it keeps no per-instance __dict__,
+and assigning any of its fields raises AttributeError.
 """
 
 import ast
 import collections
-import dataclasses
-import functools
 import importlib
 import pathlib
 import types
+
+import pytest
 
 import ldpsurf
 
@@ -101,6 +102,8 @@ def test_every_module_level_name_is_read():
 PRIVATE_IMPORTS = {
     "lattice._columns": "the x-frame point order of EmbeddingData.points",
     "lattice._winding": "CompleteFan's one-winding check",
+    "lattice._Frozen": "the immutable value base of Cone2, CompleteFan and "
+                       "WeightedCircularGraph",
 }
 
 
@@ -154,7 +157,7 @@ MEMBERS_WITHOUT_READER = {
 
 def _public_members(cls: ast.ClassDef):
     """The class's public methods and properties as their definitions, and
-    its annotated dataclass or NamedTuple fields as their annotations."""
+    its annotated fields (__slots__ or NamedTuple) as their annotations."""
     for node in cls.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             yield node.name, node
@@ -168,13 +171,11 @@ def test_every_public_member_is_read():
     loads = collections.Counter(
         sub.attr for tree in TREES.values() for sub in ast.walk(tree)
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
-    # dataclasses.fields(C) reads every field of C by name
+    # C._fields reads every field of C by name
     fields_read = {
-        sub.args[0].id for tree in TREES.values() for sub in ast.walk(tree)
-        if isinstance(sub, ast.Call) and sub.args
-        and isinstance(sub.args[0], ast.Name)
-        and (getattr(sub.func, "attr", None) == "fields"
-             or getattr(sub.func, "id", None) == "fields")}
+        sub.value.id for tree in TREES.values() for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and sub.attr == "_fields"
+        and isinstance(sub.value, ast.Name)}
     unread = []
     for name, tree in MODULES.items():
         for cls in tree.body:
@@ -214,19 +215,41 @@ def test_no_nested_function_reads_its_own_name():
     assert not cyclic, f"nested functions reading their own name: {cyclic}"
 
 
-def test_frozen_dataclasses_have_slots():
+def _instances() -> list:
+    """One instance of each class of src/ldpsurf that has fields, built
+    through the public API."""
+    poly = ldpsurf.canonical_polygon(3, 2)
+    data = ldpsurf.ldp_analyze(poly)
+    analysis, e = data.analysis, ldpsurf.embedding_data(data)
+    return [poly, ldpsurf.mirror_quad_map(2), ldpsurf.Cone2((1, 0), (1, 2)),
+            analysis.cone_data[0], analysis.fan, analysis,
+            ldpsurf.graph_of(analysis), data,
+            ldpsurf.classify_one_singularity(analysis), e,
+            ldpsurf.minimal_system(e), ldpsurf.table_formulas(1, 1),
+            ldpsurf.count_lattice_points(poly)]
+
+
+def test_every_class_has_slots_and_frozen_fields():
+    instances = {type(obj): obj for obj in _instances()}
     checked, missing = [], []
     for name in MODULES:
         mod = importlib.import_module(f"ldpsurf.{name[:-3]}")
         for cls in vars(mod).values():
             if (not isinstance(cls, type) or cls.__module__ != mod.__name__
-                    or not dataclasses.is_dataclass(cls)
-                    or not cls.__dataclass_params__.frozen
-                    or any(isinstance(v, functools.cached_property)
-                           for v in vars(cls).values())):
+                    or issubclass(cls, BaseException)):
                 continue
             checked.append(cls.__name__)
             if "__slots__" not in vars(cls):
                 missing.append(f"{name} {cls.__name__}")
-    assert {"LatticePolygon", "ConeData", "FanAnalysis"} <= set(checked)
-    assert not missing, f"frozen dataclasses without __slots__: {missing}"
+                continue
+            fields = getattr(cls, "_fields", cls.__slots__)
+            if not fields:  # a base with no fields of its own
+                continue
+            assert cls in instances, f"no instance of {cls.__name__} to check"
+            obj = instances[cls]
+            for field in (*fields, "not_a_field"):
+                with pytest.raises(AttributeError):
+                    setattr(obj, field, None)
+    assert {"LatticePolygon", "ConeData", "FanAnalysis",
+            "EmbeddingData"} <= set(checked)
+    assert not missing, f"classes without __slots__ of their own: {missing}"

@@ -1,8 +1,10 @@
 """Plane lattice primitives: exact arithmetic, canonical polygons, counting."""
 
+import copy
 import enum
 import json
 import math
+import pickle
 import random
 import re
 import time
@@ -15,13 +17,14 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import contains_origin_interior
-from ldpsurf import (CompleteFan, DomainError, LatticePolygon, ParseError,
-                     UnimodularMap, apply_map, canonical_polygon,
-                     count_lattice_points, cross, dilate, format_polygon_text,
-                     is_primitive, lattice, lattice_points, ldp_analyze,
-                     load_polygon, minkowski_double, parse_polygon_text,
-                     polygon_area2, polygon_from_array, polygon_to_array,
-                     read_polygon_file)
+from ldpsurf import (CompleteFan, Cone2, DomainError, LatticePolygon,
+                     ParseError, UnimodularMap, WeightedCircularGraph,
+                     analyze_fan, apply_map, canonical_polygon,
+                     count_lattice_points, cross, dilate, fan_from_polygon,
+                     format_polygon_text, graph_of, is_primitive, lattice,
+                     lattice_points, ldp_analyze, load_polygon,
+                     minkowski_double, parse_polygon_text, polygon_area2,
+                     polygon_from_array, polygon_to_array, read_polygon_file)
 from ldpsurf.lattice import edge_lines
 
 TRIANGLE = LatticePolygon(((0, 0), (3, 0), (0, 3)))
@@ -75,6 +78,46 @@ def test_polygon_canonical_storage():
     assert LatticePolygon(((0, 3), (3, 0), (0, 0))) == TRIANGLE  # clockwise input
     assert SQUARE.vertices[0] == (-1, -1)
     assert len(SQUARE.vertices) == 4
+
+
+def _validating_values(vertices) -> list:
+    """The five validating types built from one polygon's vertices."""
+    poly = LatticePolygon(vertices)
+    fan = fan_from_polygon(poly)
+    return [poly, UnimodularMap(1, 1, 0, 1), Cone2(*poly.vertices[:2]), fan,
+            graph_of(analyze_fan(fan))]
+
+
+def test_validating_types_are_immutable_values():
+    # the same polygon in another rotation and in the other orientation
+    given = ((1, -1), (3, 1), (2, 1), (-1, 0), (0, -1))
+    others = (given[2:] + given[:2], given[::-1])
+    values = _validating_values(given)
+    assert [type(v) for v in values] == [LatticePolygon, UnimodularMap, Cone2,
+                                         CompleteFan, WeightedCircularGraph]
+    for vertices in others:
+        same = _validating_values(vertices)
+        assert same == values
+        assert list(map(hash, same)) == list(map(hash, values))
+        assert {v: i for i, v in enumerate(values)} == \
+            {v: i for i, v in enumerate(same)}
+    for v in values:
+        assert v != tuple(getattr(v, f) for f in v.__slots__)
+        assert copy.copy(v) == v == pickle.loads(pickle.dumps(v))
+        assert repr(v).startswith(f"{type(v).__name__}({v.__slots__[0]}=")
+        for field in v.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(v, field, getattr(v, field))
+            with pytest.raises(AttributeError):
+                delattr(v, field)
+        with pytest.raises(AttributeError):
+            v.not_a_field = 0
+    assert UnimodularMap(1, 1, 0, 1) != UnimodularMap(1, 0, 0, 1)
+    # unpickling rebuilds through the checks: a payload edited into a
+    # degenerate triangle is refused, not loaded
+    payload = pickle.dumps(LatticePolygon(((0, 0), (5, 0), (0, 5))), 4)
+    with pytest.raises(DomainError, match="zero area"):
+        pickle.loads(payload.replace(b"K\x05", b"K\x00"))
 
 
 def test_polygon_rejects_bad_input():
