@@ -66,8 +66,8 @@ class Classification(NamedTuple):
 @functools.cache
 def canonical_polygon(k: int, p: int) -> LatticePolygon:
     """Representative polygon of the family with 3 <= k+2 <= 5 vertices.
-    Memoized: the polygon is immutable, and classification asks for each
-    normal form once per polygon classified."""
+    Memoized: the polygon is immutable, and a classifying run asks for each
+    (k, p) present twice, in `_seen_from_cone` and in `group_classes`."""
     if k not in (1, 2, 3):
         raise DomainError("k must be 1, 2 or 3")
     if p < 1:
@@ -84,7 +84,8 @@ def canonical_polygon(k: int, p: int) -> LatticePolygon:
 @functools.cache
 def mirror_quad(p: int) -> LatticePolygon:
     """The second 4-vertex presentation, image of canonical_polygon(2, p)
-    under mirror_quad_map(p).  Memoized like canonical_polygon."""
+    under mirror_quad_map(p).  Memoized like canonical_polygon, though its
+    one caller, the memoized `_seen_from_cone`, asks once per p."""
     if p < 1:
         raise DomainError("p must be >= 1")
     return LatticePolygon(((1, -1), (p, 1), (-1, 0), (0, -1)))

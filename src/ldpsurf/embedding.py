@@ -1,8 +1,9 @@
 """Anticanonical quadric embeddings of one-singularity log del Pezzo surfaces.
 
 The polar polygon dilated by the index is the lattice polygon P that
-`ldp_analyze` builds in integers; its lattice points, read off the column
-sweep in lexicographic order, are the exponents of the embedding monomials.
+`ldp_analyze` builds in integers; its lattice points, swept in its narrowest
+frame and sorted lexicographically, are the exponents of the embedding
+monomials.
 The defining ideal is generated by quadratic binomials z_a z_b - z_c z_d
 with a + b = c + d; a minimal generating system takes, inside the fiber of
 each sum point, the differences against the lexicographically smallest point
@@ -21,8 +22,8 @@ from typing import NamedTuple, Sequence, TextIO
 
 from .delpezzo import LdpData, canonical_polygon, ldp_analyze
 from .errors import ConsistencyError, DomainError
-from .lattice import (LatticePolygon, Point, _columns, lattice_points,
-                      minkowski_double, polygon_area2)
+from .lattice import (LatticePolygon, Point, count_lattice_points,
+                      lattice_points, minkowski_double, polygon_area2)
 
 
 class EmbeddingData(NamedTuple):
@@ -36,10 +37,9 @@ class EmbeddingData(NamedTuple):
 
     @property
     def points(self) -> tuple[Point, ...]:
-        """Lattice points, lexicographic, swept on each read: the sweep keeps
-        the x frame rather than the narrowest one and runs x up, lo to hi."""
-        return tuple((x, y) for x, lo, hi, _ in _columns(self.polygon)
-                     for y in range(lo, hi + 1))
+        """Lattice points in lexicographic order, swept on each read in the
+        narrowest frame and sorted once."""
+        return tuple(sorted(set().union(*lattice_points(self.polygon))))
 
 
 class QuadricIdealReport(NamedTuple):
@@ -209,17 +209,18 @@ def table_formulas(k: int, p: int) -> TableRow:
 
 
 def enumerated_row(k: int, p: int) -> TableRow:
-    """The same numerology measured directly: analyze the polygon, sweep its
-    lattice points and sweep 2P.  No closed forms, no Ehrhart."""
+    """The same numerology measured directly: analyze the polygon and count
+    the points of P and 2P by column sweeps.  No closed forms, no Ehrhart."""
     data = ldp_analyze(canonical_polygon(k, p))
-    e = embedding_data(data)
-    n = e.ambient_dim + 1
+    dilated = data.dilated_polar
+    counts = count_lattice_points(dilated)
+    n = counts.total
     return TableRow(
-        ambient_dim=e.ambient_dim,
-        degree=e.degree,
-        quadric_count=n * (n + 1) // 2 - minkowski_double(e.polygon),
-        genus=e.interior_count,
-        boundary_count=e.boundary_count,
+        ambient_dim=n - 1,
+        degree=polygon_area2(dilated),
+        quadric_count=n * (n + 1) // 2 - minkowski_double(dilated),
+        genus=counts.interior,
+        boundary_count=counts.boundary,
         index=data.index,
     )
 

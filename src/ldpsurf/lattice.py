@@ -8,8 +8,7 @@ when their canonical vertex tuples are equal.  Lattice point sets and counts
 come from one integer sweep over the columns of a lattice polygon, which
 tests for the boundary only at the ends of each column.  The sweep runs in
 the polygon's narrowest frame, its unimodular image with the fewest columns
-among the x-axis and the edge normals; only the lexicographic point order of
-`EmbeddingData.points` sweeps the x frame itself.
+among the x-axis and the edge normals.
 """
 
 from __future__ import annotations
@@ -235,8 +234,7 @@ def _columns(p: LatticePolygon):
     edge bounds the slice at that point), so it can only lie on a vertical
     edge: `edge` is the whole column when a vertical edge sits at x, and
     otherwise the ends that lie on an edge.
-    It sweeps p's own x frame; `lattice_points` and `count_lattice_points`
-    pass it the image of the narrowest frame.
+    Its callers pass it a polygon's narrowest-frame image.
     """
     verts = p.vertices
     lower, upper, walls = [], [], set()

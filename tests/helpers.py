@@ -4,8 +4,10 @@ test suite."""
 import collections
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -126,6 +128,29 @@ def count_calls(monkeypatch, *names, by_argument=False) -> collections.Counter:
             if getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+# runs the CLI on the arguments after the cap under an address-space cap of
+# that many bytes, so a run that grows without end dies of MemoryError
+# (exit 2) instead of taking the machine's memory
+_CAPPED_MAIN = """
+import resource, sys
+cap = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from ldpsurf.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def capped_cli(root, cap: int, *argv: str,
+               timeout: float = 60) -> subprocess.CompletedProcess:
+    """`ldpsurf *argv` in a subprocess that imports the package from root,
+    with its address space capped at cap bytes and its run at timeout
+    seconds."""
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, str(cap), *argv], cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root)}, capture_output=True,
+        text=True, timeout=timeout)
 
 
 def random_primitive(rng: random.Random, bound: int) -> tuple[int, int]:

@@ -220,7 +220,8 @@ def test_analyze_computes_each_cone_once(capsys, monkeypatch):
 
 def test_analyze_sweeps_once_and_tables_sweeps_2p(capsys, monkeypatch):
     calls = helpers.count_calls(monkeypatch, "lattice_points",
-                                "count_lattice_points", "minkowski_double")
+                                "count_lattice_points", "minkowski_double",
+                                "embedding_data")
     points = EmbeddingData.points
 
     def reading(self):
@@ -232,11 +233,12 @@ def test_analyze_sweeps_once_and_tables_sweeps_2p(capsys, monkeypatch):
     assert code == 0
     # one sweep of P gives the counts; |2P| comes from Ehrhart and the
     # point tuple is never built
-    assert calls == {"lattice_points": 1}
+    assert calls == {"lattice_points": 1, "embedding_data": 1}
     calls.clear()
     code, _, _ = run(capsys, "tables", "--pmax", "1")
     assert code == 0
-    assert calls["minkowski_double"] == 3  # the measured route sweeps 2P
+    # the measured route counts the points of P and 2P and builds none
+    assert calls == {"count_lattice_points": 6, "minkowski_double": 3}
 
 
 def test_cli_import_loads_no_dataclasses_machinery():
@@ -701,6 +703,31 @@ def test_oversized_quadrics_exits_2_before_the_pair_walk(capsys, monkeypatch,
     for limit, expected in ((count, 0), (count - 1, 2)):
         monkeypatch.setattr(cli, "MAX_GENERATORS", limit)
         assert run(capsys, "quadrics", "--canonical", "3", "3")[0] == expected
+
+
+def test_large_shear_runs_as_fast_as_its_unsheared_form(capsys, tmp_path):
+    # the shear (x, y) -> (x, 10^9·x + y) widens P's x frame to 18·10^9 + 3
+    # columns; every sweep runs in the narrowest frame, so both commands
+    # finish at once under a 2 GB cap
+    root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = write_polygon(tmp_path, apply_map(UnimodularMap(1, 0, 10**9, 1),
+                                             canonical_polygon(3, 5)))
+    dest = tmp_path / "ideal.txt"
+    quadrics = helpers.capped_cli(root, 2 << 30, "quadrics", path, "--out",
+                                  str(dest), timeout=30)
+    analyze = helpers.capped_cli(root, 2 << 30, "analyze", path, "--json",
+                                 timeout=30)
+    assert (quadrics.returncode, analyze.returncode) == (0, 0)
+    assert quadrics.stdout == f"1248 generators written to {dest}\n"
+    code, out, _ = run(capsys, "quadrics", "--canonical", "3", "5")
+    header = dest.read_text(encoding="utf-8").splitlines()[:2]
+    assert code == 0 and header == out.splitlines()[:2]
+    assert header[1] == ("# ambient_dim=52 degree=78 generators=1248 "
+                         "sectional_genus=27")
+    code, out, _ = run(capsys, "analyze", "--canonical", "3", "5", "--json")
+    assert code == 0
+    assert (json.loads(analyze.stdout)["embedding"]
+            == json.loads(out)["embedding"])
 
 
 def test_enumerate(capsys):

@@ -4,11 +4,9 @@ import collections
 import functools
 import hashlib
 import math
-import os
 import pathlib
 import random
 import shutil
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -330,22 +328,10 @@ def test_search_order_is_pinned():
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
-# runs `ldpsurf enumerate` under a 1 GB address-space cap, so a search that
-# grows its stack without end dies of MemoryError (exit 2) instead of
-# taking the machine's memory
-_CAPPED_ENUMERATE = """
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from ldpsurf.cli import main
-sys.exit(main(["enumerate", "--bound", sys.argv[1]]))
-"""
-
-
 def _capped_enumerate(root, bound):
-    return subprocess.run(
-        [sys.executable, "-c", _CAPPED_ENUMERATE, str(bound)], cwd=root,
-        env={**os.environ, "PYTHONPATH": str(root)}, capture_output=True,
-        text=True, timeout=60)
+    # a 1 GB cap: a search that grows its stack without end exits 2
+    return helpers.capped_cli(root, 1 << 30, "enumerate", "--bound",
+                              str(bound))
 
 
 def _mutant_package(root, original, replacement):

@@ -100,7 +100,6 @@ def test_every_module_level_name_is_read():
 
 # Private names one module imports from another, each for the reason given.
 PRIVATE_IMPORTS = {
-    "lattice._columns": "the x-frame point order of EmbeddingData.points",
     "lattice._winding": "CompleteFan's one-winding check",
     "lattice._Frozen": "the immutable value base of Cone2, CompleteFan and "
                        "WeightedCircularGraph",
@@ -147,10 +146,6 @@ def test_every_export_has_a_consumer():
 
 # Public class members with no reader in src/, each kept for the reason given.
 MEMBERS_WITHOUT_READER = {
-    "PointCounts.boundary": "acceptance tests read it through "
-                            "count_lattice_points; goes with ROADMAP item 2",
-    "PointCounts.interior": "acceptance tests read it through "
-                            "count_lattice_points; goes with ROADMAP item 2",
     "TableRow.astuple": "perfbench's tests read it; goes with ROADMAP item 1",
 }
 

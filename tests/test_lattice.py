@@ -1,5 +1,6 @@
 """Plane lattice primitives: exact arithmetic, canonical polygons, counting."""
 
+import contextlib
 import copy
 import enum
 import json
@@ -7,6 +8,7 @@ import math
 import pickle
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from unittest import mock
@@ -17,14 +19,15 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import contains_origin_interior
-from ldpsurf import (CompleteFan, Cone2, DomainError, LatticePolygon,
-                     ParseError, UnimodularMap, WeightedCircularGraph,
-                     analyze_fan, apply_map, canonical_polygon,
-                     count_lattice_points, cross, dilate, fan_from_polygon,
-                     format_polygon_text, graph_of, is_primitive, lattice,
-                     lattice_points, ldp_analyze, load_polygon,
-                     minkowski_double, parse_polygon_text, polygon_area2,
-                     polygon_from_array, polygon_to_array, read_polygon_file)
+from ldpsurf import (CompleteFan, Cone2, DomainError, EmbeddingData,
+                     LatticePolygon, ParseError, UnimodularMap,
+                     WeightedCircularGraph, analyze_fan, apply_map,
+                     canonical_polygon, count_lattice_points, cross, dilate,
+                     fan_from_polygon, format_polygon_text, graph_of,
+                     is_primitive, lattice, lattice_points, ldp_analyze,
+                     load_polygon, minkowski_double, parse_polygon_text,
+                     polygon_area2, polygon_from_array, polygon_to_array,
+                     read_polygon_file)
 from ldpsurf.lattice import edge_lines
 
 TRIANGLE = LatticePolygon(((0, 0), (3, 0), (0, 3)))
@@ -358,7 +361,7 @@ def test_sweep_matches_brute_force(poly):
 
 def swept_columns(fn, poly) -> int:
     """Number of columns the library's column sweep yields while fn(poly)
-    runs."""
+    runs, wherever a module of the package binds the sweep."""
     real, columns = lattice._columns, []
 
     def counting(p):
@@ -366,9 +369,23 @@ def swept_columns(fn, poly) -> int:
             columns.append(column)
             yield column
 
-    with mock.patch.object(lattice, "_columns", counting):
+    with contextlib.ExitStack() as patches:
+        for key, mod in list(sys.modules.items()):
+            if ((key == "ldpsurf" or key.startswith("ldpsurf."))
+                    and getattr(mod, "_columns", None) is real):
+                patches.enter_context(
+                    mock.patch.object(mod, "_columns", counting))
         fn(poly)
     return len(columns)
+
+
+def embedding_points(poly):
+    """EmbeddingData.points with poly as P; the property reads nothing
+    else."""
+    return EmbeddingData(poly, 0, 0, 0, 0).points
+
+
+SWEEPS = (lattice_points, count_lattice_points, embedding_points)
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,14 +395,14 @@ def test_sweep_visits_the_columns_of_the_narrowest_frame(poly):
     widths = [max(x for x, _ in verts) - min(x for x, _ in verts)]
     widths += [max(a * x + b * y for x, y in verts) - c
                for a, b, c in edge_lines(poly)]
-    for fn in (lattice_points, count_lattice_points):
+    for fn in SWEEPS:
         assert swept_columns(fn, poly) <= min(widths) + 1
 
 
 def test_sheared_polygon_costs_the_columns_of_its_unsheared_form():
     dilated = ldp_analyze(canonical_polygon(1, 39)).dilated_polar
     sheared = apply_map(UnimodularMap(1, 40, 0, 1), dilated)
-    for fn in (lattice_points, count_lattice_points):
+    for fn in SWEEPS:
         assert swept_columns(fn, sheared) == swept_columns(fn, dilated) == 22
 
 
