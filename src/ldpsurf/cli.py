@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 invalid input or out of memory, 3 precondition
 violation (not exactly one singularity where one is required), 4 internal
-consistency failure, 130 interrupted (Ctrl-C).
+consistency failure, 130 interrupted (Ctrl-C), 141 the output pipe was
+closed (128 + SIGPIPE, as a shell reports it; nothing on stderr).
 """
 
 from __future__ import annotations
@@ -277,7 +278,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # before OSError: the reader left, not bad input
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except SingularityCountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,11 +12,12 @@ analysis, and the enumeration search from the walk that found the polygon,
 which also hands on the Bezout pair of the cone's first ray.  Enumeration
 is a depth-first search from the vertex after each polygon's one non-basic
 cone, along det = 1 lines over the parameter ranges that two convexity
-bounds solve for.  It yields (vertices, classification) pairs, each
-classification one tuple, and builds no polygon, fan, map or graph for
-them (bound 64: 656,560 polygons in about 5 s); group_classes counts them
-per (k, p) and checks that the normal forms present have distinct graph
-keys.
+bounds solve for, walked from one quadrant of those vertices; the quarter
+turn of the box hands on the other three.  It yields (vertices,
+classification) pairs, each classification one tuple, and builds no
+polygon, fan, map or graph for them (bound 64: 656,560 polygons in about
+2 s); group_classes counts them per (k, p) and checks that the normal
+forms present have distinct graph keys.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ def _normal_form(verts: tuple[Point, ...], kappa: int, lam: int,
     and every other cone basic, by one det +1 map onto its normal form; a
     map onto the normal form proves the polygon convex, log del Pezzo and
     isomorphic to it.  In integers, with no object but the returned tuple;
-    at bound 64, about 2 of enumerate's 5 s."""
+    enumerate runs it for a quarter of the polygons, at bound 64 about
+    0.4 of its 1.9 s."""
     p, q, (na, nb, nc, nd) = pair_normalizer(verts[0], verts[1], kappa,
                                              lam, q)
     if q != p + 1:
@@ -219,13 +221,14 @@ def _primitive_box_points(bound: int) -> list[Point]:
 Enumerated = tuple[tuple[Point, ...], Classification]
 
 # largest enumerate bound, set by time: bound 64 (656,560 polygons) takes
-# about 5 s and 19 MB max RSS on one Intel Xeon core under Python 3.11
+# about 2.2 s and 18.6 MB max RSS on one Intel Xeon core under Python 3.11
 MAX_BOUND = 64
 
 
 def _one_singularity_search(bound: int) -> Iterator[Enumerated]:
-    """What enumerate_one_singularity(bound) yields, one first vertex's
-    polygons at a time; that docstring gives the search."""
+    """What enumerate_one_singularity(bound) yields, one walked first
+    vertex's polygons and then their quarter turns; that docstring gives
+    the search."""
     # line[l] = (lam, kappa, lo, hi): the box points c with det(l, c) = 1
     # are c0 + t·l for lo <= t <= hi, with c0 = (lam, kappa)
     line: dict[Point, tuple[int, int, int, int]] = {}
@@ -239,6 +242,8 @@ def _one_singularity_search(bound: int) -> Iterator[Enumerated]:
         line[a, b] = lam, kappa, lo, hi
     longest = 4 * bound + 2  # vertices of a strictly convex chain in the box
     for (fx, fy), (lam, kappa, lo, hi) in line.items():
+        if fx < 0 or fy >= 0:  # the quarter turns hand on the other three
+            continue
         # vertex chains from first; a step's candidates go on in increasing
         # t, so the walk takes them in decreasing t
         stack = [((fx, fy), (lam + t * fx, kappa + t * fy))
@@ -265,6 +270,14 @@ def _one_singularity_search(bound: int) -> Iterator[Enumerated]:
             for t in range(lo, (turn if turn < hi else hi) + 1):
                 stack.append(chain + ((lam + t * lx, kappa + t * ly),))
         yield from found
+        for _ in range(3):  # R: (x, y) -> (-y, x) sends the transform to T·R⁻¹
+            for i, (verts, (k, p, (a, b, c, d), form, mu)) in enumerate(found):
+                verts = [(-y, x) for x, y in verts]
+                start = verts.index(min(verts))
+                found[i] = turned = (  # in place: one batch held at a time
+                    tuple(verts[start:] + verts[:start]),
+                    Classification(k, p, (-b, a, -d, c), form, mu))
+                yield turned
 
 
 def enumerate_one_singularity(bound: int) -> Iterator[Enumerated]:
@@ -289,21 +302,28 @@ def enumerate_one_singularity(bound: int) -> Iterator[Enumerated]:
     No t in the range passes first: for d >= 1 the bound gives
     det(f, cand) < 1 - d <= 0, and for d <= 0 first is at least a half
     turn ahead of a step that turns by less than one.  The walk closes when
-    det(last, first) > 1 and the turn at first is strict.  Each polygon is
-    found once: its one singular cone fixes first, and first fixes the
-    walk.  A bound that is not an int from 1 to MAX_BOUND raises
-    DomainError at the call itself.
+    det(last, first) > 1 and the turn at first is strict.  A bound that is
+    not an int from 1 to MAX_BOUND raises DomainError at the call itself.
     A vertical line meets at most two vertices of a strictly convex arc, so
     a chain has at most 4·bound + 2, two per column (6 at bounds 1-12); a
     longer one means a broken t-bound and raises ConsistencyError at once.
+
+    Only first vertices with x >= 0 and y < 0 are walked.  The quarter turn
+    R: (x, y) -> (-y, x) has det 1, keeps the box and fixes no nonzero
+    point, and this quadrant and its three turns cover each nonzero point
+    once, so R^j maps the polygons walked from f onto those found from
+    R^j(f): each walk's polygons are followed by their three turns.  The
+    cone normalizer is the unique det +1 map with its defining property,
+    so R(P) has the transform T·R^-1, of entries (-b, a, -d, c) for T's
+    (a, b, c, d), and the same k, p, normal_form and mu.
 
     When a walk closes, _normal_form certifies the chain, started at last,
     from the singular cone (last, first), with last's Bezout pair from its
     line and q = d, or raises ConsistencyError; no polygon, fan, map or
     graph is built for it.  Yields (vertices, classification) pairs in
     search order, the vertices anticlockwise from the smallest, as
-    LatticePolygon stores them, one first vertex's polygons at a time (at
-    most 548 at bound 24), so memory follows the box, not the polygon count.
+    LatticePolygon stores them, one batch at a time (at most 1,964 at
+    bound 64), so memory follows the box, not the polygon count.
     """
     if type(bound) is not int or not 1 <= bound <= MAX_BOUND:
         raise DomainError(f"bound must be between 1 and {MAX_BOUND}")

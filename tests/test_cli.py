@@ -279,6 +279,29 @@ def test_interrupt_exits_130(capsys, monkeypatch):
         assert (code, out, err) == (130, "", "error: interrupted\n")
 
 
+@pytest.mark.parametrize("argv", [("quadrics", "--canonical", "3", "9"),
+                                  ("enumerate", "--bound", "7")])
+def test_closed_pipe_exits_141_quietly(argv):
+    # stdout's reader is gone before the first write, as when `| head -1`
+    # has exited; buffered, the flush meets the closed pipe, unbuffered the
+    # first print does, and either way the run ends as a shell reports
+    # SIGPIPE, with nothing on stderr
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "ldpsurf.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, timeout=60,
+                env={**env, **unbuffered})
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (141, b"")
+
+
 def _search_states():
     """The states of the enumerate search generators alive in the process."""
     return [inspect.getgeneratorstate(g) for g in gc.get_objects()

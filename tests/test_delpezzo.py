@@ -290,42 +290,107 @@ def test_enumerate_is_search_order_independent(monkeypatch):
 
 def test_search_cost_follows_the_answer():
     # each chain popped off the walk's stack walks one range of a det = 1
-    # line, and the walk from the singular cone pops 3.3 to 3.7 chains per
-    # polygon at these bounds
-    pops = {7: 15_440, 12: 46_576}
-    for bound in pops:
-        calls = 0
+    # line; only first vertices in one quadrant are walked, so _normal_form
+    # certifies a quarter of the polygons, and the walk pops 3.3 to 3.7
+    # chains per certified polygon at these bounds
+    cost = {7: (3_860, 1_036), 12: (11_644, 3_500)}
+    for bound in cost:
+        pops = certified = 0
 
         def count(frame, event, arg):
-            nonlocal calls
+            nonlocal pops, certified
             code = frame.f_code
+            if not code.co_filename.endswith("delpezzo.py"):
+                return
             if (event == "c_call" and code.co_name == "_one_singularity_search"
-                    and code.co_filename.endswith("delpezzo.py")
                     and arg.__name__ == "pop"
                     and isinstance(arg.__self__, list)):
-                calls += 1
+                pops += 1
+            elif event == "call" and code.co_name == "_normal_form":
+                certified += 1
 
         sys.setprofile(count)
         try:
             found = list(delpezzo._one_singularity_search(bound))
         finally:
             sys.setprofile(None)
-        assert calls == pops[bound]
-        assert calls <= 5 * len(found)
+        assert (pops, certified) == cost[bound]
+        assert 4 * certified == len(found)
+        assert pops <= 4 * certified
 
 
-def test_search_order_is_pinned():
-    # the order the walk yields polygons in, before any sorting: handing
-    # them on one first vertex at a time must not change it
+def _search_with_certified(monkeypatch, bound):
+    """The pairs the search yields, each with the number of chains
+    _normal_form had certified when it was yielded, and those chains."""
+    certified = []
+    normal_form = delpezzo._normal_form
+
+    def recording(verts, *args):
+        certified.append(verts)
+        return normal_form(verts, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(delpezzo, "_normal_form", recording)
+        rows = [(pair, len(certified))
+                for pair in delpezzo._one_singularity_search(bound)]
+    return rows, certified
+
+
+def _from_smallest(verts):
+    start = verts.index(min(verts))
+    return tuple(verts[start:] + verts[:start])
+
+
+def _turned_vertices(verts):
+    # the quarter turn (x, y) -> (-y, x), started at the smallest vertex
+    return _from_smallest([(-y, x) for x, y in verts])
+
+
+def test_search_order_is_pinned(monkeypatch):
+    # the order the walk yields polygons in, before any sorting: each
+    # walked first vertex's polygons, in the order they closed, then their
+    # three quarter turns, one batch per turn, with no certificate between
     for bound, count, digest in (
         (7, 4144,
-         "8c304cbdbe45a4867a2f20baddfd6c802aef29038477f1f61612b99e227969fb"),
+         "5760c9573597e03d2b21d4a5a9ae8ce5c5b22b82409bb7cb0cb6f6ec5e1de43c"),
         (12, 14000,
-         "50970b6ffb1ff57e2f659880255ad47d54c45f6d66fc893827c5ef1a2169721d"),
+         "12a78940a8ab7e780e9b697d1e98755f4760b2bcb207846bbf5080c8691cf01e"),
     ):
-        rows = [verts for verts, _ in delpezzo._one_singularity_search(bound)]
-        assert len(rows) == count
-        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+        rows, certified = _search_with_certified(monkeypatch, bound)
+        verts = [v for (v, _), _ in rows]
+        assert len(verts) == count
+        assert hashlib.sha256(repr(verts).encode()).hexdigest() == digest
+        i = done = 0
+        while i < len(rows):
+            m = rows[i][1] - done  # the walk's polygons, certified first
+            assert m > 0
+            batch = verts[i:i + m]
+            assert batch == [_from_smallest(chain)
+                             for chain in certified[done:done + m]]
+            for turn in (1, 2, 3):
+                batch = [_turned_vertices(v) for v in batch]
+                assert verts[i + turn * m:i + (turn + 1) * m] == batch
+            assert {n for _, n in rows[i:i + 4 * m]} == {done + m}
+            i, done = i + 4 * m, done + m
+        assert done == len(certified) == count // 4
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_enumeration_is_closed_under_the_quarter_turn(monkeypatch, bound):
+    # the quarter turn R keeps the box, and maps each yielded polygon onto
+    # a yielded polygon of the same class whose transform T' has T'·R = T;
+    # only chains from first vertices with x >= 0 and y < 0 are certified
+    rows, certified = _search_with_certified(monkeypatch, bound)
+    found = dict(pair for pair, _ in rows)
+    assert len(found) == len(rows) == 4 * len(certified)
+    assert all(x >= 0 > y for (x, y) in (chain[1] for chain in certified))
+    for verts, cls in found.items():
+        turned = found[_turned_vertices(verts)]
+        assert (turned.k, turned.p, turned.normal_form, turned.mu) == \
+            (cls.k, cls.p, cls.normal_form, cls.mu)
+        for x, y in ((1, 0), (0, 1)):
+            assert turned.transform.apply((-y, x)) == \
+                cls.transform.apply((x, y))
 
 
 def _capped_enumerate(root, bound):
