@@ -1,29 +1,28 @@
 """Anticanonical quadric embeddings of one-singularity log del Pezzo surfaces.
 
 The polar polygon dilated by the index is the lattice polygon P that
-`ldp_analyze` builds in integers; its lattice points, swept in its narrowest
-frame and sorted lexicographically, are the exponents of the embedding
-monomials.
-The defining ideal is generated by quadratic binomials z_a z_b - z_c z_d
-with a + b = c + d; a minimal generating system takes, inside the fiber of
-each sum point, the differences against the lexicographically smallest point
-pair.  The report holds those fibers in index form, root first and already
-sorted, and the text form is streamed fiber by fiber with each root rendered
-once; the number of fibers is checked against |2P ∩ Z²| = 2·(2A) + B + 1
-(Ehrhart, for area A and B boundary points) before any text is written.
+`ldp_analyze` builds in integers; its lattice points, in lexicographic
+order, are the exponents of the embedding monomials.  The defining ideal is
+generated by quadratic binomials z_a z_b - z_c z_d with a + b = c + d; a
+minimal generating system takes, inside the fiber of each sum point, the
+differences against its lexicographically smallest pair.  The fibers are
+read off P's column table and streamed as text one by one, once their
+number is checked against |2P ∩ Z²| = 2·(2A) + B + 1 (Ehrhart, for area A
+and B boundary points).
 """
 
 from __future__ import annotations
 
-import collections
 import io
 import math
-from typing import NamedTuple, Sequence, TextIO
+from operator import itemgetter
+from typing import NamedTuple, TextIO
 
 from .delpezzo import LdpData, canonical_polygon, ldp_analyze
 from .errors import ConsistencyError, DomainError
-from .lattice import (LatticePolygon, Point, count_lattice_points,
-                      lattice_points, minkowski_double, polygon_area2)
+from .lattice import (LatticePolygon, Point, count_lattice_points, dilate,
+                      frame_columns, lattice_points, minkowski_double,
+                      polygon_area2)
 
 
 class EmbeddingData(NamedTuple):
@@ -43,21 +42,17 @@ class EmbeddingData(NamedTuple):
 
 
 class QuadricIdealReport(NamedTuple):
-    """A minimal generating system as sum fibers in index form over the
-    embedding's points and their keys x·w + y, w > the spread of y_a + y_b,
-    so a key sum fixes a sum point.  A fiber is (s, firsts): its key sum s
-    and the indices into `points` of the first points of its pairs, root
-    first; the pair of index c is (points[c], the point keyed s − keys[c]).
-    Each non-root pair gives one generator (root, other)."""
+    """A minimal generating system as P's column table in its narrowest
+    frame and one root per sum fiber.  P's i-th point in lexicographic order
+    is `factors[i]`, at height v of column j for `cells[i]` = (j, v);
+    `pairs[sj]` holds (lo, hi, indices) of j and (lo, hi) of sj − j."""
 
     embedding: EmbeddingData
-    fibers: tuple[tuple[int, Sequence[int]], ...]
-    points: tuple[Point, ...]
-    keys: list[int]
-
-    @property
-    def count(self) -> int:
-        return sum(len(firsts) for _, firsts in self.fibers) - len(self.fibers)
+    count: int
+    factors: list[str]
+    cells: list[Point]
+    pairs: list[list[tuple]]
+    roots: list[int]
 
 
 class TableRow(NamedTuple):
@@ -102,11 +97,10 @@ def embedding_data(data: LdpData) -> EmbeddingData:
 def sum_fibers(e: EmbeddingData) -> dict[Point, list[tuple[Point, Point]]]:
     """Unordered point pairs fibers by their coordinate sum, fibers and
     pairs sorted: the fibers of `minimal_system` read as point pairs."""
-    _, index_fibers, pts, keys = minimal_system(e)
-    at = dict(zip(keys, pts))
-    fibers = {}
-    for s, firsts in index_fibers:
-        pairs = [(pts[c], at[s - keys[c]]) for c in firsts]
+    points, fibers = e.points, {}
+    for members in _fibers(minimal_system(e)):
+        pairs = [(points[c], points[d]) for c, d
+                 in zip(members[:(len(members) + 1) // 2], members[::-1])]
         (ax, ay), (bx, by) = pairs[0]
         fibers[(ax + bx, ay + by)] = pairs
     return fibers
@@ -131,30 +125,69 @@ def quadric_count_from_vertices(polygon: LatticePolygon) -> int:
 
 
 def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
-    """Minimal generating system of the embedding ideal.
-
-    One walk groups the pairs (a, b), a <= b, by key sum.  The points are
-    lexicographic and the pairs arrive in lexicographic order, so each fiber
-    starts at its smallest pair, the root of one generator (root, other) per
-    later pair, and the generators come out sorted.  A pair costs one key
-    addition and one list slot; no pair tuple is built.  The number of
-    fibers must equal |2P ∩ Z²|, which Ehrhart gives from the degree and
-    boundary count.  The report hands on the points and keys built here.
-    """
-    points = e.points
-    w = 4 * max(abs(y) for _, y in points) + 1
-    keys = [x * w + y for x, y in points]
-    fibers: dict[int, list[int]] = collections.defaultdict(list)
-    for i, ka in enumerate(keys):
-        for kb in keys[i:]:
-            fibers[ka + kb].append(i)
+    """Minimal generating system of the embedding ideal, no pair stored.
+    One sweep of P's narrowest frame gives the column table and the order.
+    The fiber {c in P : s − c in P} of each point s of 2P, swept in the same
+    frame (dilation keeps it), is a slice per column pair (j, s_j − j); its
+    least member l and greatest s − l (c ↦ s − c reverses the order) root
+    it.  No fiber may be empty (P is normal); they number Ehrhart's L_P(2)."""
+    (a, b, kappa, lam), sweep = frame_columns(e.polygon)
+    spans = {u: (lo, hi) for u, lo, hi, _ in sweep}
+    first = min(spans)  # a column with no lattice point spans (1, 0)
+    table = [(lo, hi, [0] * (hi - lo + 1)) for lo, hi in
+             (spans.get(u, (1, 0)) for u in range(first, max(spans) + 1))]
+    cells = sorted(((j, v) for j, (lo, hi, _) in enumerate(table)
+                    for v in range(lo, hi + 1)),
+                   key=lambda c: (kappa * c[0] - b * c[1],  # a shifted point
+                                  a * c[1] - lam * c[0]))
+    for i, (j, v) in enumerate(cells):
+        table[j][2][v - table[j][0]] = i
+    n, roots, width = len(cells), [], len(table)
+    pairs = [[(*table[j], *table[sj - j][:2]) for j in range(width)
+              if 0 <= sj - j < width] for sj in range(2 * width - 1)]
+    up = b < 0 or (b == 0 and a > 0)  # the step (-b, a) up a column
+    for su, lo2, hi2, _ in frame_columns(dilate(e.polygon, 2))[1]:
+        sj = su - 2 * first
+        for sv in range(lo2, hi2 + 1):
+            least = n
+            for lo, hi, column, wlo, whi in pairs[sj]:
+                vlo = lo if lo > sv - whi else sv - whi
+                vhi = hi if hi < sv - wlo else sv - wlo
+                if vlo <= vhi and column[(vlo if up else vhi) - lo] < least:
+                    least = column[(vlo if up else vhi) - lo]
+            if least == n:
+                raise ConsistencyError(f"no pair of P sums to ({su}, {sv}) in "
+                                       "2P's frame", check="fiber size >= 1",
+                                       expected=1, got=0)
+            lj, lv = cells[least]
+            wlo, _, column = table[sj - lj]
+            roots.append(least * n + column[sv - lv - wlo])
     doubled = 2 * e.degree + e.boundary_count + 1  # L_P(2), Ehrhart
-    if len(fibers) != doubled:
-        raise ConsistencyError(
-            f"{len(fibers)} sum fibers but {doubled} lattice points in the "
-            "doubled polygon", check="sum fibers == L_P(2)",
-            expected=doubled, got=len(fibers))
-    return QuadricIdealReport(e, tuple(fibers.items()), points, keys)
+    if len(roots) != doubled:
+        raise ConsistencyError(f"{len(roots)} sum fibers but {doubled} "
+                               "lattice points in the doubled polygon",
+                               check="sum fibers == L_P(2)",
+                               expected=doubled, got=len(roots))
+    roots.sort()
+    factors = [f"z({kappa * (first + j) - b * v},{a * v - lam * (first + j)})"
+               for j, v in cells]
+    return QuadricIdealReport(e, n * (n + 1) // 2 - len(roots), factors,
+                              cells, pairs, roots)
+
+
+def _fibers(report: QuadricIdealReport):
+    """Each fiber's sorted members in root order; timsort merges its slices."""
+    cells, pairs, n = report.cells, report.pairs, len(report.cells)
+    for root in report.roots:
+        (lj, lv), (gj, gv) = cells[root // n], cells[root % n]
+        sv, members = lv + gv, []
+        for lo, hi, column, wlo, whi in pairs[lj + gj]:
+            vlo = lo if lo > sv - whi else sv - whi
+            vhi = hi if hi < sv - wlo else sv - wlo
+            if vlo <= vhi:
+                members += column[vlo - lo:vhi - lo + 1]
+        members.sort()
+        yield members
 
 
 def _exact_div(n: int, d: int) -> int:
@@ -229,22 +262,28 @@ def enumerated_row(k: int, p: int) -> TableRow:
 # ideal file format
 
 def write_ideal(report: QuadricIdealReport, fh: TextIO) -> None:
-    """Stream the deterministic text form to fh, one write per fiber: a
-    header with the numerology, then one generator per line in
-    tuple-lexicographic order.  Factors are rendered once per point, and
-    each fiber's root monomial prefixes the lines of its fiber."""
-    e = report.embedding
+    """Stream the text form to fh, one write per fiber: a header with the
+    numerology, then one generator per line in tuple-lexicographic order.
+    Fiber members c_0 < ... < c_{K−1} pair as (c_i, c_{K−1−i}), and each
+    pair after the root (c_0, c_{K−1}) is one line of the header's count."""
+    e, factors, count = report.embedding, report.factors, report.count
     fh.write("# minimal quadric generating system\n"
              f"# ambient_dim={e.ambient_dim} degree={e.degree} "
-             f"generators={report.count} sectional_genus={e.interior_count}\n")
-    keys = report.keys
-    z = [f"z({x},{y})" for x, y in report.points]
-    at = dict(zip(keys, z))
-    for s, (r, *rest) in report.fibers:
-        if rest:
-            pre = f"{z[r]}*{at[s - keys[r]]} - "
-            fh.write("".join([f"{pre}{z[c]}*{at[s - keys[c]]}\n"
-                              for c in rest]))
+             f"generators={count} sectional_genus={e.interior_count}\n")
+    lefts, rights = [f"{z}*" for z in factors], [f"{z}\n" for z in factors]
+    written = 0
+    for members in _fibers(report):
+        if lines := (len(members) + 1) // 2 - 1:  # so each pick takes 2+
+            left = itemgetter(*members[:lines + 1])(lefts)
+            right = itemgetter(*members[-lines - 1:])(rights)
+            text = [f"{left[0]}{factors[members[-1]]} - "] * (3 * lines)
+            text[1::3], text[2::3] = left[1:], right[-2::-1]
+            fh.write("".join(text))
+            written += lines
+    if written != count:
+        raise ConsistencyError(f"{written} generators written but {count} in "
+                               "the header", expected=count, got=written,
+                               check="lines written == header count")
 
 
 def format_ideal(report: QuadricIdealReport) -> str:

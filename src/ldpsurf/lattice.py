@@ -272,10 +272,11 @@ def _columns(p: LatticePolygon):
         yield x, lo, hi, edge
 
 
-def _narrowest_frame(p: LatticePolygon):
-    """(image, (a, b, kappa, lam)): p under the determinant 1 map
-    (x, y) -> (a*x + b*y, lam*x + kappa*y), where (a, b) is the x-axis or,
-    if strictly narrower, the inner edge normal with the fewest columns."""
+def frame_columns(p: LatticePolygon):
+    """(frame, columns): p's narrowest frame (a, b, kappa, lam), the map
+    (x, y) -> (a*x + b*y, lam*x + kappa*y) of determinant 1 for (a, b) the
+    x-axis or, if strictly narrower, the inner edge normal with the fewest
+    columns, and `_columns` of p's image there; see `lattice_points`."""
     verts = p.vertices
     xs = [x for x, _ in verts]
     width, a, b = max(xs) - min(xs), 1, 0
@@ -293,7 +294,7 @@ def _narrowest_frame(p: LatticePolygon):
     if b:  # b = 0 only for the x-axis itself
         p = LatticePolygon(tuple((a * x + b * y, lam * x + kappa * y)
                                  for x, y in verts))
-    return p, (a, b, kappa, lam)
+    return (a, b, kappa, lam), _columns(p)
 
 
 def lattice_points(p: LatticePolygon) -> tuple[set[Point], set[Point]]:
@@ -301,10 +302,10 @@ def lattice_points(p: LatticePolygon) -> tuple[set[Point], set[Point]]:
     materialized from the column sweep of its narrowest frame.  Column u of
     the image maps back to the progression from (kappa*u, -lam*u) with
     steps (-b, a), one C-level set update per column."""
-    image, (a, b, kappa, lam) = _narrowest_frame(p)
+    (a, b, kappa, lam), columns = frame_columns(p)
     boundary: set[Point] = set()
     interior: set[Point] = set()
-    for u, lo, hi, edge in _columns(image):
+    for u, lo, hi, edge in columns:
         x, y = kappa * u, -lam * u
         if isinstance(edge, set):
             boundary.update((x - b * v, y + a * v) for v in edge)
@@ -323,7 +324,7 @@ def count_lattice_points(p: LatticePolygon) -> PointCounts:
     frame, without materializing a point; a unimodular map is a bijection
     of Z^2 that keeps the boundary, so the counts are p's own."""
     total = boundary = 0
-    for _, lo, hi, edge in _columns(_narrowest_frame(p)[0]):
+    for _, lo, hi, edge in frame_columns(p)[1]:
         total += hi - lo + 1
         boundary += len(edge)
     return PointCounts(total, boundary, total - boundary)

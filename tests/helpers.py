@@ -15,10 +15,10 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from ldpsurf import (EmbeddingData, FanAnalysis, LatticePolygon,
-                     QuadricIdealReport, UnimodularMap, WeightedCircularGraph,
-                     analyze_fan, apply_map, canonical_polygon, embedding_data,
+                     UnimodularMap, WeightedCircularGraph, analyze_fan,
+                     apply_map, canonical_polygon, embedding_data,
                      enumerate_one_singularity, fan_from_polygon, is_primitive,
-                     ldp_analyze, minimal_system)
+                     ldp_analyze)
 from ldpsurf.lattice import edge_lines
 
 
@@ -420,17 +420,6 @@ def span_membership(generators, binomials) -> bool:
     generators; one union-find serves all of them."""
     find, _ = connect(generators)
     return all(find(plus) == find(minus) for plus, minus in binomials)
-
-
-def report_of(e: EmbeddingData, generators) -> QuadricIdealReport:
-    """A report holding the given ((a, b), (c, d)) generators, each as its
-    own index-form fiber of two pairs: key sum of (a, b), then the indices
-    of a and c, over the points and keys of e's minimal system."""
-    base = minimal_system(e)
-    index = {pt: i for i, pt in enumerate(base.points)}
-    return base._replace(fibers=tuple(
-        (base.keys[index[a]] + base.keys[index[b]], (index[a], index[c]))
-        for (a, b), (c, _) in generators))
 
 
 def koelman_quadrics(e: EmbeddingData) -> list:

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 import types
 
 import pytest
@@ -500,18 +499,23 @@ def test_quadrics_out_to_a_directory_link_names_the_given_path(
 
 def test_quadrics_out_memory_stays_small(capsys, tmp_path):
     dest = tmp_path / "ideal.txt"
-    tracemalloc.start()
-    try:
-        code = cli.main(["quadrics", "--canonical", "3", "15",
-                         "--out", str(dest)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
-    assert code == 0 and dest.stat().st_size > 7_000_000
-    # the index-form fibers and one fiber's text at a time, never the
-    # whole text or a tuple per pair (about 41 MB when both were held)
-    assert peak < 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+
+    def peak_per_point(p):
+        codes = []
+        traced = helpers.peak_traced_bytes(lambda: codes.append(cli.main(
+            ["quadrics", "--canonical", "3", str(p), "--out", str(dest)])))
+        capsys.readouterr()
+        assert codes == [0]
+        return traced, traced / (table_formulas(3, p).ambient_dim + 1)
+
+    _, small = peak_per_point(13)  # 457 points, 102,942 generators
+    peak, large = peak_per_point(25)  # 2,563 points, 3,275,883 generators
+    assert dest.stat().st_size > 100_000_000
+    # P's column table, one root per sum fiber and one fiber's text at a
+    # time: the peak follows the points, not the generators (a list slot per
+    # point pair traced 28.8 MB, 11 KB a point)
+    assert peak < 4 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+    assert large < 1.5 * small, f"{small:.0f} and {large:.0f} bytes a point"
 
 
 def test_enumerate_memory_follows_the_box(capsys):
@@ -559,6 +563,13 @@ STDOUT_SHA256 = {
     "analyze-multi-sheared": (
         ("analyze", apply_map(UnimodularMap(1, 0, 6, 1), MULTI)),
         "110fde3a7520797e0abf94c4b55a3fb01cac568c355936b002418b107fda37e5"),
+    "quadrics-3-9-sheared": (
+        ("quadrics",
+         apply_map(UnimodularMap(1, 0, 9, 1), canonical_polygon(3, 9))),
+        "68f0b3de0464a748174cd8ff91b98446ef5eb2aa2ef0bbd998ee3c9c39f38eb4"),
+    "quadrics-multi-sheared": (
+        ("quadrics", apply_map(UnimodularMap(1, 0, 6, 1), MULTI)),
+        "1ec07f45135ba44350804f9657553c10e3e547487d55d2f212710c36b8a60266"),
     "classify-mirror-json": (
         ("classify", mirror_quad(4), "--json"),
         "0869859cfde9c71cffed90f105d126af955f64ae545f030c3bbbe73f93fb11f8"),
@@ -595,6 +606,24 @@ def test_fiber_count_failure_exits_4(capsys, monkeypatch):
     assert err == ("internal error: 71 sum fibers but 73 lattice points in "
                    "the doubled polygon\n"
                    "  check sum fibers == L_P(2): expected 73, got 71\n")
+
+
+def test_line_count_failure_exits_4_and_leaves_no_file(capsys, monkeypatch,
+                                                       tmp_path):
+    real = cli.minimal_system
+
+    def overcounted(e):  # no valid input reaches the check through the CLI
+        report = real(e)
+        return report._replace(count=report.count + 1)
+
+    monkeypatch.setattr(cli, "minimal_system", overcounted)
+    code, out, err = run(capsys, "quadrics", "--canonical", "3", "3",
+                         "--out", str(tmp_path / "ideal.txt"))
+    assert (code, out) == (4, "")
+    assert err == ("internal error: 182 generators written but 183 in the "
+                   "header\n  check lines written == header count: "
+                   "expected 183, got 182\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_swept_count_differs_from_vertex_count_exits_4(capsys, monkeypatch):

@@ -6,21 +6,23 @@ import io
 import itertools
 import pathlib
 import random
+import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
 import ldpsurf.embedding as emb
 from helpers import (koelman_quadrics, parse_ideal, relation_rank,
                      span_membership)
-from ldpsurf import (ConsistencyError, DomainError, TableRow, apply_map,
-                     canonical_polygon, embedding_data, enumerated_row,
-                     format_ideal, lattice_points, ldp_analyze,
-                     minimal_system, quadric_count_by_counting, sum_fibers,
-                     table_formulas, write_ideal)
+from ldpsurf import (ConsistencyError, DomainError, LatticePolygon, TableRow,
+                     UnimodularMap, apply_map, canonical_polygon,
+                     embedding_data, enumerated_row, format_ideal,
+                     lattice_points, ldp_analyze, minimal_system,
+                     quadric_count_by_counting, sum_fibers, table_formulas,
+                     write_ideal)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -185,6 +187,38 @@ def test_fiber_count_failure_names_check_and_values():
                         "in the doubled polygon")
 
 
+def test_empty_fiber_names_check_and_values(monkeypatch):
+    e = helpers.embedding_of(canonical_polygon(3, 3))
+    real = emb.frame_columns
+
+    def short(p):  # P's last column loses its top point; 2P is swept whole
+        frame, columns = real(p)
+        if p != e.polygon:
+            return frame, columns
+        *rest, (u, lo, hi, edge) = columns
+        return frame, [*rest, (u, lo, hi - 1, edge)]
+
+    monkeypatch.setattr(emb, "frame_columns", short)
+    with pytest.raises(ConsistencyError) as exc:
+        minimal_system(e)
+    err = exc.value
+    assert (err.check, err.expected, err.got) == ("fiber size >= 1", 1, 0)
+    assert re.fullmatch(r"no pair of P sums to \(-?\d+, -?\d+\) in 2P's frame",
+                        str(err))
+
+
+def test_lines_written_must_match_the_header():
+    report = minimal_system(helpers.embedding_of(canonical_polygon(3, 3)))
+    buf = io.StringIO()
+    with pytest.raises(ConsistencyError) as exc:
+        write_ideal(report._replace(count=report.count + 1), buf)
+    err = exc.value
+    assert (err.check, err.expected, err.got) == (
+        "lines written == header count", 183, 182)
+    assert str(err) == "182 generators written but 183 in the header"
+    assert len(buf.getvalue().splitlines()) == 2 + 182
+
+
 def test_exact_div_failure_names_check_and_values():
     assert emb._exact_div(12, 4) == 3
     with pytest.raises(ConsistencyError) as exc:
@@ -257,33 +291,6 @@ def test_format_binomial():
     assert parse_ideal("z(1,0) * z(0,1) - z(1,2)*z(0,-1)") == [b]
 
 
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_format_ideal_is_write_ideal_for_any_generators(data):
-    k, p = data.draw(st.sampled_from(((1, 1), (2, 1), (3, 1), (3, 3))))
-    e, relations = _relations(k, p)
-    # any generators, each pair in either order
-    drawn = data.draw(st.lists(st.tuples(st.sampled_from(relations),
-                                         st.booleans(), st.booleans()),
-                               max_size=30))
-    gens = [(plus[::-1] if flip_plus else plus,
-             minus[::-1] if flip_minus else minus)
-            for (plus, minus), flip_plus, flip_minus in drawn]
-    report = helpers.report_of(e, gens)
-    buf = io.StringIO()
-    write_ideal(report, buf)
-    text = format_ideal(report)
-    assert text == buf.getvalue()
-
-    def z(pt):
-        return f"z({pt[0]},{pt[1]})"
-
-    assert text.splitlines()[2:] == [f"{z(a)}*{z(b)} - {z(c)}*{z(d)}"
-                                     for (a, b), (c, d) in gens]
-    assert f"generators={len(gens)} " in text
-
-
 def test_format_parse_roundtrip():
     report = minimal_system(helpers.embedding_of(canonical_polygon(2, 1)))
     text = format_ideal(report)
@@ -298,6 +305,12 @@ def test_format_parse_roundtrip():
 
 @settings(max_examples=60, deadline=None)
 @given(helpers.ldp_presentations())
+# shears whose dilated polar polygons are swept in an edge normal's frame,
+# where a step up a column goes up, and down, the lexicographic order
+@example(apply_map(UnimodularMap(1, 0, 9, 1), canonical_polygon(3, 9)))
+@example(apply_map(UnimodularMap(1, 0, -9, 1), canonical_polygon(3, 5)))
+# a dilated polar polygon with a column that holds no lattice point
+@example(LatticePolygon(((-2, 3), (1, -4), (3, -2))))
 def test_format_ideal_matches_a_rendering_grouped_here(poly):
     e = embedding_data(ldp_analyze(poly))
     fibers: dict = {}

@@ -23,11 +23,11 @@ from ldpsurf import (CompleteFan, Cone2, DomainError, EmbeddingData,
                      LatticePolygon, ParseError, UnimodularMap,
                      WeightedCircularGraph, analyze_fan, apply_map,
                      canonical_polygon, count_lattice_points, cross, dilate,
-                     fan_from_polygon, format_polygon_text, graph_of,
-                     is_primitive, lattice, lattice_points, ldp_analyze,
-                     load_polygon, minkowski_double, parse_polygon_text,
-                     polygon_area2, polygon_from_array, polygon_to_array,
-                     read_polygon_file)
+                     embedding_data, fan_from_polygon, format_ideal,
+                     format_polygon_text, graph_of, is_primitive, lattice,
+                     lattice_points, ldp_analyze, load_polygon, minimal_system,
+                     minkowski_double, parse_polygon_text, polygon_area2,
+                     polygon_from_array, polygon_to_array, read_polygon_file)
 from ldpsurf.lattice import edge_lines
 
 TRIANGLE = LatticePolygon(((0, 0), (3, 0), (0, 3)))
@@ -397,6 +397,24 @@ def test_sweep_visits_the_columns_of_the_narrowest_frame(poly):
                for a, b, c in edge_lines(poly)]
     for fn in SWEEPS:
         assert swept_columns(fn, poly) <= min(widths) + 1
+    # the quadric writer sweeps 2P in P's frame: doubling scales every width
+    assert lattice.frame_columns(dilate(poly, 2))[0] == \
+        lattice.frame_columns(poly)[0]
+
+
+def test_quadrics_sweeps_p_twice_and_2p_once():
+    q = apply_map(UnimodularMap(1, 0, 9, 1), canonical_polygon(3, 9))
+    dilated = ldp_analyze(q).dilated_polar
+    once = swept_columns(count_lattice_points, dilated)
+    doubled = swept_columns(count_lattice_points, dilate(dilated, 2))
+    assert (once, doubled) == (7, 13)  # the x frame is 456 columns wide
+
+    def quadrics(q):
+        # embedding_data counts P, minimal_system builds its column table
+        # and roots the fibers of 2P, and the writer sweeps nothing
+        format_ideal(minimal_system(embedding_data(ldp_analyze(q))))
+
+    assert swept_columns(quadrics, q) == 2 * once + doubled
 
 
 def test_sheared_polygon_costs_the_columns_of_its_unsheared_form():
