@@ -4,9 +4,9 @@ classification, and anticanonical quadric embeddings."""
 
 from .cones import Cone2, ConeData, cone_invariants, hj_expansion, socius
 from .delpezzo import (Classification, LdpData, canonical_polygon,
-                       classify_one_singularity, enumerate_one_singularity,
-                       group_classes, index_parity_check, ldp_analyze,
-                       mirror_quad, mirror_quad_map)
+                       classify_one_singularity, count_one_singularity,
+                       enumerate_one_singularity, group_classes, ldp_analyze,
+                       index_parity_check, mirror_quad, mirror_quad_map)
 from .embedding import (EmbeddingData, QuadricIdealReport, TableRow,
                         embedding_data, enumerated_row, format_ideal,
                         minimal_system, quadric_count_by_counting, sum_fibers,

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .delpezzo import (MAX_BOUND, Classification, canonical_polygon,
-                       classify_one_singularity, enumerate_one_singularity,
+                       classify_one_singularity, count_one_singularity,
                        group_classes, ldp_analyze)
 from .embedding import (TableRow, embedding_data, enumerated_row,
                         minimal_system, quadric_count_by_counting,
@@ -215,7 +215,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    classes = group_classes(enumerate_one_singularity(args.bound))
+    classes = group_classes(count_one_singularity(args.bound))
     total = sum(e["count"] for e in classes.values())
     print(f"bound={args.bound}: {total} polygons in "
           f"{len(classes)} isomorphism classes")

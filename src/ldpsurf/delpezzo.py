@@ -8,16 +8,13 @@ of polygons with 3, 4 and 5 vertices (plus a mirrored presentation of the
 4-vertex family).  The normalizer of the singular cone, composed with one
 fixed shear in integers, maps the polygon onto its family member, checked
 by one tuple comparison; classify_one_singularity reads the cone from a fan
-analysis, and the enumeration search from the walk that found the polygon,
-which also hands on the Bezout pair of the cone's first ray.  Enumeration
-is a depth-first search from the vertex after each polygon's one non-basic
-cone, along det = 1 lines over the parameter ranges that two convexity
-bounds solve for, walked from one quadrant of those vertices; the quarter
-turn of the box hands on the other three.  It yields (vertices,
-classification) pairs, each classification one tuple, and builds no
-polygon, fan, map or graph for them (bound 64: 656,560 polygons in about
-2 s); group_classes counts them per (k, p) and checks that the normal
-forms present have distinct graph keys.
+analysis, and the enumeration search from the walk that found the polygon.
+Enumeration is a depth-first search from the vertex after each polygon's
+one non-basic cone, along det = 1 lines, walked from one quadrant of those
+vertices; the quarter turn of the box hands on the other three, which
+count_one_singularity counts without building them (bound 64: 656,560
+polygons in about 1 s).  group_classes checks that the normal forms
+present have distinct graph keys.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator, Mapping
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, SingularityCountError
@@ -85,8 +82,7 @@ def canonical_polygon(k: int, p: int) -> LatticePolygon:
 @functools.cache
 def mirror_quad(p: int) -> LatticePolygon:
     """The second 4-vertex presentation, image of canonical_polygon(2, p)
-    under mirror_quad_map(p).  Memoized like canonical_polygon, though its
-    one caller, the memoized `_seen_from_cone`, asks once per p."""
+    under mirror_quad_map(p), memoized like canonical_polygon."""
     if p < 1:
         raise DomainError("p must be >= 1")
     return LatticePolygon(((1, -1), (p, 1), (-1, 0), (0, -1)))
@@ -155,7 +151,7 @@ def _normal_form(verts: tuple[Point, ...], kappa: int, lam: int,
     map onto the normal form proves the polygon convex, log del Pezzo and
     isomorphic to it.  In integers, with no object but the returned tuple;
     enumerate runs it for a quarter of the polygons, at bound 64 about
-    0.4 of its 1.9 s."""
+    0.4 of its 1.0 s."""
     p, q, (na, nb, nc, nd) = pair_normalizer(verts[0], verts[1], kappa,
                                              lam, q)
     if q != p + 1:
@@ -221,14 +217,17 @@ def _primitive_box_points(bound: int) -> list[Point]:
 Enumerated = tuple[tuple[Point, ...], Classification]
 
 # largest enumerate bound, set by time: bound 64 (656,560 polygons) takes
-# about 2.2 s and 18.6 MB max RSS on one Intel Xeon core under Python 3.11
+# about 1.0 s and 18.9 MB max RSS on one Intel Xeon core under Python 3.11
 MAX_BOUND = 64
 
 
-def _one_singularity_search(bound: int) -> Iterator[Enumerated]:
-    """What enumerate_one_singularity(bound) yields, one walked first
-    vertex's polygons and then their quarter turns; that docstring gives
-    the search."""
+def _check_bound(bound: int) -> None:
+    if type(bound) is not int or not 1 <= bound <= MAX_BOUND:
+        raise DomainError(f"bound must be between 1 and {MAX_BOUND}")
+
+
+def _one_singularity_walks(bound: int) -> Iterator[list]:
+    """Each walked first vertex's closed (chain, classification) pairs."""
     # line[l] = (lam, kappa, lo, hi): the box points c with det(l, c) = 1
     # are c0 + t·l for lo <= t <= hi, with c0 = (lam, kappa)
     line: dict[Point, tuple[int, int, int, int]] = {}
@@ -260,8 +259,7 @@ def _one_singularity_search(bound: int) -> Iterator[Enumerated]:
             d = lx * fy - ly * fx
             lam, kappa, lo, hi = line[lx, ly]
             if d > 1 and (fx - lx) * (sy - fy) - (fy - ly) * (sx - fx) > 0:
-                start = chain.index(min(chain))
-                found.append((chain[start:] + chain[:start], _normal_form(
+                found.append((chain, _normal_form(
                     chain[-1:] + chain[:-1], kappa, lam, d)))
             turn = 1 - px * kappa + py * lam  # strict left turn at last
             if d > 0:  # first strictly left of last -> cand
@@ -269,15 +267,20 @@ def _one_singularity_search(bound: int) -> Iterator[Enumerated]:
                 lo = left if left > lo else lo  # no max(): this is the hot loop
             for t in range(lo, (turn if turn < hi else hi) + 1):
                 stack.append(chain + ((lam + t * lx, kappa + t * ly),))
-        yield from found
-        for _ in range(3):  # R: (x, y) -> (-y, x) sends the transform to T·R⁻¹
-            for i, (verts, (k, p, (a, b, c, d), form, mu)) in enumerate(found):
-                verts = [(-y, x) for x, y in verts]
+        yield found
+
+
+def _turned_pairs(walks: Iterator[list]) -> Iterator[Enumerated]:
+    for found in walks:
+        for turn in range(4):  # R: (x, y) -> (-y, x) maps T to T·R⁻¹
+            for i, (verts, cls) in enumerate(found):
+                if turn:
+                    verts = [(-y, x) for x, y in verts]
+                    k, p, (a, b, c, d), form, mu = cls
+                    cls = Classification(k, p, (-b, a, -d, c), form, mu)
                 start = verts.index(min(verts))
-                found[i] = turned = (  # in place: one batch held at a time
-                    tuple(verts[start:] + verts[:start]),
-                    Classification(k, p, (-b, a, -d, c), form, mu))
-                yield turned
+                found[i] = pair = (tuple(verts[start:] + verts[:start]), cls)
+                yield pair
 
 
 def enumerate_one_singularity(bound: int) -> Iterator[Enumerated]:
@@ -315,27 +318,34 @@ def enumerate_one_singularity(bound: int) -> Iterator[Enumerated]:
     R^j(f): each walk's polygons are followed by their three turns.  The
     cone normalizer is the unique det +1 map with its defining property,
     so R(P) has the transform T·R^-1, of entries (-b, a, -d, c) for T's
-    (a, b, c, d), and the same k, p, normal_form and mu.
+    (a, b, c, d), and the same k, p, normal_form and mu, so
+    count_one_singularity adds 4 per walked polygon and builds no turn.
 
     When a walk closes, _normal_form certifies the chain, started at last,
     from the singular cone (last, first), with last's Bezout pair from its
-    line and q = d, or raises ConsistencyError; no polygon, fan, map or
-    graph is built for it.  Yields (vertices, classification) pairs in
-    search order, the vertices anticlockwise from the smallest, as
-    LatticePolygon stores them, one batch at a time (at most 1,964 at
-    bound 64), so memory follows the box, not the polygon count.
+    line and q = d, or raises ConsistencyError.  Yields (vertices,
+    classification) pairs in search order, the vertices anticlockwise from
+    the smallest, as LatticePolygon stores them, one batch at a time.
     """
-    if type(bound) is not int or not 1 <= bound <= MAX_BOUND:
-        raise DomainError(f"bound must be between 1 and {MAX_BOUND}")
-    return _one_singularity_search(bound)
+    _check_bound(bound)
+    return _turned_pairs(_one_singularity_walks(bound))
 
 
-def group_classes(results: Iterable[Enumerated]) -> dict[tuple, dict]:
-    """Count enumerated pairs, read in one pass from any iterable, per
-    (k, p), keyed by the canonical graph key of canonical_polygon(k, p),
-    computed once per (k, p) present.  Each pair's classification is
-    already certified; two (k, p) sharing a key raise ConsistencyError."""
-    counts = collections.Counter((cls.k, cls.p) for _, cls in results)
+def count_one_singularity(bound: int) -> collections.Counter:
+    """enumerate_one_singularity(bound)'s polygons counted per (k, p) from
+    the walks alone: each walked polygon counts 4, for it and its turns."""
+    _check_bound(bound)
+    counts = collections.Counter()
+    for found in _one_singularity_walks(bound):
+        for _, cls in found:
+            counts[cls.k, cls.p] += 4
+    return counts
+
+
+def group_classes(counts: Mapping[tuple[int, int], int]) -> dict[tuple, dict]:
+    """Key polygon counts per (k, p), as count_one_singularity gives them,
+    by the graph key of canonical_polygon(k, p), computed once per (k, p)
+    present; two (k, p) sharing a key raise ConsistencyError."""
     classes: dict[tuple, dict] = {}
     for (k, p), count in counts.items():
         key = canonical_key(graph_of(analyze_fan(fan_from_polygon(

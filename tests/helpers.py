@@ -39,6 +39,12 @@ def enumerated(bound: int) -> list:
     return sorted(enumerate_one_singularity(bound), key=lambda pair: pair[0])
 
 
+def class_counts(pairs) -> collections.Counter:
+    """The number of (vertices, classification) pairs per (k, p), the
+    mapping group_classes reads."""
+    return collections.Counter((c.k, c.p) for _, c in pairs)
+
+
 def peak_traced_bytes(fn) -> int:
     """The peak of the memory traced by tracemalloc during one call fn()."""
     tracemalloc.start()
@@ -131,11 +137,13 @@ def count_calls(monkeypatch, *names, by_argument=False) -> collections.Counter:
 
 
 # runs the CLI on the arguments after the cap under an address-space cap of
-# that many bytes, so a run that grows without end dies of MemoryError
-# (exit 2) instead of taking the machine's memory
+# that many bytes, or the inherited hard limit if lower, so a run that grows
+# without end dies of MemoryError (exit 2) instead of taking the machine's
+# memory
 _CAPPED_MAIN = """
 import resource, sys
-cap = int(sys.argv[1])
+cap, hard = int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 from ldpsurf.cli import main
 sys.exit(main(sys.argv[2:]))

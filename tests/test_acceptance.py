@@ -166,7 +166,7 @@ def test_criterion_6_classification_roundtrip():
 def test_criterion_7_enumeration():
     t0 = time.perf_counter()
     results = helpers.enumerated(4)
-    classes = group_classes(results)
+    classes = group_classes(helpers.class_counts(results))
     dt = time.perf_counter() - t0
     by_kp = sorted({(e["k"], e["p"]) for e in classes.values()})
     expected = sorted((k, p) for k in (1, 2, 3) for p in range(1, 8))

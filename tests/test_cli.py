@@ -270,7 +270,7 @@ def test_interrupt_exits_130(capsys, monkeypatch):
     def interrupted(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "enumerate_one_singularity", interrupted)
+    monkeypatch.setattr(cli, "count_one_singularity", interrupted)
     monkeypatch.setattr(cli, "write_ideal", interrupted)
     for argv in (("enumerate", "--bound", "7"),
                  ("quadrics", "--canonical", "3", "15")):
@@ -301,31 +301,36 @@ def test_closed_pipe_exits_141_quietly(argv):
         assert (run.returncode, run.stderr) == (141, b"")
 
 
-def _search_states():
-    """The states of the enumerate search generators alive in the process."""
+def _search_states(walks):
+    """The states of the enumerate search's walk generators alive in the
+    process."""
     return [inspect.getgeneratorstate(g) for g in gc.get_objects()
             if isinstance(g, types.GeneratorType)
-            and g.gi_code is delpezzo._one_singularity_search.__code__]
+            and g.gi_code is walks.__code__]
 
 
 def test_interrupt_mid_stream_prints_no_table(capsys, monkeypatch):
-    # the interrupt arrives while the table counts the 100th polygon
-    live, calls, real = [], [0], cli.enumerate_one_singularity
+    # the interrupt arrives while the count reads the 100th walked polygon
+    live, calls, real = [], [0], delpezzo._one_singularity_walks
 
-    def interrupted(bound):
-        for pair in real(bound):
+    def counted(found):
+        for pair in found:
             calls[0] += 1
             if calls[0] == 100:
-                live.extend(_search_states())
+                live.extend(_search_states(real))
                 raise KeyboardInterrupt
             yield pair
 
-    monkeypatch.setattr(cli, "enumerate_one_singularity", interrupted)
+    def interrupted(bound):
+        for found in real(bound):
+            yield counted(found)
+
+    monkeypatch.setattr(delpezzo, "_one_singularity_walks", interrupted)
     gc.collect()
     gc.disable()  # only reference counting may free the search's walk
     try:
         code, out, err = run(capsys, "enumerate", "--bound", "7")
-        left = _search_states()
+        left = _search_states(real)
     finally:
         gc.enable()
     assert (code, out, err) == (130, "", "error: interrupted\n")
@@ -696,17 +701,20 @@ def test_oversized_enumerate_bound_exits_2_at_once(capsys, monkeypatch):
         assert (code, out) == (2, "")
         assert err == f"error: bound must be between 1 and {limit}\n"
     # the limit itself is searched; a stand-in search keeps the test fast
-    monkeypatch.setattr(delpezzo, "_one_singularity_search", lambda bound: [])
+    monkeypatch.setattr(delpezzo, "_one_singularity_walks", lambda bound: [])
     code, out, err = run(capsys, "enumerate", "--bound", str(limit))
     assert (code, out, err) == (
         0, f"bound={limit}: 0 polygons in 0 isomorphism classes\n", "")
 
 
 # runs `ldpsurf quadrics --canonical 3 P --out F` under a 2 GB address-space
-# cap, with the lattice point sweep replaced by one that fails the run
+# cap, or the inherited hard limit if lower, with the lattice point sweep
+# replaced by one that fails the run
 _CAPPED_QUADRICS = """
 import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 import ldpsurf.embedding
 from ldpsurf.cli import main
 

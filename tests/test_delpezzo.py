@@ -15,14 +15,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
+import ldpsurf.cli as cli
 import ldpsurf.delpezzo as delpezzo
 from ldpsurf import (ConsistencyError, DomainError, LatticePolygon,
                      SingularityCountError, UnimodularMap, apply_map,
                      canonical_key, canonical_polygon, cross,
-                     classify_one_singularity, enumerate_one_singularity,
-                     graph_of, group_classes, index_parity_check,
-                     ldp_analyze, mirror_quad, mirror_quad_map,
-                     surfaces_isomorphic)
+                     classify_one_singularity, count_one_singularity,
+                     enumerate_one_singularity, graph_of, group_classes,
+                     index_parity_check, ldp_analyze, mirror_quad,
+                     mirror_quad_map, surfaces_isomorphic)
 from ldpsurf.lattice import bezout
 
 
@@ -180,7 +181,7 @@ def test_index_parity_check():
 def test_enumerate_bound_one():
     results = helpers.enumerated(1)
     assert len(results) == 16
-    classes = group_classes(results)
+    classes = group_classes(helpers.class_counts(results))
     assert len(classes) == 3
     summary = {(e["k"], e["p"]): e["count"] for e in classes.values()}
     assert summary == {(1, 1): 4, (2, 1): 8, (3, 1): 4}
@@ -192,7 +193,7 @@ def test_enumerate_bound_one():
 def test_enumerate_bound_two():
     results = helpers.enumerated(2)
     assert len(results) == 144
-    classes = group_classes(results)
+    classes = group_classes(helpers.class_counts(results))
     assert len(classes) == 9
     summary = {(e["k"], e["p"]): e["count"] for e in classes.values()}
     assert summary == {
@@ -247,7 +248,7 @@ def test_enumerate_bound_seven():
     results = helpers.enumerated(7)
     assert len({verts for verts, _ in results}) == len(results) \
         == 4144
-    classes = group_classes(results)
+    classes = group_classes(helpers.class_counts(results))
     assert len(classes) == 39
     assert {(e["k"], e["p"]) for e in classes.values()} == \
         {(k, p) for k in (1, 2, 3) for p in range(1, 14)}
@@ -302,7 +303,7 @@ def test_search_cost_follows_the_answer():
             code = frame.f_code
             if not code.co_filename.endswith("delpezzo.py"):
                 return
-            if (event == "c_call" and code.co_name == "_one_singularity_search"
+            if (event == "c_call" and code.co_name == "_one_singularity_walks"
                     and arg.__name__ == "pop"
                     and isinstance(arg.__self__, list)):
                 pops += 1
@@ -311,12 +312,47 @@ def test_search_cost_follows_the_answer():
 
         sys.setprofile(count)
         try:
-            found = list(delpezzo._one_singularity_search(bound))
+            found = count_one_singularity(bound)
         finally:
             sys.setprofile(None)
         assert (pops, certified) == cost[bound]
-        assert 4 * certified == len(found)
+        assert 4 * certified == found.total()
         assert pops <= 4 * certified
+
+
+@pytest.mark.parametrize("bound", list(range(1, 13)))
+def test_count_matches_the_pairs(monkeypatch, bound):
+    # each certified walked polygon counts for itself and its three quarter
+    # turns, per (k, p) in the order the pairs first show each (k, p)
+    calls = helpers.count_calls(monkeypatch, "_normal_form")
+    counts = count_one_singularity(bound)
+    assert counts.total() == 4 * calls["_normal_form"]
+    pairs = helpers.class_counts(enumerate_one_singularity(bound))
+    assert counts == pairs and list(counts) == list(pairs)
+
+
+def test_enumerate_command_builds_no_turned_classification(capsys,
+                                                           monkeypatch):
+    # the command certifies and builds one Classification per walked
+    # polygon; the pairs build one more for each of its quarter turns
+    calls = helpers.count_calls(monkeypatch, "_normal_form")
+    built = collections.Counter()
+    new = delpezzo.Classification.__new__
+
+    def counting(cls, *fields):
+        built["Classification"] += 1
+        return new(cls, *fields)
+
+    monkeypatch.setattr(delpezzo.Classification, "__new__",
+                        staticmethod(counting))
+    assert cli.main(["enumerate", "--bound", "7"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "bound=7: 4144 polygons in 39 isomorphism classes\n")
+    assert calls == {"_normal_form": 1_036}
+    assert built == {"Classification": 1_036}
+    built.clear()
+    assert sum(1 for _ in enumerate_one_singularity(7)) == 4_144
+    assert built == {"Classification": 4_144}
 
 
 def _search_with_certified(monkeypatch, bound):
@@ -332,7 +368,7 @@ def _search_with_certified(monkeypatch, bound):
     with monkeypatch.context() as patch:
         patch.setattr(delpezzo, "_normal_form", recording)
         rows = [(pair, len(certified))
-                for pair in delpezzo._one_singularity_search(bound)]
+                for pair in enumerate_one_singularity(bound)]
     return rows, certified
 
 
@@ -459,6 +495,12 @@ def test_enumerate_validation(monkeypatch):
     for bound in (7.0, True, "3", None, Fraction(3), 2**0.5):
         with pytest.raises(DomainError, match="between 1 and"):
             enumerate_one_singularity(bound)
+    # the count shares the check, and its text
+    for bound in (0, delpezzo.MAX_BOUND + 1, 10**6, True, 7.0):
+        with pytest.raises(DomainError) as exc:
+            count_one_singularity(bound)
+        assert str(exc.value) == \
+            f"bound must be between 1 and {delpezzo.MAX_BOUND}"
 
 
 def test_group_classes_rejects_mixed_class(monkeypatch):
@@ -467,7 +509,7 @@ def test_group_classes_rejects_mixed_class(monkeypatch):
     results = helpers.enumerated(1)
     monkeypatch.setattr(delpezzo, "canonical_key", lambda g: ())
     with pytest.raises(ConsistencyError) as exc:
-        group_classes(results)
+        group_classes(helpers.class_counts(results))
     err = exc.value
     kps = list(dict.fromkeys((cls.k, cls.p) for _, cls in results))
     assert (err.check, err.expected, err.got) == (
@@ -514,7 +556,7 @@ def test_enumerate_analyses_each_normal_form_once(monkeypatch):
 
     monkeypatch.setattr(LatticePolygon, "__init__", counting)
     reads = helpers.count_derived_reads(monkeypatch)
-    classes = group_classes(enumerate_one_singularity(7))
+    classes = group_classes(helpers.class_counts(enumerate_one_singularity(7)))
     assert sum(e["count"] for e in classes.values()) == 4144
     assert len(classes) == 39
     assert calls == {"fan_from_polygon": 39, "analyze_fan": 39}

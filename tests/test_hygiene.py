@@ -124,6 +124,9 @@ EXPORTS_WITHOUT_CONSUMER = {
     "apply_map": "named by perfbench TRACED; goes with ROADMAP item 1/6",
     "surfaces_isomorphic": "named by perfbench TRACED; goes with ROADMAP "
                            "item 1/6",
+    "enumerate_one_singularity": "each polygon with its classification, "
+                                 "where the CLI reads only the counts; "
+                                 "named by perfbench TRACED",
     "format_polygon_text": "writes the CLI's text input format",
     "index_parity_check": "the paper's index table; criterion 3 and item 4's "
                           "oracle",
