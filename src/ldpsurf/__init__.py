@@ -2,7 +2,7 @@
 polygons: cone and fan invariants, isomorphism graphs, the one-singularity
 classification, and anticanonical quadric embeddings."""
 
-from .cones import Cone2, ConeData, cone_invariants, hj_expansion, socius
+from .cones import ConeData, cone_invariants, hj_expansion, socius
 from .delpezzo import (Classification, LdpData, canonical_polygon,
                        classify_one_singularity, count_one_singularity,
                        enumerate_one_singularity, group_classes, ldp_analyze,
@@ -13,9 +13,9 @@ from .embedding import (EmbeddingData, QuadricIdealReport, TableRow,
                         table_formulas, write_ideal)
 from .errors import (ConsistencyError, DomainError, ParseError,
                      SingularityCountError)
-from .fans import CompleteFan, FanAnalysis, analyze_fan, fan_from_polygon
-from .graphs import (WeightedCircularGraph, canonical_key, graph_of,
-                     render_graph, reverse_graph, surfaces_isomorphic)
+from .fans import FanAnalysis, analyze_fan, fan_from_polygon
+from .graphs import (canonical_key, graph_of, render_graph, reverse_graph,
+                     surfaces_isomorphic)
 from .lattice import (LatticePolygon, PointCounts, UnimodularMap, apply_map,
                       count_lattice_points, cross, dilate, format_polygon_text,
                       is_primitive, lattice_points, load_polygon,

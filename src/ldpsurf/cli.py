@@ -50,12 +50,12 @@ def _analyze_payload(q: LatticePolygon) -> dict:
     except SingularityCountError:
         cls = None
     singularities = []
-    fan = data.analysis.fan
+    rays = data.analysis.rays
     for i in data.analysis.singular_indices:
         cd = data.analysis.cone_data[i]
         singularities.append({
             "cone": i + 1,
-            "rays": [list(fan.rays[i]), list(fan.rays[(i + 1) % fan.nu])],
+            "rays": [list(rays[i]), list(rays[(i + 1) % len(rays)])],
             "p": cd.p,
             "q": cd.q,
             "type": cd.singularity,

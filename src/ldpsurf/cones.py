@@ -1,8 +1,9 @@
 """Two-dimensional rational cones and their singularity invariants.
 
 A cone is given by a pair of primitive generators with positive determinant
-(anticlockwise order).  Every such cone is unimodularly equivalent to the cone
-spanned by (1, 0) and (p, q) with 0 <= p < q and gcd(p, q) = 1; the pair
+(anticlockwise order), taken as checked: fans.fan_from_polygon checks the
+cones of a face fan once.  Every such cone is unimodularly equivalent to the
+cone spanned by (1, 0) and (p, q) with 0 <= p < q and gcd(p, q) = 1; the pair
 (p, q) together with its modular-inverse partner, the negative-regular
 continued fraction of q/(q-p) and the associated refinement chain of lattice
 points carries everything downstream code needs about the corresponding
@@ -15,27 +16,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
-from .lattice import Point, _Frozen, cone_normalizer, cross, is_primitive
-
-
-class Cone2(_Frozen):
-    """Cone spanned by two primitive generators in anticlockwise order."""
-
-    __slots__ = ("n", "n2")
-    n: Point
-    n2: Point
-
-    def __init__(self, n: Point, n2: Point):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "n2", n2)
-        for v in (n, n2):
-            if not is_primitive(v):
-                raise DomainError(f"generator {v} is not primitive")
-        if cross(n, n2) <= 0:
-            raise DomainError(
-                f"generators {n}, {n2} are not in anticlockwise "
-                "order spanning a strongly convex cone"
-            )
+from .lattice import Point, cone_normalizer
 
 
 class ConeData(NamedTuple):
@@ -83,32 +64,33 @@ def hj_expansion(p: int, q: int) -> list[int]:
     return digits
 
 
-def cone_invariants(c: Cone2) -> ConeData:
-    p, q, _ = cone_normalizer(c.n, c.n2)
+def cone_invariants(n: Point, n2: Point) -> ConeData:
+    p, q, _ = cone_normalizer(n, n2)
     local_index = q // math.gcd(q, p - 1)
     if q == 1:
         return ConeData(p=0, q=1, socius=0, local_index=1, hj=(),
-                        chain=(c.n, c.n2), singularity="")
+                        chain=(n, n2), singularity="")
     hj = tuple(hj_expansion(p, q))
-    chain = tuple(_refinement_chain(c, p, q, hj))
+    chain = tuple(_refinement_chain(n, n2, p, q, hj))
     descriptor = f"1/{q}({q - p},1)"
     return ConeData(p=p, q=q, socius=socius(p, q), local_index=local_index,
                     hj=hj, chain=chain, singularity=descriptor)
 
 
-def _refinement_chain(c: Cone2, p: int, q: int, hj: tuple[int, ...]) -> list[Point]:
-    num = ((q - p) * c.n[0] + c.n2[0], (q - p) * c.n[1] + c.n2[1])
+def _refinement_chain(n: Point, n2: Point, p: int, q: int,
+                      hj: tuple[int, ...]) -> list[Point]:
+    num = ((q - p) * n[0] + n2[0], (q - p) * n[1] + n2[1])
     rem = (num[0] % q, num[1] % q)
     if rem != (0, 0):
-        raise ConsistencyError(f"refinement point of {c} is not integral",
-                               check="q | (q - p)·n + n2", expected=(0, 0),
-                               got=rem)
-    chain = [c.n, (num[0] // q, num[1] // q)]
+        raise ConsistencyError(
+            f"refinement point of cone {n}, {n2} is not integral",
+            check="q | (q - p)·n + n2", expected=(0, 0), got=rem)
+    chain = [n, (num[0] // q, num[1] // q)]
     for b_j in hj:
         u, v = chain[-2], chain[-1]
         chain.append((b_j * v[0] - u[0], b_j * v[1] - u[1]))
-    if chain[-1] != c.n2:
-        raise ConsistencyError(f"refinement chain of {c} misses its endpoint",
-                               check="refinement chain ends at n2",
-                               expected=c.n2, got=chain[-1])
+    if chain[-1] != n2:
+        raise ConsistencyError(
+            f"refinement chain of cone {n}, {n2} misses its endpoint",
+            check="refinement chain ends at n2", expected=n2, got=chain[-1])
     return chain

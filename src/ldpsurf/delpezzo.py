@@ -139,7 +139,7 @@ def classify_one_singularity(a: FanAnalysis) -> Classification:
         raise SingularityCountError(f"polygon has {len(singular)} singular "
                                     "cones, need exactly 1")
     j = singular[0]
-    verts = a.fan.rays[j:] + a.fan.rays[:j]
+    verts = a.rays[j:] + a.rays[:j]
     return _normal_form(verts, *bezout(*verts[0]), a.cone_data[j].q)
 
 

@@ -1,23 +1,30 @@
 """Command line interface, driven through main(argv)."""
 
+import contextlib
 import gc
 import hashlib
 import inspect
+import io
 import json
+import math
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import types
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 import ldpsurf.cli as cli
 import ldpsurf.delpezzo as delpezzo
+import ldpsurf.lattice as lattice
 from helpers import parse_ideal
 from ldpsurf import (EmbeddingData, LatticePolygon, TableRow, UnimodularMap,
                      apply_map, canonical_polygon, format_polygon_text,
@@ -194,8 +201,9 @@ def test_non_ldp_polygon_files_exit_2(capsys, tmp_path, vertices,
     for command in ("analyze", "classify"):
         code, out, err = run(capsys, command, path)
         assert code == 2 and out == "" and err.startswith("error:")
-        if names_origin:
-            assert "origin" in err
+        assert ("error: origin is not strictly inside: " if names_origin
+                else "error: ray ") in err
+        assert names_origin or err.endswith(" is not primitive\n")
 
 
 def test_analyze_reads_the_input_facet_lines_once(capsys, monkeypatch):
@@ -210,8 +218,9 @@ def test_analyze_computes_each_cone_once(capsys, monkeypatch):
     reads = helpers.count_derived_reads(monkeypatch)
     code, _, _ = run(capsys, "analyze", "--canonical", "3", "9", "--json")
     assert code == 0
-    # one per cone of the five-vertex polygon
-    assert len(calls) == len(helpers.ray_pairs([canonical_polygon(3, 9)])) == 5
+    # one per cone of the five-vertex polygon, each once
+    cones = helpers.ray_pairs([canonical_polygon(3, 9)])
+    assert len(calls) == len(cones) == 5 and set(calls) == cones
     assert reads == {"k2": 1}  # K^2 is printed, and computed once
     code, _, _ = run(capsys, "analyze", "--canonical", "3", "9", "--json")
     assert code == 0 and len(calls) == 10  # no cache: a second run, 5 more
@@ -788,6 +797,78 @@ def test_large_shear_runs_as_fast_as_its_unsheared_form(capsys, tmp_path):
     assert code == 0
     assert (json.loads(analyze.stdout)["embedding"]
             == json.loads(out)["embedding"])
+
+
+@st.composite
+def large_maps(draw):
+    """A map of determinant +-1 with entries up to 10^9: a coprime first
+    column (a, c), completed by d = a^-1 mod |c| and b = (a·d - 1) / c, so
+    |b| <= |a| and |d| <= |c|; det -1 swaps the rows."""
+    a, c = (draw(st.integers(-10**9, 10**9)) for _ in range(2))
+    assume(math.gcd(a, c) == 1)
+    d = pow(a, -1, abs(c)) if c else a
+    b = (a * d - 1) // c if c else 0
+    return UnimodularMap(c, d, a, b) if draw(st.booleans()) else \
+        UnimodularMap(a, b, c, d)
+
+
+def least_edge_width(p: LatticePolygon) -> int:
+    """The least width of p along the primitive normals of its edges, a
+    GL2(Z) invariant of p."""
+    verts, widths = p.vertices, []
+    for (vx, vy), (wx, wy) in zip(verts, verts[1:] + verts[:1]):
+        g = math.gcd(wx - vx, wy - vy)
+        a, b = (vy - wy) // g, (wx - vx) // g
+        widths.append(max(a * (x - vx) + b * (y - vy) for x, y in verts))
+    return min(widths)
+
+
+def printed_work(q: LatticePolygon) -> tuple:
+    """What analyze --json and quadrics print about q that no GL2(Z) map
+    changes, and the number of columns each lattice sweep they run visits:
+    the x-range of the frame image it is handed, empty columns included.
+    A sweep of more than its polygon's least edge width plus 1 columns
+    fails before it starts."""
+    real, columns = lattice._columns, []
+
+    def bounded(p):
+        xs = [x for x, _ in p.vertices]
+        columns.append(max(xs) - min(xs) + 1)
+        assert columns[-1] <= least_edge_width(p) + 1, \
+            f"a sweep of {columns[-1]} columns over {p}"
+        return real(p)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(lattice, "_columns", bounded):
+        path = os.path.join(tmp, "poly.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(format_polygon_text(q))
+        outputs = []
+        for argv in (("analyze", path, "--json"), ("quadrics", path)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(list(argv)) == 0
+            outputs.append(out.getvalue())
+    payload = json.loads(outputs[0])
+    cls = payload["classification"]
+    numbers = ({key: payload[key] for key in (
+        "picard", "index", "k2", "singular_count", "embedding")},
+        sorted((s["q"], s["local_index"]) for s in payload["singularities"]),
+        cls and (cls["k"], cls["p"]))
+    return numbers, outputs[1].splitlines()[:2], columns
+
+
+# ldp_presentations keeps the index at most 6 and p at most 9: the largest
+# draws write about 2·10^5 generators, and 100 draws take about 2 s
+@settings(max_examples=100, deadline=None)
+@given(helpers.ldp_presentations(), large_maps())
+@example(canonical_polygon(3, 5), UnimodularMap(10**9, 1, 10**9 - 1, 1))
+@example(canonical_polygon(2, 9), UnimodularMap(10**9 - 1, 1, 10**9, 1))
+def test_commands_do_the_same_work_on_a_gl2z_image(poly, m):
+    numbers, header, columns = printed_work(poly)
+    image_numbers, image_header, image_columns = printed_work(apply_map(m, poly))
+    assert (image_numbers, image_header) == (numbers, header)
+    assert len(image_columns) == len(columns) > 0
 
 
 def test_enumerate(capsys):

@@ -8,29 +8,35 @@ import pytest
 
 import helpers
 import ldpsurf.cones as cones
-from ldpsurf import (Cone2, ConsistencyError, DomainError, LatticePolygon,
+from ldpsurf import (ConsistencyError, DomainError, LatticePolygon,
                      UnimodularMap, cone_invariants, count_lattice_points,
-                     cross, hj_expansion, socius)
+                     cross, fan_from_polygon, hj_expansion, socius)
 from ldpsurf.lattice import cone_normalizer
 
 
-def random_cone(rng: random.Random, bound: int = 6) -> Cone2:
+def random_cone(rng: random.Random, bound: int = 6) -> tuple:
+    """Primitive generators (n, n2) in anticlockwise order."""
     while True:
         n = helpers.random_primitive(rng, bound)
         n2 = helpers.random_primitive(rng, bound)
         if cross(n, n2) > 0:
-            return Cone2(n, n2)
+            return n, n2
 
 
 def test_cone_validation():
-    with pytest.raises(DomainError):
-        Cone2((2, 0), (0, 1))
-    with pytest.raises(DomainError):
-        Cone2((0, 1), (1, 0))  # clockwise
-    with pytest.raises(DomainError):
-        Cone2((1, 0), (1, 0))
-    with pytest.raises(DomainError):
-        Cone2((1, 0), (-1, 0))  # antiparallel, zero determinant
+    # a face fan's cones are checked once, where fan_from_polygon builds the
+    # fan; each polygon has the named cone (v_i, v_i+1) as it is stored
+    outside = "origin is not strictly inside: rays {}, {} do not turn " \
+              "strictly anticlockwise"
+    for vertices, message in (
+            (((2, 0), (0, 1), (-1, -1)), "ray (2, 0) is not primitive"),
+            # clockwise generators: the origin lies outside the polygon
+            (((0, 1), (1, 0), (1, 1)), outside.format((0, 1), (1, 0))),
+            # antiparallel, zero determinant: the origin is on an edge
+            (((1, 0), (0, 1), (-1, 0)), outside.format((-1, 0), (1, 0)))):
+        with pytest.raises(DomainError) as exc:
+            fan_from_polygon(LatticePolygon(vertices))
+        assert str(exc.value) == message
 
 
 def test_socius_known_values():
@@ -88,29 +94,29 @@ def test_hj_expansion_reconstructs_fraction():
 
 
 def test_basicness_tests_agree():
-    assert cone_invariants(Cone2((1, 0), (0, 1))).q == 1
-    assert cone_invariants(Cone2((1, -1), (1, 1))).q != 1
+    assert cone_invariants((1, 0), (0, 1)).q == 1
+    assert cone_invariants((1, -1), (1, 1)).q != 1
     rng = random.Random(203)
     for _ in range(300):
         cone = random_cone(rng, bound=5)
         # the triangle on the origin and the generators holds no other point
-        triangle = LatticePolygon(((0, 0), cone.n, cone.n2))
-        assert (cone_invariants(cone).q == 1) == \
+        triangle = LatticePolygon(((0, 0), *cone))
+        assert (cone_invariants(*cone).q == 1) == \
             (count_lattice_points(triangle).total == 3)
 
 
 def test_cone_invariants_normal_form():
-    data = cone_invariants(Cone2((1, 0), (3, 7)))
+    data = cone_invariants((1, 0), (3, 7))
     assert (data.p, data.q) == (3, 7)
     assert data.socius == 5
     assert cone_normalizer((1, 0), (3, 7)) == (3, 7, (1, 0, 0, 1))
 
-    data = cone_invariants(Cone2((1, -1), (1, 1)))
+    data = cone_invariants((1, -1), (1, 1))
     assert (data.p, data.q) == (1, 2)
     assert data.singularity == "1/2(1,1)"
     assert data.local_index == 1
 
-    basic = cone_invariants(Cone2((2, 1), (1, 1)))
+    basic = cone_invariants((2, 1), (1, 1))
     assert (basic.p, basic.q) == (0, 1)
     assert basic.hj == ()
     assert basic.singularity == ""
@@ -121,10 +127,9 @@ def test_cone_invariants_normal_form():
 def test_cone_invariants_unimodular_invariance():
     rng = random.Random(204)
     for _ in range(300):
-        cone = random_cone(rng)
+        n, n2 = random_cone(rng)
         m = helpers.random_unimodular(rng, det=1)
-        moved = Cone2(m.apply(cone.n), m.apply(cone.n2))
-        a, b = cone_invariants(cone), cone_invariants(moved)
+        a, b = cone_invariants(n, n2), cone_invariants(m.apply(n), m.apply(n2))
         assert (a.p, a.q) == (b.p, b.q)
         assert a.hj == b.hj
         assert a.singularity == b.singularity
@@ -134,19 +139,19 @@ def test_normalizer_contract():
     rng = random.Random(205)
     # generators on the axes (b = 0 or a = 0) and with |b| = 1, where the
     # Bezout pair comes from no modular inverse or from one modulo 1
-    axis = [Cone2(n, n2) for n, n2 in (
+    axis = [
         ((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, -1)),
         ((0, -1), (1, 0)), ((1, 0), (3, 7)), ((-1, 0), (4, -9)),
         ((0, 1), (-5, 2)), ((0, -1), (2, 3)), ((3, 1), (0, 1)),
-        ((2, -5), (1, 0)), ((5, 1), (0, 1)), ((4, -1), (1, 0)))]
-    for cone in axis + [random_cone(rng) for _ in range(300)]:
-        data = cone_invariants(cone)
-        p, q, entries = cone_normalizer(cone.n, cone.n2)
+        ((2, -5), (1, 0)), ((5, 1), (0, 1)), ((4, -1), (1, 0))]
+    for n, n2 in axis + [random_cone(rng) for _ in range(300)]:
+        data = cone_invariants(n, n2)
+        p, q, entries = cone_normalizer(n, n2)
         psi = UnimodularMap(*entries)
         assert (p, q) == (data.p, data.q)
         assert psi.det == 1
-        assert psi.apply(cone.n) == (1, 0)
-        assert psi.apply(cone.n2) == (data.p, data.q)
+        assert psi.apply(n) == (1, 0)
+        assert psi.apply(n2) == (data.p, data.q)
 
 
 def test_orientation_reversal_gives_socius():
@@ -155,9 +160,9 @@ def test_orientation_reversal_gives_socius():
     assert flip.det == -1
     rng = random.Random(206)
     for _ in range(300):
-        cone = random_cone(rng)
-        mirrored = Cone2(flip.apply(cone.n2), flip.apply(cone.n))
-        a, b = cone_invariants(cone), cone_invariants(mirrored)
+        n, n2 = random_cone(rng)
+        a = cone_invariants(n, n2)
+        b = cone_invariants(flip.apply(n2), flip.apply(n))
         assert b.q == a.q
         assert b.p == a.socius
         assert b.hj == tuple(reversed(a.hj))
@@ -165,7 +170,7 @@ def test_orientation_reversal_gives_socius():
 
 def test_refinement_chain_known_values():
     def chain(n, n2):
-        return cone_invariants(Cone2(n, n2)).chain
+        return cone_invariants(n, n2).chain
 
     assert chain((1, 0), (1, 2)) == ((1, 0), (1, 1), (1, 2))
     assert chain((1, 0), (1, 3)) == ((1, 0), (1, 1), (1, 2), (1, 3))
@@ -175,38 +180,39 @@ def test_refinement_chain_known_values():
 
 
 def test_refinement_chain_failures_name_check_and_values():
-    cone = Cone2((1, 0), (1, 2))  # p = 1, q = 2, hj = (2,)
-    assert cones._refinement_chain(cone, 1, 2, (2,)) == [(1, 0), (1, 1), (1, 2)]
+    cone = (1, 0), (1, 2)  # p = 1, q = 2, hj = (2,)
+    assert cones._refinement_chain(*cone, 1, 2, (2,)) == [(1, 0), (1, 1), (1, 2)]
     with pytest.raises(ConsistencyError) as exc:
-        cones._refinement_chain(cone, 2, 2, (2,))  # wrong p
+        cones._refinement_chain(*cone, 2, 2, (2,))  # wrong p
     err = exc.value
     assert (err.check, err.expected, err.got) == (
         "q | (q - p)·n + n2", (0, 0), (1, 0))
-    assert str(err) == f"refinement point of {cone} is not integral"
+    assert str(err) == "refinement point of cone (1, 0), (1, 2) is not integral"
     with pytest.raises(ConsistencyError) as exc:
-        cones._refinement_chain(cone, 1, 2, (3,))  # wrong expansion
+        cones._refinement_chain(*cone, 1, 2, (3,))  # wrong expansion
     err = exc.value
     assert (err.check, err.expected, err.got) == (
         "refinement chain ends at n2", (1, 2), (2, 3))
-    assert str(err) == f"refinement chain of {cone} misses its endpoint"
+    assert str(err) == \
+        "refinement chain of cone (1, 0), (1, 2) misses its endpoint"
 
 
 def test_refinement_chain_properties():
     rng = random.Random(207)
     checked = 0
     while checked < 300:
-        cone = random_cone(rng)
-        data = cone_invariants(cone)
+        n, n2 = random_cone(rng)
+        data = cone_invariants(n, n2)
         if data.q == 1:
             continue
         checked += 1
         chain = data.chain
-        assert chain[0] == cone.n and chain[-1] == cone.n2
+        assert chain[0] == n and chain[-1] == n2
         assert len(chain) == len(data.hj) + 2
         for i in range(len(chain) - 1):
             assert cross(chain[i], chain[i + 1]) == 1
         for u in chain[1:-1]:
-            assert cross(cone.n, u) > 0 and cross(u, cone.n2) > 0
+            assert cross(n, u) > 0 and cross(u, n2) > 0
         for j, b in enumerate(data.hj):
             u0, u1, u2 = chain[j], chain[j + 1], chain[j + 2]
             assert (b * u1[0] - u0[0], b * u1[1] - u0[1]) == u2
@@ -214,6 +220,6 @@ def test_refinement_chain_properties():
 
 def test_local_index_of_vertex_adjacent_types():
     for p in range(1, 20):
-        data = cone_invariants(Cone2((1, 0), (p, p + 1)))
+        data = cone_invariants((1, 0), (p, p + 1))
         expected = (p + 1) // 2 if p % 2 else p + 1
         assert data.local_index == expected

@@ -99,11 +99,7 @@ def test_every_module_level_name_is_read():
 
 
 # Private names one module imports from another, each for the reason given.
-PRIVATE_IMPORTS = {
-    "lattice._winding": "CompleteFan's one-winding check",
-    "lattice._Frozen": "the immutable value base of Cone2, CompleteFan and "
-                       "WeightedCircularGraph",
-}
+PRIVATE_IMPORTS = {}
 
 
 def test_every_private_cross_module_import_is_listed():
@@ -219,10 +215,8 @@ def _instances() -> list:
     poly = ldpsurf.canonical_polygon(3, 2)
     data = ldpsurf.ldp_analyze(poly)
     analysis, e = data.analysis, ldpsurf.embedding_data(data)
-    return [poly, ldpsurf.mirror_quad_map(2), ldpsurf.Cone2((1, 0), (1, 2)),
-            analysis.cone_data[0], analysis.fan, analysis,
-            ldpsurf.graph_of(analysis), data,
-            ldpsurf.classify_one_singularity(analysis), e,
+    return [poly, ldpsurf.mirror_quad_map(2), analysis.cone_data[0], analysis,
+            data, ldpsurf.classify_one_singularity(analysis), e,
             ldpsurf.minimal_system(e), ldpsurf.table_formulas(1, 1),
             ldpsurf.count_lattice_points(poly)]
 

@@ -19,12 +19,10 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import contains_origin_interior
-from ldpsurf import (CompleteFan, Cone2, DomainError, EmbeddingData,
-                     LatticePolygon, ParseError, UnimodularMap,
-                     WeightedCircularGraph, analyze_fan, apply_map,
-                     canonical_polygon, count_lattice_points, cross, dilate,
-                     embedding_data, fan_from_polygon, format_ideal,
-                     format_polygon_text, graph_of, is_primitive, lattice,
+from ldpsurf import (DomainError, EmbeddingData, LatticePolygon, ParseError,
+                     UnimodularMap, apply_map, canonical_polygon,
+                     count_lattice_points, cross, dilate, embedding_data,
+                     format_ideal, format_polygon_text, is_primitive, lattice,
                      lattice_points, ldp_analyze, load_polygon, minimal_system,
                      minkowski_double, parse_polygon_text, polygon_area2,
                      polygon_from_array, polygon_to_array, read_polygon_file)
@@ -84,11 +82,8 @@ def test_polygon_canonical_storage():
 
 
 def _validating_values(vertices) -> list:
-    """The five validating types built from one polygon's vertices."""
-    poly = LatticePolygon(vertices)
-    fan = fan_from_polygon(poly)
-    return [poly, UnimodularMap(1, 1, 0, 1), Cone2(*poly.vertices[:2]), fan,
-            graph_of(analyze_fan(fan))]
+    """The two validating types, the polygon built from these vertices."""
+    return [LatticePolygon(vertices), UnimodularMap(1, 1, 0, 1)]
 
 
 def test_validating_types_are_immutable_values():
@@ -96,8 +91,7 @@ def test_validating_types_are_immutable_values():
     given = ((1, -1), (3, 1), (2, 1), (-1, 0), (0, -1))
     others = (given[2:] + given[:2], given[::-1])
     values = _validating_values(given)
-    assert [type(v) for v in values] == [LatticePolygon, UnimodularMap, Cone2,
-                                         CompleteFan, WeightedCircularGraph]
+    assert [type(v) for v in values] == [LatticePolygon, UnimodularMap]
     for vertices in others:
         same = _validating_values(vertices)
         assert same == values
@@ -195,13 +189,10 @@ def test_int_pair_matches_reference(v):
     got = lattice.int_pair(v)
     assert got == reference_int_pair(v)
     assert got is None or type(got) is tuple
-    if got is None:  # both constructors name the bad entry as given
+    if got is None:  # the polygon names the bad entry as given
         with pytest.raises(DomainError) as exc:
             LatticePolygon((v, (0, 1), (-1, -1)))
         assert str(exc.value) == f"non-integer vertex {v!r}"
-        with pytest.raises(DomainError) as exc:
-            CompleteFan((v, (0, 1), (-1, -1)))
-        assert str(exc.value) == f"ray {v!r} is not two integers"
 
 
 @settings(max_examples=300, deadline=None)
