@@ -2,7 +2,7 @@
 polygons: cone and fan invariants, isomorphism graphs, the one-singularity
 classification, and anticanonical quadric embeddings."""
 
-from .cones import ConeData, cone_invariants, hj_expansion, socius
+from .cones import ConeData, cone_invariants, socius
 from .delpezzo import (Classification, LdpData, canonical_polygon,
                        classify_one_singularity, count_one_singularity,
                        enumerate_one_singularity, group_classes, ldp_analyze,

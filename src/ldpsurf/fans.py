@@ -8,10 +8,10 @@ which for a strictly convex anticlockwise polygon hold exactly when the
 origin is strictly inside, and hands on the vertex tuple as the rays.
 analyze_fan takes those rays as checked, computes the data of each of the
 fan's cones once and derives from it the integer weight attached to each
-ray.  The self-intersection of the canonical divisor is derived from the
-same data on read.  The refinement chains of the cone data are the minimal
-desingularization.  Graphs and the classification read this FanAnalysis
-rather than recompute it.
+ray, from the two rays the minimal resolution puts next to it.  The
+self-intersection of the canonical divisor is derived from the cones'
+parameters and excesses on read.  Graphs and the classification read this
+FanAnalysis rather than recompute it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class FanAnalysis(NamedTuple):
             if cd.q > 1:
                 total += (Fraction(cd.q - cd.p + 1, cd.q)
                           + Fraction(cd.q - cd.socius + 1, cd.q)
-                          - 2 + sum(b - 3 for b in cd.hj))
+                          - 2 + cd.excess)
         return total
 
 
@@ -66,14 +66,15 @@ def fan_from_polygon(q: LatticePolygon) -> tuple[Point, ...]:
 def _ray_weights(rays: tuple[Point, ...],
                  data: tuple[ConeData, ...]) -> tuple[int, ...]:
     """Integer weight r at each ray, from r * n = left + right where left and
-    right are the neighbouring rays of n in the minimal desingularization.
+    right are the neighbouring rays of n in the minimal resolution, read
+    from the cones ending and starting at n.
 
     -r is the self-intersection number of the invariant curve attached to the
     ray on the desingularized surface.
     """
     weights = []
-    for ray, before, after in zip(rays, data[-1:] + data[:-1], data):
-        (lx, ly), (rx, ry) = before.chain[-2], after.chain[1]
+    for ray, prev, cd in zip(rays, data[-1:] + data[:-1], data):
+        (lx, ly), (rx, ry) = prev.before, cd.after
         s = (lx + rx, ly + ry)
         r = s[0] // ray[0] if ray[0] != 0 else s[1] // ray[1]
         multiple = (r * ray[0], r * ray[1])

@@ -14,11 +14,11 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from ldpsurf import (EmbeddingData, FanAnalysis, LatticePolygon,
-                     UnimodularMap, analyze_fan, apply_map, canonical_polygon,
+from ldpsurf import (ConsistencyError, DomainError, EmbeddingData,
+                     FanAnalysis, LatticePolygon, UnimodularMap, analyze_fan, apply_map, canonical_polygon,
                      embedding_data, enumerate_one_singularity,
                      fan_from_polygon, is_primitive, ldp_analyze)
-from ldpsurf.lattice import edge_lines
+from ldpsurf.lattice import cone_normalizer, edge_lines
 
 
 def analysis_of(poly: LatticePolygon) -> FanAnalysis:
@@ -342,6 +342,46 @@ def polar_oracle(q: LatticePolygon) -> tuple[tuple, Fraction]:
     area2 = sum(ux * vy - uy * vx
                 for (ux, uy), (vx, vy) in zip(polar, polar[1:] + polar[:1]))
     return tuple(polar), area2
+
+
+def hj_expansion(p: int, q: int) -> list[int]:
+    """Digits of the negative-regular continued fraction of q/(q-p),
+    q/(q-p) = b_1 - 1/(b_2 - 1/(... - 1/b_s)) with every b_j >= 2, one
+    Euclidean step per digit: a test-only oracle for ConeData.excess."""
+    if q < 2 or not 1 <= p < q or math.gcd(p, q) != 1:
+        raise DomainError(f"({p}, {q}) does not describe a non-basic cone")
+    digits = []
+    a, b = q, q - p
+    while b > 0:
+        d = -(-a // b)  # ceil(a / b)
+        digits.append(d)
+        a, b = b, d * b - a
+    return digits
+
+
+def refinement_chain(n, n2) -> list:
+    """The rays (n, u_1, ..., u_s, n2) of the minimal resolution of the cone
+    (n, n2), built one digit at a time by u_j+1 = b_j·u_j - u_j-1 from
+    u_1 = ((q - p)·n + n2)/q; just (n, n2) for a basic cone.  A test-only
+    oracle for ConeData's after (u_1) and before (u_s) rays."""
+    p, q, _ = cone_normalizer(n, n2)
+    if q == 1:
+        return [n, n2]
+    num = ((q - p) * n[0] + n2[0], (q - p) * n[1] + n2[1])
+    rem = (num[0] % q, num[1] % q)
+    if rem != (0, 0):
+        raise ConsistencyError(
+            f"refinement point of cone {n}, {n2} is not integral",
+            check="q | (q - p)·n + n2", expected=(0, 0), got=rem)
+    chain = [n, (num[0] // q, num[1] // q)]
+    for b_j in hj_expansion(p, q):
+        u, v = chain[-2], chain[-1]
+        chain.append((b_j * v[0] - u[0], b_j * v[1] - u[1]))
+    if chain[-1] != n2:
+        raise ConsistencyError(
+            f"refinement chain of cone {n}, {n2} misses its endpoint",
+            check="refinement chain ends at n2", expected=n2, got=chain[-1])
+    return chain
 
 
 # Polygon files that once escaped the parser with a traceback: nesting past

@@ -224,11 +224,13 @@ def test_criterion_8_randomized_invariants():
     for _ in range(n):  # refinement chain determinants
         n, n2 = _random_cone(rng)
         data = cone_invariants(n, n2)
-        chain = data.chain
+        chain = helpers.refinement_chain(n, n2)
         if chain[0] != n or chain[-1] != n2:
             fails.append(("chain-endpoints", (n, n2)))
         if any(cross(chain[i], chain[i + 1]) != 1 for i in range(len(chain) - 1)):
             fails.append(("chain-determinant", (n, n2)))
+        if (data.after, data.before) != (chain[1], chain[-2]):
+            fails.append(("chain-neighbours", (n, n2)))
 
     _report(8, not fails,
             f"{n} seeded instances per law: Pick identity, doubled-polygon "

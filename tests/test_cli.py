@@ -799,6 +799,22 @@ def test_large_shear_runs_as_fast_as_its_unsheared_form(capsys, tmp_path):
             == json.loads(out)["embedding"])
 
 
+def test_classify_refuses_a_huge_two_singularity_triangle_at_once(tmp_path):
+    # the cones of (1, 0), (1 - N, N), (0, -1) have determinants N, N - 1
+    # and 1: two points of type A, each read from closed forms in O(log N)
+    # steps, so classify finds two singular cones at once under a 2 GB cap
+    root = os.path.dirname(os.path.dirname(cli.__file__))
+    big = 10 ** 9
+    path = write_polygon(tmp_path, LatticePolygon(((1, 0), (1 - big, big),
+                                                   (0, -1))))
+    start = time.perf_counter()
+    capped = helpers.capped_cli(root, 2 << 30, "classify", path, timeout=30)
+    assert time.perf_counter() - start < 1
+    assert (capped.returncode, capped.stdout) == (3, "")
+    assert capped.stderr == \
+        "error: polygon has 2 singular cones, need exactly 1\n"
+
+
 @st.composite
 def large_maps(draw):
     """A map of determinant +-1 with entries up to 10^9: a coprime first

@@ -27,15 +27,20 @@ def hirzebruch_fan(p: int) -> tuple:
 
 def resolution(analysis: FanAnalysis) -> tuple:
     """The minimal desingularization: every non-basic cone refined along
-    its chain, so all cones are basic."""
-    return tuple(ray for r, cd in zip(analysis.rays, analysis.cone_data)
-                 for ray in (r, *cd.chain[1:-1]))
+    its oracle chain, so all cones are basic."""
+    rays = analysis.rays
+    return tuple(ray for r, r2 in zip(rays, rays[1:] + rays[:1])
+                 for ray in helpers.refinement_chain(r, r2)[:-1])
 
 
 def exceptional(analysis: FanAnalysis) -> tuple:
     """Curves the resolution inserts, as (ray, self-intersection -b)."""
-    return tuple((u, -b) for cd in analysis.cone_data
-                 for u, b in zip(cd.chain[1:-1], cd.hj))
+    rays = analysis.rays
+    return tuple((u, -b) for r, r2, cd in zip(rays, rays[1:] + rays[:1],
+                                              analysis.cone_data)
+                 if cd.q > 1
+                 for u, b in zip(helpers.refinement_chain(r, r2)[1:-1],
+                                 helpers.hj_expansion(cd.p, cd.q)))
 
 
 def star_subdivide(fan: tuple, ray) -> tuple:
