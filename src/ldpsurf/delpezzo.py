@@ -28,8 +28,8 @@ from typing import NamedTuple
 from .errors import ConsistencyError, DomainError, SingularityCountError
 from .fans import FanAnalysis, analyze_fan, fan_from_polygon
 from .graphs import canonical_key, graph_of
-from .lattice import (LatticePolygon, Point, UnimodularMap, bezout,
-                      edge_lines, pair_normalizer)
+from .lattice import (LatticePolygon, Point, UnimodularMap, apply_map,
+                      bezout, edge_lines, pair_normalizer)
 
 
 class LdpData(NamedTuple):
@@ -83,9 +83,7 @@ def canonical_polygon(k: int, p: int) -> LatticePolygon:
 def mirror_quad(p: int) -> LatticePolygon:
     """The second 4-vertex presentation, image of canonical_polygon(2, p)
     under mirror_quad_map(p), memoized like canonical_polygon."""
-    if p < 1:
-        raise DomainError("p must be >= 1")
-    return LatticePolygon(((1, -1), (p, 1), (-1, 0), (0, -1)))
+    return apply_map(mirror_quad_map(p), canonical_polygon(2, p))
 
 
 def mirror_quad_map(p: int) -> UnimodularMap:

@@ -34,12 +34,6 @@ class EmbeddingData(NamedTuple):
     boundary_count: int
     interior_count: int
 
-    @property
-    def points(self) -> tuple[Point, ...]:
-        """Lattice points in lexicographic order, swept on each read in the
-        narrowest frame and sorted once."""
-        return tuple(sorted(set().union(*lattice_points(self.polygon))))
-
 
 class QuadricIdealReport(NamedTuple):
     """A minimal generating system as P's column table in its narrowest
@@ -72,10 +66,9 @@ class TableRow(NamedTuple):
 def embedding_data(data: LdpData) -> EmbeddingData:
     """Lattice data of P = index · polar, the polygon `ldp_analyze` built.
 
-    Counts come from the column sweep of the narrowest frame, the degree
-    from the shoelace sum, and the points are derived on read.  Pick's
-    identity is asserted, so a failure here means a counting bug rather
-    than unusual input.
+    Counts come from the column sweep of the narrowest frame and the degree
+    from the shoelace sum.  Pick's identity is asserted, so a failure here
+    means a counting bug rather than unusual input.
     """
     dilated = data.dilated_polar
     boundary, interior = lattice_points(dilated)
@@ -97,7 +90,7 @@ def embedding_data(data: LdpData) -> EmbeddingData:
 def sum_fibers(e: EmbeddingData) -> dict[Point, list[tuple[Point, Point]]]:
     """Unordered point pairs fibers by their coordinate sum, fibers and
     pairs sorted: the fibers of `minimal_system` read as point pairs."""
-    points, fibers = e.points, {}
+    points, fibers = sorted(set().union(*lattice_points(e.polygon))), {}
     for members in _fibers(minimal_system(e)):
         pairs = [(points[c], points[d]) for c, d
                  in zip(members[:(len(members) + 1) // 2], members[::-1])]

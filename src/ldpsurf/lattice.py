@@ -223,13 +223,14 @@ def _columns(p: LatticePolygon):
     `edge` holds the y values of the slice that lie on the boundary.
 
     The edges with b > 0 form the lower chain and those with b < 0 the upper
-    one; the sweep walks both left to right with one active edge per side,
-    the edge whose x-range holds the column, so a column costs one divmod
-    per side.  With B = |b|, the slice's lower and upper ends are -q and q
-    for (q, r) = divmod(a*x - c, B) on that side's active edge, and the end
+    one.  Each such edge fills its side's entry of every column its x-range
+    spans with (q, r) = divmod(a*x - c, B) for B = |b|, so no active edge
+    is tracked; a vertex column gets the same exact pair from both of its
+    edges.  The slice's lower and upper ends are then -q and q, and an end
     lies on the boundary exactly when r = 0: a convex polygon's other edges
     bound the column no more tightly there, so none of them passes through
-    an end the active edge misses.
+    an end that the column's own edge misses.  The two per-column lists cost
+    O(columns) memory.
     A point strictly between lo and hi lies on no edge with b != 0 (such an
     edge bounds the slice at that point), so it can only lie on a vertical
     edge: `edge` is the whole column when a vertical edge sits at x, and
@@ -237,31 +238,23 @@ def _columns(p: LatticePolygon):
     Its callers pass it a polygon's narrowest-frame image.
     """
     verts = p.vertices
-    lower, upper, walls = [], [], set()
-    # anticlockwise from the lexicographically smallest vertex, the lower
-    # chain runs left to right and the upper chain right to left; each edge
-    # is stored with the abscissa of its right end
+    first = verts[0][0]  # the lexicographically smallest vertex is leftmost
+    width = max(x for x, _ in verts) - first + 1
+    lower, upper, walls = [None] * width, [None] * width, set()
     for (a, b, c), (vx, _), (wx, _) in zip(edge_lines(p), verts,
                                            verts[1:] + verts[:1]):
+        # anticlockwise, the lower chain runs left to right and the upper
+        # chain right to left
         if b > 0:
-            lower.append((wx, a, b, c))
+            for x in range(vx, wx + 1):
+                lower[x - first] = divmod(a * x - c, b)
         elif b < 0:
-            upper.append((vx, a, -b, c))
+            for x in range(wx, vx + 1):
+                upper[x - first] = divmod(a * x - c, -b)
         else:
             walls.add(vx)
-    upper.reverse()
-    lower_edges, upper_edges = iter(lower), iter(upper)
-    lend, la, lb, lc = next(lower_edges)
-    hend, ha, hb, hc = next(upper_edges)
-    # every edge is at least one column wide, so a step of x passes at most
-    # one right end per side
-    for x in range(verts[0][0], lower[-1][0] + 1):
-        if x > lend:
-            lend, la, lb, lc = next(lower_edges)
-        if x > hend:
-            hend, ha, hb, hc = next(upper_edges)
-        low, low_r = divmod(la * x - lc, lb)
-        hi, high_r = divmod(ha * x - hc, hb)
+    for x, (low, low_r), (hi, high_r) in zip(range(first, first + width),
+                                             lower, upper):
         lo = -low
         if lo > hi:
             continue

@@ -474,7 +474,7 @@ def koelman_quadrics(e: EmbeddingData) -> list:
     sum here without the library's sum_fibers.  A test-only oracle; it grows
     quadratically in the fiber sizes."""
     fibers = collections.defaultdict(list)
-    for a, b in itertools.combinations_with_replacement(e.points, 2):
+    for a, b in itertools.combinations_with_replacement(ordered_points(e), 2):
         fibers[(a[0] + b[0], a[1] + b[1])].append((a, b))
     return sorted(itertools.chain.from_iterable(
         itertools.combinations(pairs, 2) for pairs in fibers.values()))
@@ -504,6 +504,28 @@ def dense_rank(binomials) -> int:
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def ordered_points(e: EmbeddingData) -> tuple:
+    """P's lattice points in lexicographic order, the exponents of the
+    embedding monomials.  A test-only oracle for the library's sweep: each
+    column of P's bounding box is cut by every edge, by exact cross
+    products against the vertex cycle; a vertical edge bounds none of
+    the box's columns."""
+    verts = e.polygon.vertices  # anticlockwise
+    edges = list(zip(verts, verts[1:] + verts[:1]))
+    points = []
+    for x in range(min(x for x, _ in verts), max(x for x, _ in verts) + 1):
+        lo, hi = -math.inf, math.inf
+        for (vx, vy), (wx, wy) in edges:
+            # the inner side: (wx - vx)(y - vy) >= (wy - vy)(x - vx)
+            dx, t = wx - vx, (wy - vy) * (x - vx)
+            if dx > 0:
+                lo = max(lo, vy - (-t // dx))
+            elif dx < 0:
+                hi = min(hi, vy + t // dx)
+        points.extend((x, y) for y in range(lo, hi + 1))
+    return tuple(points)
 
 
 def brute_force_points(vertices) -> tuple[set, set]:

@@ -26,9 +26,9 @@ import ldpsurf.cli as cli
 import ldpsurf.delpezzo as delpezzo
 import ldpsurf.lattice as lattice
 from helpers import parse_ideal
-from ldpsurf import (EmbeddingData, LatticePolygon, TableRow, UnimodularMap,
-                     apply_map, canonical_polygon, format_polygon_text,
-                     mirror_quad, table_formulas)
+from ldpsurf import (LatticePolygon, TableRow, UnimodularMap, apply_map,
+                     canonical_polygon, format_polygon_text, mirror_quad,
+                     table_formulas)
 
 SQUARE = LatticePolygon(((1, 1), (-1, 1), (-1, -1), (1, -1)))
 
@@ -230,17 +230,9 @@ def test_analyze_sweeps_once_and_tables_sweeps_2p(capsys, monkeypatch):
     calls = helpers.count_calls(monkeypatch, "lattice_points",
                                 "count_lattice_points", "minkowski_double",
                                 "embedding_data")
-    points = EmbeddingData.points
-
-    def reading(self):
-        calls["points"] += 1
-        return points.__get__(self, EmbeddingData)
-
-    monkeypatch.setattr(EmbeddingData, "points", property(reading))
     code, _, _ = run(capsys, "analyze", "--canonical", "3", "9", "--json")
     assert code == 0
-    # one sweep of P gives the counts; |2P| comes from Ehrhart and the
-    # point tuple is never built
+    # one sweep of P gives the counts, and |2P| comes from Ehrhart
     assert calls == {"lattice_points": 1, "embedding_data": 1}
     calls.clear()
     code, _, _ = run(capsys, "tables", "--pmax", "1")

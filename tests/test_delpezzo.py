@@ -48,9 +48,10 @@ def test_mirror_quad_relation():
         m = mirror_quad_map(p)
         assert m.det == -1
         assert helpers.compose(m, m) == UnimodularMap(1, 0, 0, 1)
-        assert apply_map(m, canonical_polygon(2, p)) == mirror_quad(p)
+        assert mirror_quad(p) == LatticePolygon(
+            ((1, -1), (p, 1), (-1, 0), (0, -1)))
         assert apply_map(m, mirror_quad(p)) == canonical_polygon(2, p)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^p must be >= 1$"):
         mirror_quad(0)
 
 

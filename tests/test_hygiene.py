@@ -117,7 +117,6 @@ def test_every_private_cross_module_import_is_listed():
 EXPORTS_WITHOUT_CONSUMER = {
     "sum_fibers": "named by perfbench TRACED; goes with ROADMAP item 1/6",
     "format_ideal": "named by perfbench TRACED; goes with ROADMAP item 1/6",
-    "apply_map": "named by perfbench TRACED; goes with ROADMAP item 1/6",
     "surfaces_isomorphic": "named by perfbench TRACED; goes with ROADMAP "
                            "item 1/6",
     "enumerate_one_singularity": "each polygon with its classification, "

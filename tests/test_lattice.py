@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import contains_origin_interior
-from ldpsurf import (DomainError, EmbeddingData, LatticePolygon, ParseError,
-                     UnimodularMap, apply_map, canonical_polygon,
-                     count_lattice_points, cross, dilate, embedding_data,
-                     format_ideal, format_polygon_text, is_primitive, lattice,
-                     lattice_points, ldp_analyze, load_polygon, minimal_system,
-                     minkowski_double, parse_polygon_text, polygon_area2,
-                     polygon_from_array, polygon_to_array, read_polygon_file)
+from ldpsurf import (DomainError, LatticePolygon, ParseError, UnimodularMap,
+                     apply_map, canonical_polygon, count_lattice_points, cross,
+                     dilate, embedding_data, format_ideal, format_polygon_text,
+                     is_primitive, lattice, lattice_points, ldp_analyze,
+                     load_polygon, minimal_system, minkowski_double,
+                     parse_polygon_text, polygon_area2, polygon_from_array,
+                     polygon_to_array, read_polygon_file)
 from ldpsurf.lattice import edge_lines
 
 TRIANGLE = LatticePolygon(((0, 0), (3, 0), (0, 3)))
@@ -343,6 +343,11 @@ def sheared_polygons(draw):
 # the chosen edge and the edge parallel to it become wall columns of the
 # image, with a column between them that holds no boundary point
 @example(LatticePolygon(((0, 0), (4, 2), (4, 3), (0, 1))))
+# a vertex in every column on both chains, between walls at both ends: 12
+# vertices, 146 points, 50 of them on the boundary
+@example(LatticePolygon(tuple([(x, x * (x - 1) // 2) for x in range(6)]
+                              + [(x, 30 - x * (x - 1) // 2)
+                                 for x in range(5, -1, -1)])))
 def test_sweep_matches_brute_force(poly):
     boundary, interior = helpers.brute_force_points(poly.vertices)
     assert lattice_points(poly) == (boundary, interior)
@@ -370,13 +375,7 @@ def swept_columns(fn, poly) -> int:
     return len(columns)
 
 
-def embedding_points(poly):
-    """EmbeddingData.points with poly as P; the property reads nothing
-    else."""
-    return EmbeddingData(poly, 0, 0, 0, 0).points
-
-
-SWEEPS = (lattice_points, count_lattice_points, embedding_points)
+SWEEPS = (lattice_points, count_lattice_points)
 
 
 @settings(max_examples=200, deadline=None)
@@ -477,6 +476,23 @@ def test_large_polygon_loads_in_linear_time():
         load_polygon(text + "0 0\n")
     with pytest.raises(ParseError, match=r"^duplicate vertex \(0, 0\)$"):
         load_polygon(json.dumps(verts + [(0, 0)]))
+
+
+def test_counting_costs_the_columns_not_the_points():
+    # the parabola of the loading test holds about 10^13 points; counting
+    # them costs O(vertices + columns), not O(points)
+    verts = [(i, i * i) for i in range(40_000)]
+    poly = LatticePolygon(tuple(verts))
+    start = time.perf_counter()
+    counts = count_lattice_points(poly)
+    elapsed = time.perf_counter() - start
+    assert counts[:2] == (10_665_866_720_000, 79_998)
+    # Pick, with the boundary from the edge gcds and 2A from the shoelace
+    edges = list(zip(verts, verts[1:] + verts[:1]))
+    boundary = sum(math.gcd(wx - vx, wy - vy) for (vx, vy), (wx, wy) in edges)
+    area2 = sum(vx * wy - vy * wx for (vx, vy), (wx, wy) in edges)
+    assert counts[:2] == ((area2 + boundary) // 2 + 1, boundary)
+    assert elapsed < 2.0, f"{elapsed:.2f} s to count 40,000 vertices"
 
 
 @settings(max_examples=300, deadline=None)
