@@ -8,7 +8,9 @@ minimal generating system takes, inside the fiber of each sum point, the
 differences against its lexicographically smallest pair.  The fibers are
 read off P's column table and streamed as text one by one, once their
 number is checked against |2P ∩ Z²| = 2·(2A) + B + 1 (Ehrhart, for area A
-and B boundary points).
+and B boundary points).  When P is swept in the x frame, its lexicographic
+order is column-major and each fiber's lines are written from slice runs of
+the column table; in any other frame each fiber's members are sorted first.
 """
 
 from __future__ import annotations
@@ -37,12 +39,14 @@ class EmbeddingData(NamedTuple):
 
 class QuadricIdealReport(NamedTuple):
     """A minimal generating system as P's column table in its narrowest
-    frame and one root per sum fiber.  P's i-th point in lexicographic order
-    is `factors[i]`, at height v of column j for `cells[i]` = (j, v);
-    `pairs[sj]` holds (lo, hi, indices) of j and (lo, hi) of sj − j."""
+    frame (a, b, kappa, lam), as `frame_columns` gives it, and one root per
+    sum fiber.  P's i-th point in lexicographic order is `factors[i]`, at
+    height v of column j for `cells[i]` = (j, v); `pairs[sj]` holds (lo, hi,
+    indices) of j and (lo, hi) of sj − j."""
 
     embedding: EmbeddingData
     count: int
+    frame: tuple[int, int, int, int]
     factors: list[str]
     cells: list[Point]
     pairs: list[list[tuple]]
@@ -164,8 +168,8 @@ def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
     roots.sort()
     factors = [f"z({kappa * (first + j) - b * v},{a * v - lam * (first + j)})"
                for j, v in cells]
-    return QuadricIdealReport(e, n * (n + 1) // 2 - len(roots), factors,
-                              cells, pairs, roots)
+    return QuadricIdealReport(e, n * (n + 1) // 2 - len(roots),
+                              (a, b, kappa, lam), factors, cells, pairs, roots)
 
 
 def _fibers(report: QuadricIdealReport):
@@ -258,25 +262,77 @@ def write_ideal(report: QuadricIdealReport, fh: TextIO) -> None:
     """Stream the text form to fh, one write per fiber: a header with the
     numerology, then one generator per line in tuple-lexicographic order.
     Fiber members c_0 < ... < c_{K−1} pair as (c_i, c_{K−1−i}), and each
-    pair after the root (c_0, c_{K−1}) is one line of the header's count."""
+    pair after the root (c_0, c_{K−1}) is one line of the header's count.
+    In the x frame (b = 0) the lines come from slice runs (`_run_texts`);
+    in any other frame from each fiber's sorted members (`_sorted_texts`)."""
     e, factors, count = report.embedding, report.factors, report.count
     fh.write("# minimal quadric generating system\n"
              f"# ambient_dim={e.ambient_dim} degree={e.degree} "
              f"generators={count} sectional_genus={e.interior_count}\n")
     lefts, rights = [f"{z}*" for z in factors], [f"{z}\n" for z in factors]
+    texts = _run_texts if report.frame[1] == 0 else _sorted_texts
     written = 0
+    for text, lines in texts(report, lefts, rights):
+        fh.write(text)
+        written += lines
+    if written != count:
+        raise ConsistencyError(f"{written} generators written but {count} in "
+                               "the header", expected=count, got=written,
+                               check="lines written == header count")
+
+
+def _run_texts(report: QuadricIdealReport, lefts: list[str],
+               rights: list[str]):
+    """Each fiber's lines and their number, in root order, from slice runs.
+    In the x frame a point's lexicographic index is its column-major index,
+    so the fiber members c of column j < sj − j are one slice of `lefts`,
+    and their partners s − c, down column sj − j, one slice of `rights`
+    taken in reverse; the middle column j = sj − j pairs its rows
+    v <= sv // 2, the square z(c)·z(c) included.  Runs of increasing j
+    concatenate to c_0, c_1, ... and their partners to c_{K−1}, c_{K−2},
+    ...: the root comes first, and nothing is sorted."""
+    cells, pairs, n = report.cells, report.pairs, len(report.cells)
+    rights_reversed = rights[::-1]  # so a partner run is a forward slice
+    for root in report.roots:
+        (lj, lv), (gj, gv) = cells[root // n], cells[root % n]
+        sv, row = lv + gv, pairs[lj + gj]
+        half, left, right = len(row) // 2, [], []
+        for (lo, hi, column, wlo, whi), partner in zip(row[:half],
+                                                       row[::-1]):
+            vlo = lo if lo > sv - whi else sv - whi
+            vhi = hi if hi < sv - wlo else sv - wlo
+            if vlo <= vhi:  # an empty column (1, 0) never is
+                i = column[0] - lo  # row v of column j is index i + v
+                w = n - 1 - partner[2][0] + wlo - sv  # its partner, reversed
+                left += lefts[i + vlo:i + vhi + 1]
+                right += rights_reversed[w + vlo:w + vhi + 1]
+        if len(row) % 2:  # the middle column: rows v <= sv - v
+            lo, hi, column, _, _ = row[half]
+            vlo, vhi = (lo if lo > sv - hi else sv - hi), sv // 2
+            if vlo <= vhi:
+                i, w = column[0] - lo, n - 1 - column[0] + lo - sv
+                left += lefts[i + vlo:i + vhi + 1]
+                right += rights_reversed[w + vlo:w + vhi + 1]
+        if (lines := len(left) - 1) > 0:
+            text = [f"{left[0]}{right[0][:-1]} - "] * (3 * lines + 3)
+            text[1::3], text[2::3] = left, right
+            del text[:3]  # the root against itself
+            yield "".join(text), lines
+
+
+def _sorted_texts(report: QuadricIdealReport, lefts: list[str],
+                  rights: list[str]):
+    """Each fiber's lines and their number, in root order, from its sorted
+    members (`_fibers`): any frame, where a sheared P's lexicographic order
+    splits a column slice into many short runs."""
+    factors = report.factors
     for members in _fibers(report):
         if lines := (len(members) + 1) // 2 - 1:  # so each pick takes 2+
             left = itemgetter(*members[:lines + 1])(lefts)
             right = itemgetter(*members[-lines - 1:])(rights)
             text = [f"{left[0]}{factors[members[-1]]} - "] * (3 * lines)
             text[1::3], text[2::3] = left[1:], right[-2::-1]
-            fh.write("".join(text))
-            written += lines
-    if written != count:
-        raise ConsistencyError(f"{written} generators written but {count} in "
-                               "the header", expected=count, got=written,
-                               check="lines written == header count")
+            yield "".join(text), lines
 
 
 def format_ideal(report: QuadricIdealReport) -> str:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import helpers
 import ldpsurf.cli as cli
 import ldpsurf.delpezzo as delpezzo
+import ldpsurf.embedding as embedding
 import ldpsurf.lattice as lattice
 from helpers import parse_ideal
 from ldpsurf import (LatticePolygon, TableRow, UnimodularMap, apply_map,
@@ -506,10 +507,11 @@ def test_quadrics_out_to_a_directory_link_names_the_given_path(
 def test_quadrics_out_memory_stays_small(capsys, tmp_path):
     dest = tmp_path / "ideal.txt"
 
-    def peak_per_point(p):
+    def peak_per_point(p, *source):
+        source = source or ("--canonical", "3", str(p))
         codes = []
         traced = helpers.peak_traced_bytes(lambda: codes.append(cli.main(
-            ["quadrics", "--canonical", "3", str(p), "--out", str(dest)])))
+            ["quadrics", *source, "--out", str(dest)])))
         capsys.readouterr()
         assert codes == [0]
         return traced, traced / (table_formulas(3, p).ambient_dim + 1)
@@ -522,6 +524,13 @@ def test_quadrics_out_memory_stays_small(capsys, tmp_path):
     # point pair traced 28.8 MB, 11 KB a point)
     assert peak < 4 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
     assert large < 1.5 * small, f"{small:.0f} and {large:.0f} bytes a point"
+    # the canonical members are swept in the x frame and written from slice
+    # runs; a shear's fibers are sorted, under the same bounds
+    path = write_polygon(tmp_path, apply_map(UnimodularMap(1, 0, 9, 1),
+                                             canonical_polygon(3, 13)))
+    peak, sheared = peak_per_point(13, path)
+    assert peak < 4 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+    assert sheared < 1.5 * small, f"{small:.0f}, {sheared:.0f} bytes a point"
 
 
 def test_enumerate_memory_follows_the_box(capsys):
@@ -588,14 +597,34 @@ STDOUT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(STDOUT_SHA256))
-def test_quadrics_output_is_byte_stable(capsys, tmp_path, case):
+def assert_stdout_pinned(capsys, tmp_path, case):
     argv, digest = STDOUT_SHA256[case]
     code, out, err = run(capsys, *(
         write_polygon(tmp_path, arg) if isinstance(arg, LatticePolygon)
         else arg for arg in argv))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(STDOUT_SHA256))
+def test_quadrics_output_is_byte_stable(capsys, tmp_path, case):
+    assert_stdout_pinned(capsys, tmp_path, case)
+
+
+def test_quadrics_writes_x_frame_fibers_from_runs_and_sorts_the_rest(
+        capsys, tmp_path, monkeypatch):
+    # a canonical member's P is swept in the x frame, where each fiber's
+    # lines are slice runs of P's column-major order and no fiber is sorted
+    def sorted_fibers(report):
+        raise AssertionError("an x-frame fiber was sorted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(embedding, "_fibers", sorted_fibers)
+        assert_stdout_pinned(capsys, tmp_path, "3-15")
+    # a shear's P is swept in an edge normal's frame, and its fibers sorted
+    calls = helpers.count_calls(monkeypatch, "_fibers")
+    assert_stdout_pinned(capsys, tmp_path, "quadrics-3-9-sheared")
+    assert calls["_fibers"] == 1
 
 
 def test_fiber_count_failure_exits_4(capsys, monkeypatch):

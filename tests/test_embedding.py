@@ -311,8 +311,14 @@ def test_format_parse_roundtrip():
 # where a step up a column goes up, and down, the lexicographic order
 @example(apply_map(UnimodularMap(1, 0, 9, 1), canonical_polygon(3, 9)))
 @example(apply_map(UnimodularMap(1, 0, -9, 1), canonical_polygon(3, 5)))
-# a dilated polar polygon with a column that holds no lattice point
+# a dilated polar polygon with a column that holds no lattice point, swept
+# in the frame (-2, 3)
 @example(LatticePolygon(((-2, 3), (1, -4), (3, -2))))
+# x-frame dilated polar polygons, whose lines come from slice runs: P =
+# (-4, 0), (4, -2), (0, 1) holds no point at x = 3; the middle columns of
+# both hold squares z(c)*z(c) of even s_v and runs of odd s_v
+@example(LatticePolygon(((-3, -4), (1, -4), (1, 4))))
+@example(canonical_polygon(2, 3))
 def test_format_ideal_matches_a_rendering_grouped_here(poly):
     e = embedding_data(ldp_analyze(poly))
     fibers: dict = {}
