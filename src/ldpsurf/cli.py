@@ -22,12 +22,12 @@ from .delpezzo import (MAX_BOUND, Classification, canonical_polygon,
                        group_classes, ldp_analyze)
 from .embedding import (TableRow, embedding_data, enumerated_row,
                         minimal_system, quadric_count_by_counting,
-                        quadric_count_from_vertices,
                         table_formulas, write_ideal)
 from .errors import ConsistencyError, DomainError, SingularityCountError
 from .fans import analyze_fan, fan_from_polygon
 from .graphs import graph_of, render_graph
-from .lattice import LatticePolygon, polygon_to_array, read_polygon_file
+from .lattice import (LatticePolygon, lattice_points, polygon_to_array,
+                      read_polygon_file)
 
 
 def _frac_str(f: Fraction) -> str:
@@ -45,6 +45,13 @@ def _load_input(args) -> LatticePolygon:
 def _analyze_payload(q: LatticePolygon) -> dict:
     data = ldp_analyze(q)
     emb = embedding_data(data)
+    # the one sweep checks the vertex route (ROADMAP item 2 drops it)
+    boundary, interior = lattice_points(data.dilated_polar)
+    pick = (emb.boundary_count, emb.interior_count)
+    if (swept := (len(boundary), len(interior))) != pick:
+        raise ConsistencyError("swept points differ from Pick's count",
+                               check="swept (B, I) == Pick (B, I)",
+                               expected=pick, got=swept)
     try:
         cls = classify_one_singularity(data.analysis)
     except SingularityCountError:
@@ -144,15 +151,10 @@ MAX_GENERATORS = 70_000_000
 
 
 def _cmd_quadrics(args) -> int:
-    data = ldp_analyze(_load_input(args))
-    count = quadric_count_from_vertices(data.dilated_polar)
+    emb = embedding_data(ldp_analyze(_load_input(args)))
+    count = quadric_count_by_counting(emb)  # from P's vertices, before a sweep
     if count > MAX_GENERATORS:
         raise DomainError(f"{count} generators, more than {MAX_GENERATORS}")
-    emb = embedding_data(data)
-    if (swept := quadric_count_by_counting(emb)) != count:
-        raise ConsistencyError(f"{swept} generators by the sweep, {count} "
-                               "by the vertices", check="swept == Pick count",
-                               expected=count, got=swept)
     report = minimal_system(emb)
     if args.out is None:
         write_ideal(report, sys.stdout)

@@ -79,10 +79,9 @@ def canonical_polygon(k: int, p: int) -> LatticePolygon:
     return LatticePolygon(verts)
 
 
-@functools.cache
 def mirror_quad(p: int) -> LatticePolygon:
     """The second 4-vertex presentation, image of canonical_polygon(2, p)
-    under mirror_quad_map(p), memoized like canonical_polygon."""
+    under mirror_quad_map(p)."""
     return apply_map(mirror_quad_map(p), canonical_polygon(2, p))
 
 

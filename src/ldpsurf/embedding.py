@@ -5,12 +5,15 @@ The polar polygon dilated by the index is the lattice polygon P that
 order, are the exponents of the embedding monomials.  The defining ideal is
 generated by quadratic binomials z_a z_b - z_c z_d with a + b = c + d; a
 minimal generating system takes, inside the fiber of each sum point, the
-differences against its lexicographically smallest pair.  The fibers are
-read off P's column table and streamed as text one by one, once their
-number is checked against |2P ∩ Z²| = 2·(2A) + B + 1 (Ehrhart, for area A
-and B boundary points).  When P is swept in the x frame, its lexicographic
-order is column-major and each fiber's lines are written from slice runs of
-the column table; in any other frame each fiber's members are sorted first.
+differences against its lexicographically smallest pair.  The numbers of
+the embedding come from P's vertices alone: area A by shoelace, B boundary
+points by edge gcds, the point count by Pick and |2P ∩ Z²| = 2·(2A) + B + 1
+by Ehrhart.  One sweep of P builds its column table, whose point count is
+checked against Pick's; the fibers are read off it and streamed as text one
+by one, once their number is checked against Ehrhart's.  When P is swept
+in the x frame, its lexicographic order is column-major and each fiber's
+lines are written from slice runs of the column table; in any other frame
+each fiber's members are sorted first.
 """
 
 from __future__ import annotations
@@ -68,27 +71,16 @@ class TableRow(NamedTuple):
 
 
 def embedding_data(data: LdpData) -> EmbeddingData:
-    """Lattice data of P = index · polar, the polygon `ldp_analyze` built.
-
-    Counts come from the column sweep of the narrowest frame and the degree
-    from the shoelace sum.  Pick's identity is asserted, so a failure here
-    means a counting bug rather than unusual input.
-    """
+    """Lattice data of P = index · polar, the polygon `ldp_analyze` built,
+    from its vertices alone: B by edge gcds, 2A by shoelace, and n =
+    (2A + B)/2 + 1 points by Pick.  No point is swept here; each sweep of P
+    checks these numbers (`minimal_system` n, `analyze` B and I)."""
     dilated = data.dilated_polar
-    boundary, interior = lattice_points(dilated)
-    degree = polygon_area2(dilated)
-    delta = len(boundary) + len(interior) - 1
-    if 2 * delta != degree + len(boundary):
-        raise ConsistencyError("point count violates the Pick identity",
-                               check="Pick: 2·delta == 2A + B",
-                               expected=degree + len(boundary), got=2 * delta)
-    return EmbeddingData(
-        polygon=dilated,
-        ambient_dim=delta,
-        degree=degree,
-        boundary_count=len(boundary),
-        interior_count=len(interior),
-    )
+    verts, area2 = dilated.vertices, polygon_area2(dilated)
+    b = sum(math.gcd(wx - vx, wy - vy)
+            for (vx, vy), (wx, wy) in zip(verts, verts[1:] + verts[:1]))
+    return EmbeddingData(dilated, (area2 + b) // 2, area2, b,
+                         (area2 - b) // 2 + 1)
 
 
 def sum_fibers(e: EmbeddingData) -> dict[Point, list[tuple[Point, Point]]]:
@@ -104,27 +96,19 @@ def sum_fibers(e: EmbeddingData) -> dict[Point, list[tuple[Point, Point]]]:
 
 
 def quadric_count_by_counting(e: EmbeddingData) -> int:
-    """Minimal system size from lattice point counting alone: C(delta + 2, 2)
-    point pairs minus |2P ∩ Z²| = L_P(2), which Ehrhart gives from the degree
-    and the boundary count."""
+    """Minimal system size from P's vertex numbers alone, before any sweep:
+    C(delta + 2, 2) point pairs minus |2P ∩ Z²| = L_P(2), which Ehrhart
+    gives from the degree and the boundary count; `minimal_system` checks
+    it against its sweeps of P and 2P."""
     delta, doubled = e.ambient_dim, 2 * e.degree + e.boundary_count + 1
     return (delta + 1) * (delta + 2) // 2 - doubled
 
 
-def quadric_count_from_vertices(polygon: LatticePolygon) -> int:
-    """quadric_count_by_counting before any sweep: B by edge gcds, 2A by
-    shoelace, n = (2A + B)/2 + 1 points by Pick, L_P(2) = 2·2A + B + 1."""
-    verts, area2 = polygon.vertices, polygon_area2(polygon)
-    b = sum(math.gcd(wx - vx, wy - vy)
-            for (vx, vy), (wx, wy) in zip(verts, verts[1:] + verts[:1]))
-    n = (area2 + b) // 2 + 1
-    return n * (n + 1) // 2 - (2 * area2 + b + 1)
-
-
 def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
     """Minimal generating system of the embedding ideal, no pair stored.
-    One sweep of P's narrowest frame gives the column table and the order.
-    The fiber {c in P : s − c in P} of each point s of 2P, swept in the same
+    One sweep of P's narrowest frame gives the column table and the order;
+    its points must number ambient_dim + 1, read off P's vertices.  The
+    fiber {c in P : s − c in P} of each point s of 2P, swept in the same
     frame (dilation keeps it), is a slice per column pair (j, s_j − j); its
     least member l and greatest s − l (c ↦ s − c reverses the order) root
     it.  No fiber may be empty (P is normal); they number Ehrhart's L_P(2)."""
@@ -140,6 +124,11 @@ def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
     for i, (j, v) in enumerate(cells):
         table[j][2][v - table[j][0]] = i
     n, roots, width = len(cells), [], len(table)
+    if n != e.ambient_dim + 1:
+        raise ConsistencyError(f"{n} points in P's column table but "
+                               f"{e.ambient_dim + 1} by Pick",
+                               check="swept points == Pick count",
+                               expected=e.ambient_dim + 1, got=n)
     pairs = [[(*table[j], *table[sj - j][:2]) for j in range(width)
               if 0 <= sj - j < width] for sj in range(2 * width - 1)]
     up = b < 0 or (b == 0 and a > 0)  # the step (-b, a) up a column

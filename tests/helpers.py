@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+import ldpsurf.cli
 from ldpsurf import (ConsistencyError, DomainError, EmbeddingData,
                      FanAnalysis, LatticePolygon, UnimodularMap, analyze_fan, apply_map, canonical_polygon,
                      embedding_data, enumerate_one_singularity,
@@ -69,17 +70,17 @@ def count_derived_reads(monkeypatch) -> collections.Counter:
 
 
 def lose_one_interior_point(monkeypatch) -> None:
-    """For the rest of the test, make the embedding's lattice point sweep
-    drop its smallest interior point, so the Pick check fails; no valid
-    input reaches that check otherwise."""
-    embedding = sys.modules["ldpsurf.embedding"]
-    real = embedding.lattice_points
+    """For the rest of the test, make `analyze`'s lattice point sweep drop
+    its smallest interior point, so its check against Pick's count fails;
+    no valid input reaches that check otherwise."""
+    real = ldpsurf.cli.lattice_points
 
     def one_interior_point_lost(polygon):
         boundary, interior = real(polygon)
         return boundary, set(sorted(interior)[1:])
 
-    monkeypatch.setattr(embedding, "lattice_points", one_interior_point_lost)
+    monkeypatch.setattr(ldpsurf.cli, "lattice_points",
+                        one_interior_point_lost)
 
 
 def forbid_enumeration_box(monkeypatch) -> None:

@@ -233,8 +233,13 @@ def test_analyze_sweeps_once_and_tables_sweeps_2p(capsys, monkeypatch):
                                 "embedding_data")
     code, _, _ = run(capsys, "analyze", "--canonical", "3", "9", "--json")
     assert code == 0
-    # one sweep of P gives the counts, and |2P| comes from Ehrhart
+    # the numbers come from P's vertices, and one sweep of P checks them
     assert calls == {"lattice_points": 1, "embedding_data": 1}
+    calls.clear()
+    code, _, _ = run(capsys, "quadrics", "--canonical", "3", "9")
+    assert code == 0
+    # the column table is the one sweep of P, and builds no point set
+    assert calls == {"embedding_data": 1}
     calls.clear()
     code, _, _ = run(capsys, "tables", "--pmax", "1")
     assert code == 0
@@ -662,28 +667,32 @@ def test_line_count_failure_exits_4_and_leaves_no_file(capsys, monkeypatch,
 
 
 def test_swept_count_differs_from_vertex_count_exits_4(capsys, monkeypatch):
-    real = cli.embedding_data
+    dilated = delpezzo.ldp_analyze(canonical_polygon(3, 3)).dilated_polar
+    real = embedding.frame_columns
 
-    def skewed(data):  # no valid input reaches the check through the CLI
-        e = real(data)
-        return e._replace(degree=e.degree + 1)
+    def short(p):  # P's last column loses its top point; 2P is swept whole
+        frame, columns = real(p)
+        if p != dilated:
+            return frame, columns
+        *rest, (u, lo, hi, edge) = columns
+        return frame, [*rest, (u, lo, hi - 1, edge)]
 
-    monkeypatch.setattr(cli, "embedding_data", skewed)
-    monkeypatch.setattr(cli, "minimal_system", None)  # not reached
-    count = table_formulas(3, 3).quadric_count
+    # no valid input reaches the check through the CLI
+    monkeypatch.setattr(embedding, "frame_columns", short)
     code, out, err = run(capsys, "quadrics", "--canonical", "3", "3")
     assert (code, out) == (4, "")
-    assert err == (f"internal error: {count - 2} generators by the sweep, "
-                   f"{count} by the vertices\n  check swept == Pick count: "
-                   f"expected {count}, got {count - 2}\n")
+    assert err == ("internal error: 21 points in P's column table but 22 by "
+                   "Pick\n  check swept points == Pick count: expected 22, "
+                   "got 21\n")
 
 
 def test_pick_failure_exits_4_with_both_values(capsys, monkeypatch):
     helpers.lose_one_interior_point(monkeypatch)
     code, out, err = run(capsys, "analyze", "--canonical", "3", "3")
     assert (code, out) == (4, "")
-    assert err == ("internal error: point count violates the Pick identity\n"
-                   "  check Pick: 2·delta == 2A + B: expected 42, got 40\n")
+    assert err == ("internal error: swept points differ from Pick's count\n"
+                   "  check swept (B, I) == Pick (B, I): expected (14, 8), "
+                   "got (14, 7)\n")
 
 
 def test_tables(capsys):
@@ -738,20 +747,20 @@ def test_oversized_enumerate_bound_exits_2_at_once(capsys, monkeypatch):
 
 
 # runs `ldpsurf quadrics --canonical 3 P --out F` under a 2 GB address-space
-# cap, or the inherited hard limit if lower, with the lattice point sweep
-# replaced by one that fails the run
+# cap, or the inherited hard limit if lower, with the column sweep that
+# every lattice point count reads replaced by one that fails the run
 _CAPPED_QUADRICS = """
 import resource, sys
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-import ldpsurf.embedding
+import ldpsurf.lattice
 from ldpsurf.cli import main
 
 def unswept(polygon):
-    raise AssertionError("lattice_points ran")
+    raise AssertionError("a lattice sweep ran")
 
-ldpsurf.embedding.lattice_points = unswept
+ldpsurf.lattice._columns = unswept
 sys.exit(main(["quadrics", "--canonical", "3", sys.argv[1], "--out",
                sys.argv[2]]))
 """

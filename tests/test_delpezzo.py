@@ -543,8 +543,7 @@ def test_enumeration_repeats_within_a_process():
 def test_enumerate_analyses_each_normal_form_once(monkeypatch):
     # the certificate classifies each found polygon; only group_classes
     # analyses a fan, one per normal form present
-    for cached in (delpezzo.canonical_polygon, delpezzo.mirror_quad,
-                   delpezzo._seen_from_cone):
+    for cached in (delpezzo.canonical_polygon, delpezzo._seen_from_cone):
         cached.cache_clear()
     calls = helpers.count_calls(monkeypatch, "fan_from_polygon",
                                 "analyze_fan", "classify_one_singularity")

@@ -14,7 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+import ldpsurf.cli as cli
 import ldpsurf.embedding as emb
+import ldpsurf.lattice as lattice
 from helpers import (koelman_quadrics, parse_ideal, relation_rank,
                      span_membership)
 from ldpsurf import (ConsistencyError, DomainError, LatticePolygon, TableRow,
@@ -193,14 +195,17 @@ def test_empty_fiber_names_check_and_values(monkeypatch):
     e = helpers.embedding_of(canonical_polygon(3, 3))
     real = emb.frame_columns
 
-    def short(p):  # P's last column loses its top point; 2P is swept whole
+    # P is swept whole, so its point count holds; 2P's last column gains a
+    # point above its top, twice the top of P's last column, that no pair
+    # of P reaches
+    def tall(p):
         frame, columns = real(p)
-        if p != e.polygon:
+        if p == e.polygon:
             return frame, columns
         *rest, (u, lo, hi, edge) = columns
-        return frame, [*rest, (u, lo, hi - 1, edge)]
+        return frame, [*rest, (u, lo, hi + 1, edge)]
 
-    monkeypatch.setattr(emb, "frame_columns", short)
+    monkeypatch.setattr(emb, "frame_columns", tall)
     with pytest.raises(ConsistencyError) as exc:
         minimal_system(e)
     err = exc.value
@@ -231,13 +236,29 @@ def test_exact_div_failure_names_check_and_values():
 
 
 def test_pick_failure_names_check_and_values(monkeypatch):
+    # analyze's sweep of P checks the counts embedding_data read off the
+    # vertices
     helpers.lose_one_interior_point(monkeypatch)
     with pytest.raises(ConsistencyError) as exc:
-        embedding_data(ldp_analyze(canonical_polygon(3, 3)))
-    err = exc.value  # (3, 3): 22 points, 14 on the boundary, degree 28
+        cli._analyze_payload(canonical_polygon(3, 3))
+    err = exc.value  # (3, 3): 22 points, 14 on the boundary, 8 inside
     assert (err.check, err.expected, err.got) == (
-        "Pick: 2·delta == 2A + B", 28 + 14, 2 * 20)
-    assert str(err) == "point count violates the Pick identity"
+        "swept (B, I) == Pick (B, I)", (14, 8), (14, 7))
+    assert str(err) == "swept points differ from Pick's count"
+
+
+def test_embedding_data_reads_the_vertices_and_sweeps_nothing(monkeypatch):
+    def unswept(p):
+        raise AssertionError("a lattice sweep ran")
+
+    monkeypatch.setattr(lattice, "_columns", unswept)
+    for k in (1, 2, 3):  # P holds about 10^12 lattice points
+        e = embedding_data(ldp_analyze(canonical_polygon(k, 10**6)))
+        row = table_formulas(k, 10**6)
+        assert (e.ambient_dim, e.degree, e.boundary_count, e.interior_count,
+                quadric_count_by_counting(e)) == (
+            row.ambient_dim, row.degree, row.boundary_count, row.genus,
+            row.quadric_count)
 
 
 def sum_point(b):

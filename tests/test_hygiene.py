@@ -10,7 +10,8 @@ with its reason, among the exports kept without a consumer.  Likewise every
 public method, property and annotated field of a class must be loaded as an
 attribute somewhere in src/ outside its own definition, or be listed.  Each
 private name that one module imports from another is listed with its reason.
-No function nested in another reads its own name.  Every class but the
+No function nested in another reads its own name.  Every ConsistencyError
+raised names its check and both values.  Every class but the
 exceptions has __slots__ of its own, so it keeps no per-instance __dict__,
 and assigning any of its fields raises AttributeError.
 """
@@ -186,6 +187,21 @@ def test_every_public_member_is_read():
                         and qualified not in MEMBERS_WITHOUT_READER):
                     unread.append(f"{name}:{node.lineno} {qualified}")
     assert not unread, f"public members read nowhere in src/: {unread}"
+
+
+def test_every_consistency_error_names_its_check_and_values():
+    # exit 4 prints the check line only when all three are given; there are
+    # 15 such raisers, and one removed on purpose lowers the floor here
+    calls, bare = 0, []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "ConsistencyError"):
+                calls += 1
+                given = {kw.arg for kw in node.keywords}
+                if not {"check", "expected", "got"} <= given:
+                    bare.append(f"{name}:{node.lineno}")
+    assert calls >= 15 and not bare, f"without check, expected, got: {bare}"
 
 
 def test_no_nested_function_reads_its_own_name():

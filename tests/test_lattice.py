@@ -392,7 +392,7 @@ def test_sweep_visits_the_columns_of_the_narrowest_frame(poly):
         lattice.frame_columns(poly)[0]
 
 
-def test_quadrics_sweeps_p_twice_and_2p_once():
+def test_quadrics_sweeps_p_once_and_2p_once():
     q = apply_map(UnimodularMap(1, 0, 9, 1), canonical_polygon(3, 9))
     dilated = ldp_analyze(q).dilated_polar
     once = swept_columns(count_lattice_points, dilated)
@@ -400,11 +400,12 @@ def test_quadrics_sweeps_p_twice_and_2p_once():
     assert (once, doubled) == (7, 13)  # the x frame is 456 columns wide
 
     def quadrics(q):
-        # embedding_data counts P, minimal_system builds its column table
-        # and roots the fibers of 2P, and the writer sweeps nothing
+        # embedding_data reads P's vertices, minimal_system builds its
+        # column table and roots the fibers of 2P, and the writer sweeps
+        # nothing
         format_ideal(minimal_system(embedding_data(ldp_analyze(q))))
 
-    assert swept_columns(quadrics, q) == 2 * once + doubled
+    assert swept_columns(quadrics, q) == once + doubled
 
 
 def test_sheared_polygon_costs_the_columns_of_its_unsheared_form():
