@@ -47,10 +47,11 @@ def _analyze_payload(q: LatticePolygon) -> dict:
     emb = embedding_data(data)
     # the one sweep checks the vertex route (ROADMAP item 2 drops it)
     boundary, interior = lattice_points(data.dilated_polar)
-    pick = (emb.boundary_count, emb.interior_count)
-    if (swept := (len(boundary), len(interior))) != pick:
+    pick = (emb.ambient_dim + 1, emb.boundary_count, emb.interior_count)
+    swept = (len(boundary) + len(interior), len(boundary), len(interior))
+    if swept != pick:
         raise ConsistencyError("swept points differ from Pick's count",
-                               check="swept (B, I) == Pick (B, I)",
+                               check="swept (n, B, I) == Pick (n, B, I)",
                                expected=pick, got=swept)
     try:
         cls = classify_one_singularity(data.analysis)

@@ -224,7 +224,47 @@ def _check_bound(bound: int) -> None:
 
 
 def _one_singularity_walks(bound: int) -> Iterator[list]:
-    """Each walked first vertex's closed (chain, classification) pairs."""
+    """Each walked first vertex's closed (chain, classification) pairs, the
+    search that enumerate_one_singularity and count_one_singularity share.
+
+    A one-singularity polygon has exactly one cone of det > 1.  A
+    depth-first search grows it from f = first, the vertex after that
+    cone.  No prune drops a polygon: every other cone is basic, so each
+    vertex after first is on the det = 1 line of the one before, and a
+    strictly convex polygon turns strictly left at every vertex and has
+    first strictly left of every edge not containing it.  So a step from
+    l = last, after p with det(p, l) = 1, takes cand = c0 + t·l, with c0
+    from bezout and det(l, c0) = 1, for t in one range: the box clip, by
+    two floor divisions, and two bounds.
+    - Strict left turn at l: t <= 1 - det(p, c0).
+    - f strictly left of l -> cand: det(c0, f) + 1 + (t - 1)·d > 0, with
+      d = det(l, f); for d > 0 it reads t >= 1 - floor(det(c0, f) / d).
+      For d = 0, f = -l and the left side is 2.  For d < 0 the turn bound
+      implies it: with a(v) = det(v, c0), the step onto l gave
+      a(f) < 1 + (1 - a(p))·d, so a(f) < 1 - a(p)·d <= 1 + (t - 1)·d.  At
+      the first step p = f, and the two tests are one.
+    No t in the range passes first: for d >= 1 the bound gives
+    det(f, cand) < 1 - d <= 0, and for d <= 0 first is at least a half
+    turn ahead of a step that turns by less than one.  The walk closes when
+    det(last, first) > 1 and the turn at first is strict.  A vertical line
+    meets at most two vertices of a strictly convex arc, so a chain has at
+    most 4·bound + 2, two per column (6 at bounds 1-12); a longer one means
+    a broken t-bound and raises ConsistencyError at once.
+
+    Only first vertices with x >= 0 and y < 0 are walked.  The quarter turn
+    R: (x, y) -> (-y, x) has det 1, keeps the box and fixes no nonzero
+    point, and this quadrant and its three turns cover each nonzero point
+    once, so R^j maps the polygons walked from f onto those found from
+    R^j(f): each walk's polygons are followed by their three turns.  The
+    cone normalizer is the unique det +1 map with its defining property,
+    so R(P) has the transform T·R^-1, of entries (-b, a, -d, c) for T's
+    (a, b, c, d), and the same k, p, normal_form and mu, so
+    count_one_singularity adds 4 per walked polygon and builds no turn.
+
+    When a walk closes, _normal_form certifies the chain, started at last,
+    from the singular cone (last, first), with last's Bezout pair from its
+    line and q = d, or raises ConsistencyError.
+    """
     # line[l] = (lam, kappa, lo, hi): the box points c with det(l, c) = 1
     # are c0 + t·l for lo <= t <= hi, with c0 = (lam, kappa)
     line: dict[Point, tuple[int, int, int, int]] = {}
@@ -282,47 +322,12 @@ def _turned_pairs(walks: Iterator[list]) -> Iterator[Enumerated]:
 
 def enumerate_one_singularity(bound: int) -> Iterator[Enumerated]:
     """Exhaustively enumerate one-singularity log del Pezzo polygons whose
-    vertex coordinates lie in [-bound, bound]^2, for 1 <= bound <= MAX_BOUND.
-
-    Such a polygon has exactly one cone of det > 1.  A depth-first search
-    grows it from f = first, the vertex after that cone.  No prune drops a
-    polygon: every other cone is basic, so each vertex after first is on
-    the det = 1 line of the one before, and a strictly convex polygon turns
-    strictly left at every vertex and has first strictly left of every edge
-    not containing it.  So a step from l = last, after p with det(p, l) = 1,
-    takes cand = c0 + t·l, with c0 from bezout and det(l, c0) = 1, for t in
-    one range: the box clip, by two floor divisions, and two bounds.
-    - Strict left turn at l: t <= 1 - det(p, c0).
-    - f strictly left of l -> cand: det(c0, f) + 1 + (t - 1)·d > 0, with
-      d = det(l, f); for d > 0 it reads t >= 1 - floor(det(c0, f) / d).
-      For d = 0, f = -l and the left side is 2.  For d < 0 the turn bound
-      implies it: with a(v) = det(v, c0), the step onto l gave
-      a(f) < 1 + (1 - a(p))·d, so a(f) < 1 - a(p)·d <= 1 + (t - 1)·d.  At
-      the first step p = f, and the two tests are one.
-    No t in the range passes first: for d >= 1 the bound gives
-    det(f, cand) < 1 - d <= 0, and for d <= 0 first is at least a half
-    turn ahead of a step that turns by less than one.  The walk closes when
-    det(last, first) > 1 and the turn at first is strict.  A bound that is
-    not an int from 1 to MAX_BOUND raises DomainError at the call itself.
-    A vertical line meets at most two vertices of a strictly convex arc, so
-    a chain has at most 4·bound + 2, two per column (6 at bounds 1-12); a
-    longer one means a broken t-bound and raises ConsistencyError at once.
-
-    Only first vertices with x >= 0 and y < 0 are walked.  The quarter turn
-    R: (x, y) -> (-y, x) has det 1, keeps the box and fixes no nonzero
-    point, and this quadrant and its three turns cover each nonzero point
-    once, so R^j maps the polygons walked from f onto those found from
-    R^j(f): each walk's polygons are followed by their three turns.  The
-    cone normalizer is the unique det +1 map with its defining property,
-    so R(P) has the transform T·R^-1, of entries (-b, a, -d, c) for T's
-    (a, b, c, d), and the same k, p, normal_form and mu, so
-    count_one_singularity adds 4 per walked polygon and builds no turn.
-
-    When a walk closes, _normal_form certifies the chain, started at last,
-    from the singular cone (last, first), with last's Bezout pair from its
-    line and q = d, or raises ConsistencyError.  Yields (vertices,
-    classification) pairs in search order, the vertices anticlockwise from
-    the smallest, as LatticePolygon stores them, one batch at a time.
+    vertex coordinates lie in [-bound, bound]^2, for 1 <= bound <= MAX_BOUND
+    (any other bound raises DomainError at the call itself).
+    The search and its proof: `_one_singularity_walks`.  Yields (vertices,
+    classification) pairs in search order, each walk's polygons then their
+    three quarter turns, the vertices anticlockwise from the smallest, as
+    LatticePolygon stores them, one batch at a time.
     """
     _check_bound(bound)
     return _turned_pairs(_one_singularity_walks(bound))

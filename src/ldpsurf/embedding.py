@@ -26,8 +26,7 @@ from typing import NamedTuple, TextIO
 from .delpezzo import LdpData, canonical_polygon, ldp_analyze
 from .errors import ConsistencyError, DomainError
 from .lattice import (LatticePolygon, Point, count_lattice_points, dilate,
-                      frame_columns, lattice_points, minkowski_double,
-                      polygon_area2)
+                      frame_columns, minkowski_double, polygon_area2)
 
 
 class EmbeddingData(NamedTuple):
@@ -43,15 +42,15 @@ class EmbeddingData(NamedTuple):
 class QuadricIdealReport(NamedTuple):
     """A minimal generating system as P's column table in its narrowest
     frame (a, b, kappa, lam), as `frame_columns` gives it, and one root per
-    sum fiber.  P's i-th point in lexicographic order is `factors[i]`, at
+    sum fiber.  P's i-th point in lexicographic order is `points[i]`, at
     height v of column j for `cells[i]` = (j, v); `pairs[sj]` holds (lo, hi,
-    indices) of j and (lo, hi) of sj − j."""
+    indices) of j and (lo, hi) of sj − j, an empty column as (lo, lo − 1)."""
 
     embedding: EmbeddingData
     count: int
     frame: tuple[int, int, int, int]
-    factors: list[str]
-    cells: list[Point]
+    points: tuple[Point, ...]
+    cells: tuple[Point, ...]
     pairs: list[list[tuple]]
     roots: list[int]
 
@@ -86,9 +85,9 @@ def embedding_data(data: LdpData) -> EmbeddingData:
 def sum_fibers(e: EmbeddingData) -> dict[Point, list[tuple[Point, Point]]]:
     """Unordered point pairs fibers by their coordinate sum, fibers and
     pairs sorted: the fibers of `minimal_system` read as point pairs."""
-    points, fibers = sorted(set().union(*lattice_points(e.polygon))), {}
-    for members in _fibers(minimal_system(e)):
-        pairs = [(points[c], points[d]) for c, d
+    report, fibers = minimal_system(e), {}
+    for members in _fibers(report):
+        pairs = [(report.points[c], report.points[d]) for c, d
                  in zip(members[:(len(members) + 1) // 2], members[::-1])]
         (ax, ay), (bx, by) = pairs[0]
         fibers[(ax + bx, ay + by)] = pairs
@@ -106,21 +105,20 @@ def quadric_count_by_counting(e: EmbeddingData) -> int:
 
 def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
     """Minimal generating system of the embedding ideal, no pair stored.
-    One sweep of P's narrowest frame gives the column table and the order;
-    its points must number ambient_dim + 1, read off P's vertices.  The
-    fiber {c in P : s − c in P} of each point s of 2P, swept in the same
-    frame (dilation keeps it), is a slice per column pair (j, s_j − j); its
+    One sweep of P's narrowest frame gives the column table, whose cells
+    are mapped to P's points once and sorted by them; they must number
+    ambient_dim + 1, read off P's vertices.  The fiber {c in P : s − c in
+    P} of each point s of 2P, swept in the same frame (dilation keeps it),
+    is a slice per column pair (j, s_j − j), ascending up each column; its
     least member l and greatest s − l (c ↦ s − c reverses the order) root
     it.  No fiber may be empty (P is normal); they number Ehrhart's L_P(2)."""
     (a, b, kappa, lam), sweep = frame_columns(e.polygon)
-    spans = {u: (lo, hi) for u, lo, hi, _ in sweep}
-    first = min(spans)  # a column with no lattice point spans (1, 0)
-    table = [(lo, hi, [0] * (hi - lo + 1)) for lo, hi in
-             (spans.get(u, (1, 0)) for u in range(first, max(spans) + 1))]
-    cells = sorted(((j, v) for j, (lo, hi, _) in enumerate(table)
-                    for v in range(lo, hi + 1)),
-                   key=lambda c: (kappa * c[0] - b * c[1],  # a shifted point
-                                  a * c[1] - lam * c[0]))
+    table, mapped = [], []
+    for j, (u, lo, hi, _) in enumerate(sweep):  # every column, in order
+        table.append((lo, hi, [0] * (hi - lo + 1)))
+        mapped += [((kappa * u - b * v, a * v - lam * u), (j, v))
+                   for v in range(lo, hi + 1)]
+    points, cells = zip(*sorted(mapped))  # P's points are distinct
     for i, (j, v) in enumerate(cells):
         table[j][2][v - table[j][0]] = i
     n, roots, width = len(cells), [], len(table)
@@ -131,16 +129,15 @@ def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
                                expected=e.ambient_dim + 1, got=n)
     pairs = [[(*table[j], *table[sj - j][:2]) for j in range(width)
               if 0 <= sj - j < width] for sj in range(2 * width - 1)]
-    up = b < 0 or (b == 0 and a > 0)  # the step (-b, a) up a column
-    for su, lo2, hi2, _ in frame_columns(dilate(e.polygon, 2))[1]:
-        sj = su - 2 * first
+    for sj, (su, lo2, hi2, _) in enumerate(  # 2P starts at twice P
+            frame_columns(dilate(e.polygon, 2))[1]):
         for sv in range(lo2, hi2 + 1):
             least = n
             for lo, hi, column, wlo, whi in pairs[sj]:
                 vlo = lo if lo > sv - whi else sv - whi
                 vhi = hi if hi < sv - wlo else sv - wlo
-                if vlo <= vhi and column[(vlo if up else vhi) - lo] < least:
-                    least = column[(vlo if up else vhi) - lo]
+                if vlo <= vhi and column[vlo - lo] < least:
+                    least = column[vlo - lo]
             if least == n:
                 raise ConsistencyError(f"no pair of P sums to ({su}, {sv}) in "
                                        "2P's frame", check="fiber size >= 1",
@@ -155,10 +152,8 @@ def minimal_system(e: EmbeddingData) -> QuadricIdealReport:
                                check="sum fibers == L_P(2)",
                                expected=doubled, got=len(roots))
     roots.sort()
-    factors = [f"z({kappa * (first + j) - b * v},{a * v - lam * (first + j)})"
-               for j, v in cells]
     return QuadricIdealReport(e, n * (n + 1) // 2 - len(roots),
-                              (a, b, kappa, lam), factors, cells, pairs, roots)
+                              (a, b, kappa, lam), points, cells, pairs, roots)
 
 
 def _fibers(report: QuadricIdealReport):
@@ -253,12 +248,14 @@ def write_ideal(report: QuadricIdealReport, fh: TextIO) -> None:
     Fiber members c_0 < ... < c_{K−1} pair as (c_i, c_{K−1−i}), and each
     pair after the root (c_0, c_{K−1}) is one line of the header's count.
     In the x frame (b = 0) the lines come from slice runs (`_run_texts`);
-    in any other frame from each fiber's sorted members (`_sorted_texts`)."""
-    e, factors, count = report.embedding, report.factors, report.count
+    in any other frame from each fiber's sorted members (`_sorted_texts`),
+    with each point of P rendered once as a left and as a right factor."""
+    e, count = report.embedding, report.count
     fh.write("# minimal quadric generating system\n"
              f"# ambient_dim={e.ambient_dim} degree={e.degree} "
              f"generators={count} sectional_genus={e.interior_count}\n")
-    lefts, rights = [f"{z}*" for z in factors], [f"{z}\n" for z in factors]
+    lefts = [f"z({x},{y})*" for x, y in report.points]
+    rights = [f"z({x},{y})\n" for x, y in report.points]
     texts = _run_texts if report.frame[1] == 0 else _sorted_texts
     written = 0
     for text, lines in texts(report, lefts, rights):
@@ -290,7 +287,7 @@ def _run_texts(report: QuadricIdealReport, lefts: list[str],
                                                        row[::-1]):
             vlo = lo if lo > sv - whi else sv - whi
             vhi = hi if hi < sv - wlo else sv - wlo
-            if vlo <= vhi:  # an empty column (1, 0) never is
+            if vlo <= vhi:  # an empty column (lo, lo - 1) never is
                 i = column[0] - lo  # row v of column j is index i + v
                 w = n - 1 - partner[2][0] + wlo - sv  # its partner, reversed
                 left += lefts[i + vlo:i + vhi + 1]
@@ -312,14 +309,13 @@ def _run_texts(report: QuadricIdealReport, lefts: list[str],
 def _sorted_texts(report: QuadricIdealReport, lefts: list[str],
                   rights: list[str]):
     """Each fiber's lines and their number, in root order, from its sorted
-    members (`_fibers`): any frame, where a sheared P's lexicographic order
-    splits a column slice into many short runs."""
-    factors = report.factors
+    members (`_fibers`) and the factors `write_ideal` rendered: any frame,
+    where a sheared P's lexicographic order splits a slice into short runs."""
     for members in _fibers(report):
         if lines := (len(members) + 1) // 2 - 1:  # so each pick takes 2+
             left = itemgetter(*members[:lines + 1])(lefts)
             right = itemgetter(*members[-lines - 1:])(rights)
-            text = [f"{left[0]}{factors[members[-1]]} - "] * (3 * lines)
+            text = [f"{left[0]}{right[-1][:-1]} - "] * (3 * lines)
             text[1::3], text[2::3] = left[1:], right[-2::-1]
             yield "".join(text), lines
 

@@ -73,8 +73,6 @@ def _winding(vectors: Sequence[Sequence[int]]) -> int:
 
 def int_pair(v) -> Point | None:
     """v as (x, y) if it is a pair of ints, else None; bool is no int here."""
-    if type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is int:
-        return v  # the common case, taken without unpacking
     try:
         x, y = v
     except (TypeError, ValueError):  # not a pair
@@ -218,8 +216,8 @@ class PointCounts(NamedTuple):
 
 
 def _columns(p: LatticePolygon):
-    """Integer column sweep: yield (x, lo, hi, edge) for every abscissa x
-    whose slice holds a lattice point, where lo..hi is the slice's y-range and
+    """Integer column sweep: yield (x, lo, hi, edge) for every abscissa x of
+    the polygon's x-range, in order, where lo..hi is the slice's y-range and
     `edge` holds the y values of the slice that lie on the boundary.
 
     The edges with b > 0 form the lower chain and those with b < 0 the upper
@@ -231,16 +229,17 @@ def _columns(p: LatticePolygon):
     bound the column no more tightly there, so none of them passes through
     an end that the column's own edge misses.  The two per-column lists cost
     O(columns) memory.
-    A point strictly between lo and hi lies on no edge with b != 0 (such an
-    edge bounds the slice at that point), so it can only lie on a vertical
-    edge: `edge` is the whole column when a vertical edge sits at x, and
-    otherwise the ends that lie on an edge.
-    Its callers pass it a polygon's narrowest-frame image.
+    An empty slice has lo = hi + 1 and an empty `edge`, for an end with
+    r = 0 would be a point of it.  A point strictly between lo and hi lies
+    on no edge with b != 0 (such an edge bounds the slice at that point),
+    and vertical edges sit only at the first and last columns, which lie on
+    supporting lines: `edge` is the whole column there, and otherwise the
+    ends that lie on an edge.  Its callers pass it a narrowest-frame image.
     """
     verts = p.vertices
     first = verts[0][0]  # the lexicographically smallest vertex is leftmost
-    width = max(x for x, _ in verts) - first + 1
-    lower, upper, walls = [None] * width, [None] * width, set()
+    last = max(x for x, _ in verts)
+    lower, upper = [None] * (last - first + 1), [None] * (last - first + 1)
     for (a, b, c), (vx, _), (wx, _) in zip(edge_lines(p), verts,
                                            verts[1:] + verts[:1]):
         # anticlockwise, the lower chain runs left to right and the upper
@@ -251,14 +250,10 @@ def _columns(p: LatticePolygon):
         elif b < 0:
             for x in range(wx, vx + 1):
                 upper[x - first] = divmod(a * x - c, -b)
-        else:
-            walls.add(vx)
-    for x, (low, low_r), (hi, high_r) in zip(range(first, first + width),
+    for x, (low, low_r), (hi, high_r) in zip(range(first, last + 1),
                                              lower, upper):
         lo = -low
-        if lo > hi:
-            continue
-        if x in walls:
+        if x == first or x == last:
             edge = range(lo, hi + 1)
         else:
             edge = {y for y, r in ((lo, low_r), (hi, high_r)) if r == 0}
@@ -269,7 +264,8 @@ def frame_columns(p: LatticePolygon):
     """(frame, columns): p's narrowest frame (a, b, kappa, lam), the map
     (x, y) -> (a*x + b*y, lam*x + kappa*y) of determinant 1 for (a, b) the
     x-axis or, if strictly narrower, the inner edge normal with the fewest
-    columns, and `_columns` of p's image there; see `lattice_points`."""
+    columns, negated if b > 0, and `_columns` of p's image there.  Column u
+    maps back to (kappa*u, -lam*u) + v·(-b, a), ascending lexicographically."""
     verts = p.vertices
     xs = [x for x, _ in verts]
     width, a, b = max(xs) - min(xs), 1, 0
@@ -283,6 +279,8 @@ def frame_columns(p: LatticePolygon):
         w = ea * ring[j][0] + eb * ring[j][1] - c
         if w < width:
             width, a, b = w, ea, eb
+    if b > 0:  # a column's step (-b, a) goes down the lexicographic order
+        a, b = -a, -b
     kappa, lam = bezout(a, b)
     if b:  # b = 0 only for the x-axis itself
         p = LatticePolygon(tuple((a * x + b * y, lam * x + kappa * y)
@@ -292,9 +290,8 @@ def frame_columns(p: LatticePolygon):
 
 def lattice_points(p: LatticePolygon) -> tuple[set[Point], set[Point]]:
     """Exact lattice point sets of a polygon, split as (boundary, interior),
-    materialized from the column sweep of its narrowest frame.  Column u of
-    the image maps back to the progression from (kappa*u, -lam*u) with
-    steps (-b, a), one C-level set update per column."""
+    materialized from the column sweep of its narrowest frame, one C-level
+    set update per column (`frame_columns` maps a column back)."""
     (a, b, kappa, lam), columns = frame_columns(p)
     boundary: set[Point] = set()
     interior: set[Point] = set()
@@ -303,7 +300,7 @@ def lattice_points(p: LatticePolygon) -> tuple[set[Point], set[Point]]:
         if isinstance(edge, set):
             boundary.update((x - b * v, y + a * v) for v in edge)
             lo, hi, points = lo + (lo in edge), hi - (hi in edge), interior
-        else:  # a wall's column is all boundary
+        else:  # an end column is all boundary
             points = boundary
         n = hi - lo + 1
         points.update(zip(

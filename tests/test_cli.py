@@ -590,6 +590,12 @@ STDOUT_SHA256 = {
     "quadrics-multi-sheared": (
         ("quadrics", apply_map(UnimodularMap(1, 0, 6, 1), MULTI)),
         "1ec07f45135ba44350804f9657553c10e3e547487d55d2f212710c36b8a60266"),
+    # a shear whose P is narrowest along the inner edge normal (-1, 1), whose
+    # step (-1, -1) runs down the lexicographic order: the sweep negates it
+    "quadrics-1-3-sheared-down": (
+        ("quadrics",
+         apply_map(UnimodularMap(1, 0, -1, 1), canonical_polygon(1, 3))),
+        "37463439694a73bac57ceeac1db633485a4e3dac2a11f29652d2774953b166b8"),
     "classify-mirror-json": (
         ("classify", mirror_quad(4), "--json"),
         "0869859cfde9c71cffed90f105d126af955f64ae545f030c3bbbe73f93fb11f8"),
@@ -691,8 +697,24 @@ def test_pick_failure_exits_4_with_both_values(capsys, monkeypatch):
     code, out, err = run(capsys, "analyze", "--canonical", "3", "3")
     assert (code, out) == (4, "")
     assert err == ("internal error: swept points differ from Pick's count\n"
-                   "  check swept (B, I) == Pick (B, I): expected (14, 8), "
-                   "got (14, 7)\n")
+                   "  check swept (n, B, I) == Pick (n, B, I): expected "
+                   "(22, 14, 8), got (21, 14, 7)\n")
+
+
+def test_ambient_dimension_failure_exits_4(capsys, monkeypatch):
+    # a dimension one too high, read off P's vertices, meets the sweep's n
+    real = cli.embedding_data
+
+    def skewed(data):  # no valid input reaches the check through the CLI
+        e = real(data)
+        return e._replace(ambient_dim=e.ambient_dim + 1)
+
+    monkeypatch.setattr(cli, "embedding_data", skewed)
+    code, out, err = run(capsys, "analyze", "--canonical", "3", "3")
+    assert (code, out) == (4, "")
+    assert err == ("internal error: swept points differ from Pick's count\n"
+                   "  check swept (n, B, I) == Pick (n, B, I): expected "
+                   "(23, 14, 8), got (22, 14, 8)\n")
 
 
 def test_tables(capsys):

@@ -243,7 +243,7 @@ def test_pick_failure_names_check_and_values(monkeypatch):
         cli._analyze_payload(canonical_polygon(3, 3))
     err = exc.value  # (3, 3): 22 points, 14 on the boundary, 8 inside
     assert (err.check, err.expected, err.got) == (
-        "swept (B, I) == Pick (B, I)", (14, 8), (14, 7))
+        "swept (n, B, I) == Pick (n, B, I)", (22, 14, 8), (21, 14, 7))
     assert str(err) == "swept points differ from Pick's count"
 
 

@@ -25,7 +25,7 @@ from ldpsurf import (DomainError, LatticePolygon, ParseError, UnimodularMap,
                      is_primitive, lattice, lattice_points, ldp_analyze,
                      load_polygon, minimal_system, minkowski_double,
                      parse_polygon_text, polygon_area2, polygon_from_array,
-                     polygon_to_array, read_polygon_file)
+                     polygon_to_array, read_polygon_file, sum_fibers)
 from ldpsurf.lattice import edge_lines
 
 TRIANGLE = LatticePolygon(((0, 0), (3, 0), (0, 3)))
@@ -392,7 +392,7 @@ def test_sweep_visits_the_columns_of_the_narrowest_frame(poly):
         lattice.frame_columns(poly)[0]
 
 
-def test_quadrics_sweeps_p_once_and_2p_once():
+def test_quadrics_sweeps_p_once_and_2p_once(monkeypatch):
     q = apply_map(UnimodularMap(1, 0, 9, 1), canonical_polygon(3, 9))
     dilated = ldp_analyze(q).dilated_polar
     once = swept_columns(count_lattice_points, dilated)
@@ -406,6 +406,31 @@ def test_quadrics_sweeps_p_once_and_2p_once():
         format_ideal(minimal_system(embedding_data(ldp_analyze(q))))
 
     assert swept_columns(quadrics, q) == once + doubled
+    # sum_fibers reads P's points off the same column table
+    calls = helpers.count_calls(monkeypatch, "lattice_points")
+    assert swept_columns(sum_fibers, embedding_data(ldp_analyze(q))) == \
+        once + doubled
+    assert calls == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(polygons(), sheared_polygons()))
+# inner edge normals (1, 1) and (2, 3), whose steps (-1, 1) and (-3, 2)
+# run down the lexicographic order
+@example(LatticePolygon(((0, 0), (4, -4), (5, -4), (1, 0))))
+@example(LatticePolygon(((0, 0), (3, -2), (4, -2), (1, 0))))
+# columns that hold no point
+@example(LatticePolygon(((0, 1), (0, 2), (5, 0))))
+def test_frame_sweep_yields_every_column_ascending(poly):
+    (a, b, _, _), columns = lattice.frame_columns(poly)
+    assert (-b, a) > (0, 0)  # the step up a column ascends
+    image = [a * x + b * y for x, y in poly.vertices]
+    columns = list(columns)
+    assert [u for u, _, _, _ in columns] == \
+        list(range(min(image), max(image) + 1))
+    for _, lo, hi, edge in columns:
+        assert hi >= lo - 1
+        assert lo <= hi or not edge
 
 
 def test_sheared_polygon_costs_the_columns_of_its_unsheared_form():
