@@ -9,7 +9,6 @@ closed (128 + SIGPIPE, as a shell reports it; nothing on stderr).
 from __future__ import annotations
 
 import argparse
-import collections
 import functools
 import json
 import os
@@ -221,12 +220,10 @@ def _cmd_tables(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     classes = group_classes(count_one_singularity(args.bound))
-    total = sum(e["count"] for e in classes.values())
-    print(f"bound={args.bound}: {total} polygons in "
+    print(f"bound={args.bound}: {sum(classes.values())} polygons in "
           f"{len(classes)} isomorphism classes")
-    summary = collections.Counter((e["k"], e["p"]) for e in classes.values())
-    for (k, p), count in sorted(summary.items()):
-        print(f"  k={k} p={p}: {count} class(es)")
+    for k, p in sorted(classes):
+        print(f"  k={k} p={p}: 1 class(es)")
     return 0
 
 

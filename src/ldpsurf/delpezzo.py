@@ -344,19 +344,19 @@ def count_one_singularity(bound: int) -> collections.Counter:
     return counts
 
 
-def group_classes(counts: Mapping[tuple[int, int], int]) -> dict[tuple, dict]:
-    """Key polygon counts per (k, p), as count_one_singularity gives them,
-    by the graph key of canonical_polygon(k, p), computed once per (k, p)
-    present; two (k, p) sharing a key raise ConsistencyError."""
-    classes: dict[tuple, dict] = {}
-    for (k, p), count in counts.items():
+def group_classes(counts: Mapping[tuple[int, int], int]
+                  ) -> Mapping[tuple[int, int], int]:
+    """Return counts, as count_one_singularity gives them, once their
+    (k, p) are checked to be distinct classes: the graph keys of their
+    canonical_polygon(k, p), computed once each, differ, or two sharing a
+    key raise ConsistencyError.  Each (k, p) is one isomorphism class."""
+    seen: dict[tuple, tuple[int, int]] = {}
+    for k, p in counts:
         key = canonical_key(graph_of(analyze_fan(fan_from_polygon(
             canonical_polygon(k, p)))))
-        entry = classes.setdefault(key, {"k": k, "p": p, "count": 0})
-        if (entry["k"], entry["p"]) != (k, p):
+        first = seen.setdefault(key, (k, p))
+        if first != (k, p):
             raise ConsistencyError(
                 "two normal forms have one graph class",
-                check="one (k, p) per graph class",
-                expected=(entry["k"], entry["p"]), got=(k, p))
-        entry["count"] += count
-    return classes
+                check="one (k, p) per graph class", expected=first, got=(k, p))
+    return counts

@@ -271,32 +271,27 @@ def _run_texts(report: QuadricIdealReport, lefts: list[str],
                rights: list[str]):
     """Each fiber's lines and their number, in root order, from slice runs.
     In the x frame a point's lexicographic index is its column-major index,
-    so the fiber members c of column j < sj − j are one slice of `lefts`,
+    so the fiber members c of column j <= sj − j are one slice of `lefts`,
     and their partners s − c, down column sj − j, one slice of `rights`
-    taken in reverse; the middle column j = sj − j pairs its rows
-    v <= sv // 2, the square z(c)·z(c) included.  Runs of increasing j
-    concatenate to c_0, c_1, ... and their partners to c_{K−1}, c_{K−2},
-    ...: the root comes first, and nothing is sorted."""
+    taken in reverse.  The middle column j = sj − j is the pair that is its
+    own partner, and it takes only its rows v <= sv // 2, the square
+    z(c)·z(c) included.  Runs of increasing j concatenate to c_0, c_1, ...
+    and their partners to c_{K−1}, c_{K−2}, ...: the root comes first, and
+    nothing is sorted."""
     cells, pairs, n = report.cells, report.pairs, len(report.cells)
     rights_reversed = rights[::-1]  # so a partner run is a forward slice
     for root in report.roots:
         (lj, lv), (gj, gv) = cells[root // n], cells[root % n]
-        sv, row = lv + gv, pairs[lj + gj]
-        half, left, right = len(row) // 2, [], []
-        for (lo, hi, column, wlo, whi), partner in zip(row[:half],
-                                                       row[::-1]):
+        sv, row, left, right = lv + gv, pairs[lj + gj], [], []
+        for pair, partner in zip(row[:(len(row) + 1) // 2], row[::-1]):
+            lo, hi, column, wlo, whi = pair
             vlo = lo if lo > sv - whi else sv - whi
             vhi = hi if hi < sv - wlo else sv - wlo
+            if pair is partner:  # the middle column: rows v <= sv - v
+                vhi = min(vhi, sv // 2)
             if vlo <= vhi:  # an empty column (lo, lo - 1) never is
                 i = column[0] - lo  # row v of column j is index i + v
                 w = n - 1 - partner[2][0] + wlo - sv  # its partner, reversed
-                left += lefts[i + vlo:i + vhi + 1]
-                right += rights_reversed[w + vlo:w + vhi + 1]
-        if len(row) % 2:  # the middle column: rows v <= sv - v
-            lo, hi, column, _, _ = row[half]
-            vlo, vhi = (lo if lo > sv - hi else sv - hi), sv // 2
-            if vlo <= vhi:
-                i, w = column[0] - lo, n - 1 - column[0] + lo - sv
                 left += lefts[i + vlo:i + vhi + 1]
                 right += rights_reversed[w + vlo:w + vhi + 1]
         if (lines := len(left) - 1) > 0:

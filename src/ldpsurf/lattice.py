@@ -163,8 +163,8 @@ class LatticePolygon(_Frozen):
             vertices = vertices[::-1]
         edges = [(wx - vx, wy - vy) for (vx, vy), (wx, wy)
                  in zip(vertices, vertices[1:] + vertices[:1])]
-        for (ex, ey), (fx, fy) in zip(edges, edges[1:] + edges[:1]):
-            if ex * fy - ey * fx <= 0:  # cross(e, f), inlined: a hot path
+        for e, f in zip(edges, edges[1:] + edges[:1]):
+            if cross(e, f) <= 0:
                 raise DomainError(
                     "vertices are not in strictly convex position "
                     "(collinear or reflex vertex)"

@@ -168,7 +168,7 @@ def test_criterion_7_enumeration():
     results = helpers.enumerated(4)
     classes = group_classes(helpers.class_counts(results))
     dt = time.perf_counter() - t0
-    by_kp = sorted({(e["k"], e["p"]) for e in classes.values()})
+    by_kp = sorted(classes)
     expected = sorted((k, p) for k in (1, 2, 3) for p in range(1, 8))
     ok = (len(results) == 944 and len(classes) == 21
           and by_kp == expected and dt < 60.0)

@@ -28,8 +28,8 @@ import ldpsurf.embedding as embedding
 import ldpsurf.lattice as lattice
 from helpers import parse_ideal
 from ldpsurf import (LatticePolygon, TableRow, UnimodularMap, apply_map,
-                     canonical_polygon, format_polygon_text, mirror_quad,
-                     table_formulas)
+                     canonical_polygon, count_one_singularity,
+                     format_polygon_text, mirror_quad, table_formulas)
 
 SQUARE = LatticePolygon(((1, 1), (-1, 1), (-1, -1), (1, -1)))
 
@@ -939,14 +939,26 @@ def test_commands_do_the_same_work_on_a_gl2z_image(poly, m):
     assert len(image_columns) == len(columns) > 0
 
 
-def test_enumerate(capsys):
-    code, out, _ = run(capsys, "enumerate", "--bound", "1")
+# (polygons, classes) per bound, as the subset oracle and criterion 7 count
+# them at bounds 2 and 4
+_ENUMERATED = {1: (16, 3), 2: (144, 9), 3: (496, 15), 4: (944, 21),
+               5: (1872, 27), 6: (2576, 33), 7: (4144, 39)}
+
+
+@pytest.mark.parametrize("bound", sorted(_ENUMERATED))
+def test_enumerate(capsys, bound):
+    # each (k, p) row is one class: the head counts the rows, and the rows
+    # and the total are read off the counts per (k, p)
+    code, out, _ = run(capsys, "enumerate", "--bound", str(bound))
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "bound=1: 16 polygons in 3 isomorphism classes"
-    assert "  k=1 p=1: 1 class(es)" in lines
-    assert "  k=2 p=1: 1 class(es)" in lines
-    assert "  k=3 p=1: 1 class(es)" in lines
+    head, *rows = out.splitlines()
+    counts = count_one_singularity(bound)
+    total, classes = _ENUMERATED[bound]
+    assert head == (f"bound={bound}: {total} polygons in {classes} "
+                    "isomorphism classes")
+    assert len(rows) == classes
+    assert rows == [f"  k={k} p={p}: 1 class(es)" for k, p in sorted(counts)]
+    assert sum(counts.values()) == total
 
 
 def test_parser_is_built_once_and_reused_safely(capsys, tmp_path):

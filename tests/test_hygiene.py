@@ -13,7 +13,9 @@ private name that one module imports from another is listed with its reason.
 No function nested in another reads its own name.  Every ConsistencyError
 raised names its check and both values.  Every class but the
 exceptions has __slots__ of its own, so it keeps no per-instance __dict__,
-and assigning any of its fields raises AttributeError.
+and assigning any of its fields raises AttributeError.  Each mutant listed
+in tests/mutants.py targets source text that occurs once, in its module,
+and names killers that exist.
 """
 
 import ast
@@ -25,6 +27,7 @@ import types
 import pytest
 
 import ldpsurf
+import mutants
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ldpsurf"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -260,3 +263,24 @@ def test_every_class_has_slots_and_frozen_fields():
     assert {"LatticePolygon", "ConeData", "FanAnalysis",
             "EmbeddingData"} <= set(checked)
     assert not missing, f"classes without __slots__ of their own: {missing}"
+
+
+def test_every_mutant_source_occurs_once():
+    # a change that rewrites a listed line updates its entry
+    texts = {name: (SRC / name).read_text(encoding="utf-8") for name in TREES}
+    root = SRC.parent.parent
+    bad = []
+    for m in mutants.MUTANTS:
+        found = {name: text.count(m.source) for name, text in texts.items()
+                 if m.source in text}
+        if found != {m.file: 1} or m.replacement == m.source:
+            bad.append(f"{m.source!r}: {found}")
+        if not m.killers:
+            bad.append(f"{m.source!r}: no killer")
+        for killer in m.killers:
+            path, _, test = killer.partition("::")
+            test = test.partition("[")[0]
+            if not (root / path).is_file() or \
+                    f"def {test}(" not in (root / path).read_text("utf-8"):
+                bad.append(f"{m.source!r}: {killer} not found")
+    assert not bad, f"mutants that no longer fit the tree: {bad}"
